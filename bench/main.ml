@@ -42,9 +42,9 @@ let reproduce () =
 let nop () = ()
 
 (* 50k fire-and-forget events at scattered pseudo-random delays: the
-   push/pop pattern of the simulation hot path, per scheduler. *)
-let sched_push_pop scheduler () =
-  let engine = Sim.Engine.create ~scheduler () in
+   push/pop pattern of the simulation hot path. *)
+let sched_push_pop () =
+  let engine = Sim.Engine.create () in
   for round = 0 to 4 do
     for i = 1 to 10_000 do
       Sim.Engine.schedule_unit engine
@@ -56,8 +56,8 @@ let sched_push_pop scheduler () =
 
 (* Same population through the handle path, cancelling every other
    event before the run drains the rest past the lazy deletions. *)
-let sched_cancel scheduler () =
-  let engine = Sim.Engine.create ~scheduler () in
+let sched_cancel () =
+  let engine = Sim.Engine.create () in
   let handles = Array.make 10_000 None in
   for round = 0 to 4 do
     for i = 0 to 9_999 do
@@ -200,10 +200,8 @@ let all_benchmarks : (string * (unit -> unit)) list =
     ( "many-flow/50k-flows-60s",
       fun () ->
         ignore (Experiments.Many_flow.run ~flows:50_000 ~duration:60.0 ()) );
-    ("sched/push-pop", sched_push_pop `Calendar);
-    ("sched/push-pop-heap", sched_push_pop `Heap);
-    ("sched/cancel", sched_cancel `Calendar);
-    ("sched/cancel-heap", sched_cancel `Heap);
+    ("sched/push-pop", sched_push_pop);
+    ("sched/cancel", sched_cancel);
     ("link/saturated", link_saturated);
   ]
 
@@ -312,19 +310,21 @@ let benchmark_check ~only ~baseline ~tolerance =
       Printf.eprintf "cannot parse %s: %s\n" baseline message;
       exit 2
   in
+  let schema =
+    Option.bind (Campaign.Json.member "schema" doc) Campaign.Json.to_str
+  in
+  if schema <> Some "rr-sim-bench/2" then begin
+    Printf.eprintf "%s: expected schema rr-sim-bench/2\n" baseline;
+    exit 2
+  end;
   let recorded =
     match Option.bind (Campaign.Json.member "results" doc) Campaign.Json.to_obj with
     | Some fields ->
       List.filter_map
         (fun (name, v) ->
-          (* Schema 2 entries are {ms, minor_words, major_words}
-             objects; schema 1 baselines were bare numbers. *)
-          let ms =
-            match Option.bind (Campaign.Json.member "ms" v) Campaign.Json.to_float with
-            | Some ms -> Some ms
-            | None -> Campaign.Json.to_float v
-          in
-          Option.map (fun ms -> (name, ms)) ms)
+          Option.map
+            (fun ms -> (name, ms))
+            (Option.bind (Campaign.Json.member "ms" v) Campaign.Json.to_float))
         fields
     | None ->
       Printf.eprintf "%s has no results object\n" baseline;

@@ -10,22 +10,6 @@ let seed_arg =
   let doc = "Random seed for stochastic components (RED, loss injection)." in
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Every engine created below (including in forked sweep workers) picks
-   up the process-wide default, so setting it once at command start is
-   enough. Both schedulers produce byte-identical output; the flag
-   exists for performance comparison and as an escape hatch. *)
-let scheduler_arg =
-  let scheduler_conv = Arg.enum [ ("calendar", `Calendar); ("heap", `Heap) ] in
-  let doc =
-    "Event scheduler backing the simulation engines: the ns-2-style calendar \
-     queue (calendar, default) or the binary heap (heap). Results are \
-     byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt scheduler_conv (Sim.Engine.default_scheduler ())
-    & info [ "scheduler" ] ~docv:"SCHED" ~doc)
-
 let variant_conv =
   let parse s =
     Result.map_error (fun message -> `Msg message) (Core.Variant.of_string s)
@@ -39,13 +23,46 @@ let csv_arg =
   in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
 
+(* A usage error (a bad flag value or combination) is reported on
+   stderr and exits 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun message ->
+      prerr_endline ("rr-sim: " ^ message);
+      exit 2)
+    fmt
+
+(* File outputs. An unwritable path (missing directory, no permission)
+   is a usage error too: checked before the run where possible, and
+   never an uncaught exception. *)
+let cannot_write path message =
+  let prefix = path ^ ": " in
+  usage_error "cannot write %s: %s" path
+    (if String.starts_with ~prefix message then
+       String.sub message (String.length prefix)
+         (String.length message - String.length prefix)
+     else message)
+
+let open_output path =
+  try open_out_bin path with Sys_error message -> cannot_write path message
+
+let ensure_dir dir =
+  match Sys.is_directory dir with
+  | true -> ()
+  | false -> cannot_write dir "Not a directory"
+  | exception Sys_error _ -> (
+    try Sys.mkdir dir 0o755 with Sys_error message -> cannot_write dir message)
+
 let write_csv dir name contents =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir name in
-  let oc = open_out path in
+  let oc = open_output path in
   output_string oc contents;
   close_out oc;
   Printf.printf "wrote %s\n" path
+
+(* A command with no options that prints one report. *)
+let report_term report =
+  Term.(const (fun () -> print_string (report ())) $ const ())
 
 (* fig5 *)
 
@@ -65,8 +82,7 @@ let fig5_term =
     in
     Arg.(value & flag & info [ "background" ] ~doc)
   in
-  let run scheduler drops window background seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run drops window background seed =
     if background then
       print_string
         (Experiments.Fig5.report_background (Experiments.Fig5.run_background ~seed ()))
@@ -74,7 +90,7 @@ let fig5_term =
       print_string
         (Experiments.Fig5.report (Experiments.Fig5.run ~drops ~measure_window:window ~seed ()))
   in
-  Term.(const run $ scheduler_arg $ drops $ window $ background $ seed_arg)
+  Term.(const run $ drops $ window $ background $ seed_arg)
 
 let fig5_cmd =
   Cmd.v
@@ -99,13 +115,13 @@ let fig6_term =
     let doc = "Restrict to one TCP variant." in
     Arg.(value & opt (some variant_conv) None & info [ "variant" ] ~doc)
   in
-  let run scheduler plots duration only_variant seed csv =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run plots duration only_variant seed csv =
     let variants =
       match only_variant with
       | Some v -> Some [ v ]
       | None -> None
     in
+    Option.iter ensure_dir csv;
     let outcome = Experiments.Fig6.run ?variants ~seed ~duration () in
     print_string (Experiments.Fig6.report outcome);
     if plots then
@@ -138,7 +154,7 @@ let fig6_term =
           outcome.Experiments.Fig6.results)
       csv
   in
-  Term.(const run $ scheduler_arg $ plots $ duration $ only_variant $ seed_arg $ csv_arg)
+  Term.(const run $ plots $ duration $ only_variant $ seed_arg $ csv_arg)
 
 let fig6_cmd =
   Cmd.v
@@ -166,15 +182,14 @@ let fig7_term =
     in
     Arg.(value & flag & info [ "delack" ] ~doc)
   in
-  let run scheduler duration runs delack seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run duration runs delack seed =
     let seeds = List.init runs (fun i -> Int64.add seed (Int64.of_int i)) in
     let outcome = Experiments.Fig7.run ~seeds ~duration ~delayed_ack:delack () in
     print_string (Experiments.Fig7.report outcome);
     print_newline ();
     print_string (Experiments.Fig7.plot outcome)
   in
-  Term.(const run $ scheduler_arg $ duration $ runs $ delack $ seed_arg)
+  Term.(const run $ duration $ runs $ delack $ seed_arg)
 
 let fig7_cmd =
   Cmd.v
@@ -187,11 +202,10 @@ let fig7_cmd =
 (* table5 *)
 
 let table5_term =
-  let run scheduler seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run seed =
     print_string (Experiments.Table5.report (Experiments.Table5.run ~seed ()))
   in
-  Term.(const run $ scheduler_arg $ seed_arg)
+  Term.(const run $ seed_arg)
 
 let table5_cmd =
   Cmd.v
@@ -208,11 +222,10 @@ let ablation_term =
     let doc = "Loss-burst size for the ablation scenario." in
     Arg.(value & opt int 6 & info [ "drops" ] ~docv:"N" ~doc)
   in
-  let run scheduler drops =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run drops =
     print_string (Experiments.Ablation.report (Experiments.Ablation.run ~drops ()))
   in
-  Term.(const run $ scheduler_arg $ drops)
+  Term.(const run $ drops)
 
 let ablation_cmd =
   Cmd.v
@@ -227,11 +240,8 @@ let ack_loss_cmd =
        ~doc:
          "ACK-loss robustness of recovery (paper section 2.3): burst recovery \
           under reverse-path drops.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Ack_loss.report (Experiments.Ack_loss.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Ack_loss.report (Experiments.Ack_loss.run ())))
 
 let sync_cmd =
   Cmd.v
@@ -239,11 +249,8 @@ let sync_cmd =
        ~doc:
          "Global synchronization and fairness: drop-tail vs RED gateways \
           (paper section 3.3 motivation).")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Sync.report (Experiments.Sync.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Sync.report (Experiments.Sync.run ())))
 
 let smooth_cmd =
   Cmd.v
@@ -251,11 +258,8 @@ let smooth_cmd =
        ~doc:
          "Smooth-Start extension (paper reference [21]): slow-start overshoot \
           control.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Smooth.report (Experiments.Smooth.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Smooth.report (Experiments.Smooth.run ())))
 
 let rtt_cmd =
   Cmd.v
@@ -263,11 +267,8 @@ let rtt_cmd =
        ~doc:
          "RTT fairness: AIMD convergence with equal RTTs (paper section 5) \
           and the short-RTT bias with unequal ones.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Rtt_fairness.report (Experiments.Rtt_fairness.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Rtt_fairness.report (Experiments.Rtt_fairness.run ())))
 
 let sensitivity_cmd =
   Cmd.v
@@ -275,11 +276,8 @@ let sensitivity_cmd =
        ~doc:
          "Robustness sweep: the Figure 5 ordering across gateway buffer sizes \
           and propagation delays.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Sensitivity.report (Experiments.Sensitivity.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Sensitivity.report (Experiments.Sensitivity.run ())))
 
 let two_way_cmd =
   Cmd.v
@@ -287,11 +285,8 @@ let two_way_cmd =
        ~doc:
          "Two-way traffic (paper reference [22]): ACK compression and loss \
           when data flows in both directions.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Two_way.report (Experiments.Two_way.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Two_way.report (Experiments.Two_way.run ())))
 
 let vegas_cmd =
   Cmd.v
@@ -299,11 +294,8 @@ let vegas_cmd =
        ~doc:
          "Vegas decomposition (paper reference [8]): does Vegas' gain come \
           from recovery or congestion avoidance?")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Vegas_claim.report (Experiments.Vegas_claim.run ())))
-       $ scheduler_arg)
+    (report_term (fun () ->
+         Experiments.Vegas_claim.report (Experiments.Vegas_claim.run ())))
 
 (* audit: invariant sweep over every variant and scenario shape *)
 
@@ -380,11 +372,7 @@ let audit_cmd =
          "Run the invariant auditor over every TCP variant under drop-tail \
           and RED gateways and a range of loss patterns; exit non-zero on \
           any violation.")
-    Term.(
-      const (fun scheduler seed ->
-          Sim.Engine.set_default_scheduler scheduler;
-          audit_sweep seed)
-      $ scheduler_arg $ seed_arg)
+    Term.(const audit_sweep $ seed_arg)
 
 (* run: ad-hoc scenario *)
 
@@ -626,24 +614,15 @@ let run_term =
     in
     Arg.(value & opt_all cross_conv [] & info [ "cross-traffic" ] ~docv:"BPS[:BYTES][:reverse]" ~doc)
   in
-  let run scheduler variant rrr_level topology flows duration red buffer loss
+  let run variant rrr_level topology flows duration red buffer loss
       rwnd ack_loss delack limited_transmit rto tracefile trace trace_format
       audit audit_sample faults link_schedule cross seed csv =
-    Sim.Engine.set_default_scheduler scheduler;
-    (if audit_sample < 0 then begin
-       Printf.eprintf "rr-sim: --audit-sample must be >= 0\n";
-       exit 2
-     end);
-    (if rrr_level <= 0.0 || rrr_level >= 1.0 then begin
-       Printf.eprintf "rr-sim: --rrr-level must be inside (0, 1)\n";
-       exit 2
-     end);
+    if audit_sample < 0 then usage_error "--audit-sample must be >= 0";
+    if rrr_level <= 0.0 || rrr_level >= 1.0 then
+      usage_error "--rrr-level must be inside (0, 1)";
     if topology = Run_many_flow then begin
-      (if link_schedule <> None then begin
-         Printf.eprintf
-           "rr-sim: --link-schedule does not apply to --topology many-flow\n";
-         exit 2
-       end);
+      if link_schedule <> None then
+        usage_error "--link-schedule does not apply to --topology many-flow";
       (* The flock scale path: flat arrays and streaming statistics, no
          per-flow agents — most scenario knobs do not apply. *)
       print_string
@@ -658,10 +637,8 @@ let run_term =
         Net.Dumbbell.Red { capacity = buffer; params = Net.Red.paper_params }
       else Net.Dumbbell.Droptail { capacity = buffer }
     in
-    (if topology <> Run_dumbbell && cross <> [] then begin
-       Printf.eprintf "rr-sim: --cross-traffic requires --topology dumbbell\n";
-       exit 2
-     end);
+    if topology <> Run_dumbbell && cross <> [] then
+      usage_error "--cross-traffic requires --topology dumbbell";
     let tcp_flows, scenario_topology =
       match topology with
       | Run_many_flow -> assert false
@@ -700,7 +677,11 @@ let run_term =
             ~ack_loss_link:"down0" ~flap_links:[ "up0"; "down0" ] ~spec
             ~endpoints () )
     in
-    let trace_channel = Option.map open_out trace in
+    let trace_channel = Option.map open_output trace in
+    let tracefile_channel =
+      Option.map (fun path -> (path, open_output path)) tracefile
+    in
+    Option.iter ensure_dir csv;
     (* Close (and thereby flush) the JSONL trace on every exit path,
        including a raising run — otherwise the tail of the trace is
        lost exactly when it is most needed. *)
@@ -805,12 +786,11 @@ let run_term =
           t.Experiments.Scenario.queue_occupancy)
       csv;
     Option.iter
-      (fun path ->
-        let oc = open_out path in
+      (fun (path, oc) ->
         output_string oc (Experiments.Scenario.tracefile t);
         close_out oc;
         Printf.printf "wrote %s\n" path)
-      tracefile;
+      tracefile_channel;
     if audit then begin
       print_newline ();
       print_string (Audit.Auditor.report t.Experiments.Scenario.auditor);
@@ -819,7 +799,7 @@ let run_term =
     end
   in
   Term.(
-    const run $ scheduler_arg $ variant $ rrr_level $ topology $ flows
+    const run $ variant $ rrr_level $ topology $ flows
     $ duration $ red $ buffer $ loss $ rwnd $ ack_loss $ delack
     $ limited_transmit $ rto $ tracefile $ trace $ trace_format $ audit
     $ audit_sample $ faults $ link_schedule $ cross $ seed_arg $ csv_arg)
@@ -1052,45 +1032,32 @@ let sweep_term =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let run scheduler variants gateways topologies losses ack_losses reorders
+  let run variants gateways topologies losses ack_losses reorders
       flap_periods cbr_shares rtos rrr_levels asym_ratios handover_periods
       seed_count duration flows rwnd
       jobs pool cache_dir no_cache json timeout retries backoff resume seed =
-    Sim.Engine.set_default_scheduler scheduler;
-    (if List.exists (fun l -> l <= 0.0 || l >= 1.0) rrr_levels then begin
-       Printf.eprintf "rr-sim: --rrr-levels must all be inside (0, 1)\n";
-       exit 2
-     end);
-    (if List.exists (fun r -> r <> 0.0 && r < 1.0) asym_ratios then begin
-       Printf.eprintf "rr-sim: --asym-ratios must be 0 (off) or >= 1\n";
-       exit 2
-     end);
-    (if
-       List.exists (fun r -> r > 0.0) asym_ratios
-       && List.exists (fun t -> t <> Campaign.Job.Dumbbell) topologies
-     then begin
-       Printf.eprintf "rr-sim: --asym-ratios requires --topologies dumbbell\n";
-       exit 2
-     end);
-    (if
-       List.exists
-         (fun p -> p <> 0.0 && p <= Campaign.Job.handover_gap)
-         handover_periods
-     then begin
-       Printf.eprintf
-         "rr-sim: --handover-period values must be 0 (off) or > %g s\n"
-         Campaign.Job.handover_gap;
-       exit 2
-     end);
+    if List.exists (fun l -> l <= 0.0 || l >= 1.0) rrr_levels then
+      usage_error "--rrr-levels must all be inside (0, 1)";
+    if List.exists (fun r -> r <> 0.0 && r < 1.0) asym_ratios then
+      usage_error "--asym-ratios must be 0 (off) or >= 1";
+    if
+      List.exists (fun r -> r > 0.0) asym_ratios
+      && List.exists (fun t -> t <> Campaign.Job.Dumbbell) topologies
+    then usage_error "--asym-ratios requires --topologies dumbbell";
+    if
+      List.exists
+        (fun p -> p <> 0.0 && p <= Campaign.Job.handover_gap)
+        handover_periods
+    then
+      usage_error "--handover-period values must be 0 (off) or > %g s"
+        Campaign.Job.handover_gap;
     (* Fail fast on an unparseable chaos spec instead of aborting
        mid-sweep from inside the pool. *)
     (match Sys.getenv_opt Campaign.Pool.chaos_env with
     | Some spec when !Campaign.Pool.chaos = None -> (
       match Campaign.Pool.chaos_of_string spec with
       | Ok _ -> ()
-      | Error message ->
-        Printf.eprintf "rr-sim: %s: %s\n" Campaign.Pool.chaos_env message;
-        exit 2)
+      | Error message -> usage_error "%s: %s" Campaign.Pool.chaos_env message)
     | _ -> ());
     let grid =
       Campaign.Sweep.grid ~variants ~gateways ~topologies
@@ -1098,11 +1065,8 @@ let sweep_term =
         ~estimators:rtos ~rrr_levels ~asym_ratios ~handover_periods ~seed
         ~seed_count ~duration ~flows ~rwnd ()
     in
-    if resume && no_cache then begin
-      Printf.eprintf
-        "rr-sim: --resume needs the result cache (drop --no-cache)\n";
-      exit 2
-    end;
+    if resume && no_cache then
+      usage_error "--resume needs the result cache (drop --no-cache)";
     let cache =
       if no_cache then None else Some (Campaign.Cache.create ~dir:cache_dir ())
     in
@@ -1123,9 +1087,7 @@ let sweep_term =
               (List.length previous.Campaign.Journal.settled)
               (List.length previous.Campaign.Journal.failed);
             Some journal
-          | Error message ->
-            Printf.eprintf "rr-sim: cannot resume: %s\n" message;
-            exit 2)
+          | Error message -> usage_error "cannot resume: %s" message)
         else
           Some
             (Campaign.Journal.start ~path:journal_path ~sweep:sweep_digest
@@ -1180,7 +1142,7 @@ let sweep_term =
       else if Campaign.Sweep.total_violations outcome > 0 then exit 1
   in
   Term.(
-    const run $ scheduler_arg $ variants $ gateways $ topologies $ losses
+    const run $ variants $ gateways $ topologies $ losses
     $ ack_losses $ reorders $ flap_periods $ cbr_shares $ rtos $ rrr_levels
     $ asym_ratios $ handover_periods
     $ seed_count $ duration $ flows $ rwnd $ jobs $ pool $ cache_dir
@@ -1201,17 +1163,13 @@ let sweep_cmd =
 (* list / all: the experiment registry *)
 
 let list_cmd =
-  let run () =
-    print_string
-      (Stats.Text_table.render ~header:[ "name"; "synopsis" ]
-         (List.map
-            (fun e ->
-              [ e.Experiments.Registry.name; e.Experiments.Registry.synopsis ])
-            Experiments.Registry.all))
-  in
   Cmd.v
     (Cmd.info "list" ~doc:"List every registered experiment with its synopsis.")
-    Term.(const run $ const ())
+    (report_term (fun () ->
+         Stats.Text_table.render ~header:[ "name"; "synopsis" ]
+           (List.map
+              (fun (e : Experiments.Registry.t) -> [ e.name; e.synopsis ])
+              Experiments.Registry.all)))
 
 let all_term =
   let only =
@@ -1221,8 +1179,7 @@ let all_term =
     in
     Arg.(value & opt (some (list ~sep:',' string)) None & info [ "only" ] ~docv:"NAMES" ~doc)
   in
-  let run scheduler only seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run only seed =
     let experiments =
       match only with
       | None -> Experiments.Registry.all
@@ -1244,7 +1201,7 @@ let all_term =
         print_string (e.Experiments.Registry.run ~seed))
       experiments
   in
-  Term.(const run $ scheduler_arg $ only $ seed_arg)
+  Term.(const run $ only $ seed_arg)
 
 let all_cmd =
   Cmd.v
@@ -1292,17 +1249,12 @@ let modelcheck_term =
     in
     Arg.(value & opt (some float) None & info [ "check" ] ~docv:"TOL" ~doc)
   in
-  let run scheduler variants losses seeds duration rrr_level check =
-    Sim.Engine.set_default_scheduler scheduler;
-    (if rrr_level <= 0.0 || rrr_level >= 1.0 then begin
-       Printf.eprintf "rr-sim: --rrr-level must be inside (0, 1)\n";
-       exit 2
-     end);
+  let run variants losses seeds duration rrr_level check =
+    if rrr_level <= 0.0 || rrr_level >= 1.0 then
+      usage_error "--rrr-level must be inside (0, 1)";
     let all_seeds = [ 3L; 17L; 29L; 101L; 2048L ] in
-    (if seeds < 1 || seeds > List.length all_seeds then begin
-       Printf.eprintf "rr-sim: --seeds must be 1-%d\n" (List.length all_seeds);
-       exit 2
-     end);
+    if seeds < 1 || seeds > List.length all_seeds then
+      usage_error "--seeds must be 1-%d" (List.length all_seeds);
     let seeds = List.filteri (fun i _ -> i < seeds) all_seeds in
     let outcome =
       Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds ~duration
@@ -1336,7 +1288,7 @@ let modelcheck_term =
       check
   in
   Term.(
-    const run $ scheduler_arg $ variants $ losses $ seeds $ duration
+    const run $ variants $ losses $ seeds $ duration
     $ rrr_level $ check)
 
 let modelcheck_cmd =
@@ -1366,7 +1318,13 @@ let trace_export_term =
     in
     match
       match output with
-      | Some path -> Out_channel.with_open_bin path convert
+      | Some path ->
+        let oc = open_output path in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            convert oc;
+            close_out oc)
       | None -> convert stdout
     with
     | () -> `Ok ()

@@ -232,10 +232,10 @@ let () =
 
   (* -- settled registry artifacts: byte identity --
 
-     MD5 of every settled artifact's report at seed 7 under the default
-     scheduler (exactly what [rr-sim all --only NAME --seed 7] prints
-     below its banner). New code must not perturb these outputs; an
-     *intentional* report change re-records the table with
+     MD5 of every settled artifact's report at seed 7 (exactly what
+     [rr-sim all --only NAME --seed 7] prints below its banner). New
+     code must not perturb these outputs; an *intentional* report
+     change re-records the table with
      [verify-repro --print-artifact-digests]. Artifacts introduced in
      the same change as their experiment are deliberately absent — a
      digest is only pinned once the output has shipped. *)
@@ -272,6 +272,10 @@ let () =
       ("sync-bench", "d30ec05b75fe53b5aff4e5ec4f0cb81a");
       ("flaps-bench", "d91fe00e29711d7175ed2b7bf9631a8f");
       ("cross-bench", "ddab0e07396676c86b3cca6a1a798c0b");
+      ("mobile", "d099b25c536c23e919e4ff112fbf8f2d");
+      ("satellite", "ecec1516a1ad062a0245ffe982d37553");
+      ("asym", "611e7045bd940381a643d6dd40925c7c");
+      ("rrr-levels", "db11daf6b462f6317a0a7c0a95c8559b");
     ]
   in
   let artifact_digest name =

@@ -35,7 +35,8 @@ let () =
   in
   let topology =
     Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 5L)
-      ~wrap_bottleneck ()
+      ~taps:[ ("gateway", wrap_bottleneck) ]
+      ()
   in
   topology_cell := Some topology;
   let agent, handle =

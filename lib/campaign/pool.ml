@@ -661,11 +661,3 @@ let run ~jobs ?backend ?(policy = default_policy) ?(stop = fun () -> false)
   | Domains ->
     run_domains ~jobs:(max 1 jobs) ~policy ~stop ~on_done ~on_retry
       ~on_settled f items
-
-let map ~jobs ?on_done f items =
-  run ~jobs ?on_done f items
-  |> List.map (function
-       | Settled value -> value
-       | Failed (Crashed message) -> failwith ("campaign worker: " ^ message)
-       | Failed failure -> failwith ("campaign worker: " ^ failure_to_string failure)
-       | Not_run -> assert false)

@@ -173,10 +173,3 @@ val run :
   ('a -> 'b) ->
   'a list ->
   'b outcome list
-
-(** [map ~jobs ?on_done f items] is the legacy all-or-nothing wrapper
-    over {!run} with {!default_policy}: results in input order, raising
-    after the whole batch settles if any job failed.
-
-    @raise Failure if any child failed. *)
-val map : jobs:int -> ?on_done:(int -> unit) -> ('a -> 'b) -> 'a list -> 'b list

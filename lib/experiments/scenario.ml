@@ -149,6 +149,15 @@ type drop = { time : float; flow : int; payload : drop_payload }
 
 type net = Dumbbell_net of Net.Dumbbell.t | Graph_net of Net.Topology.t * graph
 
+let topology_of = function
+  | Dumbbell_net d -> Net.Dumbbell.topology d
+  | Graph_net (topo, _) -> topo
+
+(* The link whose queue is the gateway under test, if any. *)
+let bottleneck_of = function
+  | Dumbbell_net _ -> Some "gateway"
+  | Graph_net (_, g) -> g.bottleneck
+
 type t = {
   engine : Sim.Engine.t;
   net : net;
@@ -243,12 +252,9 @@ let run spec =
   (* The topology is needed inside the loss wrappers for per-flow drop
      accounting, but the wrappers are topology constructor arguments;
      route the callbacks through a cell. *)
-  let net_cell = ref None in
+  let topo_cell = ref None in
   let injected_drop packet =
-    (match !net_cell with
-    | Some (Dumbbell_net topology) -> Net.Dumbbell.count_drop topology packet
-    | Some (Graph_net (topology, _)) -> Net.Topology.count_drop topology packet
-    | None -> ());
+    Option.iter (fun topo -> Net.Topology.count_drop topo packet) !topo_cell;
     log_drop packet
   in
   (* Fault wrappers sit innermost (right at the trunk queue), loss
@@ -307,9 +313,10 @@ let run spec =
           @ List.map (fun c -> c.cross_direction) spec.cross)
       in
       Dumbbell_net
-        (Net.Dumbbell.create ~engine ~config ~rng ~wrap_bottleneck
-           ~wrap_reverse ~on_drop:log_drop ?side_delays:spec.side_delays
-           ~directions ())
+        (Net.Dumbbell.create ~engine ~config ~rng
+           ~taps:
+             [ ("gateway", wrap_bottleneck); ("reverse_gateway", wrap_reverse) ]
+           ~on_drop:log_drop ?side_delays:spec.side_delays ~directions ())
     | Graph g ->
       (* Tap construction order mirrors the dumbbell path — data-path
          wraps before ACK-path wraps — so the loss streams split off
@@ -328,58 +335,38 @@ let run spec =
             ~on_drop:log_drop ~flows:g.endpoints (),
           g )
   in
-  net_cell := Some net;
-  let inject_data ~flow packet =
+  let topo = topology_of net in
+  topo_cell := Some topo;
+  (* The (name, link) pairs a fault acts on: [dumbbell] names the
+     dumbbell's trunk links, while on a graph the spec's [flap_links]
+     fail as one. *)
+  let fault_links ~dumbbell ~purpose =
     match net with
-    | Dumbbell_net topology -> Net.Dumbbell.inject_data topology ~flow packet
-    | Graph_net (topology, _) -> Net.Topology.inject_data topology ~flow packet
-  in
-  let inject_ack ~flow packet =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.inject_ack topology ~flow packet
-    | Graph_net (topology, _) -> Net.Topology.inject_ack topology ~flow packet
-  in
-  let on_data ~flow handler =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.on_data topology ~flow handler
-    | Graph_net (topology, _) -> Net.Topology.on_data topology ~flow handler
-  in
-  let on_ack ~flow handler =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.on_ack topology ~flow handler
-    | Graph_net (topology, _) -> Net.Topology.on_ack topology ~flow handler
+    | Dumbbell_net _ ->
+      List.map (fun (name, id) -> (name, Net.Topology.link topo id)) dumbbell
+    | Graph_net (_, g) ->
+      if g.flap_links = [] then
+        invalid_arg
+          ("Scenario.run: graph topology needs flap_links " ^ purpose);
+      List.map (fun name -> (name, Net.Topology.link topo name)) g.flap_links
   in
   (* A flap models an outage of the physical trunk: on the dumbbell both
-     directions cut together, under the same schedule; on a graph the
-     spec names the links that fail as one. *)
+     directions cut together, under the same schedule. *)
   (match (fault_streams, injector) with
   | Some (flap_rng, _, _), Some inj -> (
     match
       Faults.Spec.flap_schedule spec.faults ~rng:flap_rng ~until:spec.duration
     with
     | None -> ()
-    | Some schedule -> (
+    | Some schedule ->
       let policy = spec.faults.Faults.Spec.flap_policy in
-      match net with
-      | Dumbbell_net topology ->
-        Faults.Injector.flap_link inj ~name:"bottleneck" ~policy
-          ~on_drop:injected_drop
-          (Net.Dumbbell.bottleneck_link topology)
-          schedule;
-        Faults.Injector.flap_link inj ~name:"reverse" ~policy
-          ~on_drop:injected_drop
-          (Net.Dumbbell.reverse_trunk_link topology)
-          schedule
-      | Graph_net (topology, g) ->
-        if g.flap_links = [] then
-          invalid_arg "Scenario.run: graph topology needs flap_links to flap";
-        List.iter
-          (fun name ->
-            Faults.Injector.flap_link inj ~name ~policy
-              ~on_drop:injected_drop
-              (Net.Topology.link topology name)
-              schedule)
-          g.flap_links))
+      List.iter
+        (fun (name, link) ->
+          Faults.Injector.flap_link inj ~name ~policy ~on_drop:injected_drop
+            link schedule)
+        (fault_links ~purpose:"to flap"
+           ~dumbbell:
+             [ ("bottleneck", "gateway"); ("reverse", "reverse_gateway") ]))
   | _ -> ());
   (* Time-varying link conditions. Targets mirror the flap convention:
      the dumbbell's forward trunk, or the graph spec's [flap_links].
@@ -390,17 +377,8 @@ let run spec =
   | Some inj
     when link_schedule <> None || Faults.Spec.has_timeline spec.faults ->
     let targets =
-      match net with
-      | Dumbbell_net topology ->
-        [ ("bottleneck", Net.Dumbbell.bottleneck_link topology) ]
-      | Graph_net (topology, g) ->
-        if g.flap_links = [] then
-          invalid_arg
-            "Scenario.run: graph topology needs flap_links for link \
-             timelines";
-        List.map
-          (fun name -> (name, Net.Topology.link topology name))
-          g.flap_links
+      fault_links ~purpose:"for link timelines"
+        ~dumbbell:[ ("bottleneck", "gateway") ]
     in
     Option.iter
       (fun timeline ->
@@ -439,9 +417,9 @@ let run spec =
     (match spec.faults.Faults.Spec.asym with
     | Some ratio -> (
       match net with
-      | Dumbbell_net topology ->
-        let forward = Net.Dumbbell.bottleneck_link topology in
-        let reverse = Net.Dumbbell.reverse_trunk_link topology in
+      | Dumbbell_net _ ->
+        let forward = Net.Topology.link topo "gateway" in
+        let reverse = Net.Topology.link topo "reverse_gateway" in
         (* One step at t = 0 rather than a direct set_rate at setup, so
            the change is evented and traced like any other timeline
            step. *)
@@ -496,18 +474,19 @@ let run spec =
   let make_flow flow_id flow_spec =
     let ({ agent; rr_handle } : built) =
       flow_spec.make ~engine ~params:spec.params ~flow:flow_id
-        ~emit:(fun packet -> inject_data ~flow:flow_id packet)
+        ~emit:(fun packet ->
+          Net.Topology.inject_data topo ~flow:flow_id packet)
         ()
     in
     let receiver =
       Tcp.Receiver.create ~engine ~flow:flow_id
-        ~emit:(fun packet -> inject_ack ~flow:flow_id packet)
+        ~emit:(fun packet -> Net.Topology.inject_ack topo ~flow:flow_id packet)
         ~sack:agent.Tcp.Agent.wants_sack
         ~ack_size:spec.params.Tcp.Params.ack_size
         ~delayed_ack:spec.delayed_ack ()
     in
-    on_data ~flow:flow_id (Tcp.Receiver.deliver receiver);
-    on_ack ~flow:flow_id agent.Tcp.Agent.deliver_ack;
+    Net.Topology.on_data topo ~flow:flow_id (Tcp.Receiver.deliver receiver);
+    Net.Topology.on_ack topo ~flow:flow_id agent.Tcp.Agent.deliver_ack;
     let trace = Stats.Flow_trace.attach agent in
     if audit_on then
       Audit.Auditor.attach_sender auditor ?rr:rr_handle
@@ -567,11 +546,12 @@ let run spec =
                ~rate_bps:cross.rate_bps ~packet_bytes:cross.packet_bytes
                ~at:cross.cross_start
                ~until:(Option.value cross.cross_until ~default:spec.duration)
-               ~emit:(fun packet -> inject_data ~flow:cross_flow packet)
+               ~emit:(fun packet ->
+                 Net.Topology.inject_data topo ~flow:cross_flow packet)
                ()
            in
            let result = { cross; cross_flow; source; received = 0 } in
-           on_data ~flow:cross_flow (fun _ ->
+           Net.Topology.on_data topo ~flow:cross_flow (fun _ ->
                result.received <- result.received + 1);
            result)
          spec.cross)
@@ -579,12 +559,7 @@ let run spec =
   let queue_occupancy =
     Option.map
       (fun interval ->
-        let queue =
-          match net with
-          | Dumbbell_net topology -> Net.Dumbbell.bottleneck_queue topology
-          | Graph_net (topology, g) ->
-            Net.Topology.queue topology (Option.get g.bottleneck)
-        in
+        let queue = Net.Topology.queue topo (Option.get (bottleneck_of net)) in
         Stats.Queue_monitor.sample ~engine
           ~probe:queue.Net.Queue_disc.length ~interval ~until:spec.duration)
       spec.monitor_queue
@@ -611,18 +586,10 @@ let run spec =
     injector;
   }
 
-let drops t ~flow =
-  match t.net with
-  | Dumbbell_net topology -> Net.Dumbbell.drops_of_flow topology flow
-  | Graph_net (topology, _) -> Net.Topology.drops_of_flow topology flow
+let drops t ~flow = Net.Topology.drops_of_flow (topology_of t.net) flow
 
 let red_stats t =
-  match t.net with
-  | Dumbbell_net topology -> Net.Dumbbell.red_stats topology
-  | Graph_net (topology, g) -> (
-    match g.bottleneck with
-    | Some link -> Net.Topology.red_stats topology link
-    | None -> None)
+  Option.bind (bottleneck_of t.net) (Net.Topology.red_stats (topology_of t.net))
 
 let tracefile t =
   (* Merge per-flow send/ack traces and the drop log into time-ordered

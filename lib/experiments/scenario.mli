@@ -95,10 +95,11 @@ type graph = {
 }
 
 (** Which network a spec builds. [Dumbbell] is the paper's Figure 4
-    (built through {!Net.Dumbbell}, so the legacy/graph backend toggle
-    applies); [Graph] realizes any {!Net.Topology.spec} directly. On a
-    [Graph] topology, [flow_spec.direction] is ignored (the endpoints
-    already orient each flow) and [side_delays] must be [None]. *)
+    (built through {!Net.Dumbbell}, which names its queues in the
+    historical order); [Graph] realizes any {!Net.Topology.spec}
+    directly. On a [Graph] topology, [flow_spec.direction] is ignored
+    (the endpoints already orient each flow) and [side_delays] must be
+    [None]. *)
 type topology = Dumbbell of Net.Dumbbell.config | Graph of graph
 
 (** [dumbbell config] is the paper's topology as a spec field. *)

@@ -17,276 +17,45 @@ type config = Dumbbell_config.t = {
 
 let paper_config = Dumbbell_config.paper
 
-type backend = Graph | Legacy_closures
-
-let backend_ref = ref Graph
-
-let set_default_backend backend = backend_ref := backend
-
-let default_backend () = !backend_ref
-
-(* -- legacy backend -------------------------------------------------
-
-   The original hand-wired closure web, kept verbatim so the
-   test_topology_diff suite can prove the graph realization
-   byte-identical against it. New capabilities (taps on arbitrary
-   links, non-dumbbell graphs) exist only on the {!Topology} path. *)
-
-type legacy = {
-  l_config : config;
-  l_directions : direction array;
-  forward_access : Link.t array;  (* S_i -> R1 *)
-  reverse_access : Link.t array;  (* K_i -> R2 *)
-  data_handlers : (Packet.t -> unit) ref array;
-  ack_handlers : (Packet.t -> unit) ref array;
-  bottleneck : Link.t;
-  reverse_bottleneck : Link.t;
-  l_red_stats : Red.drop_stats option;
-  l_drops : int array;  (* per-flow drop ledger *)
-  l_queues : (string * Queue_disc.t) list;  (* every disc, gateway first *)
-}
-
-let legacy_count_drop t packet =
-  let flow = packet.Packet.flow in
-  if flow >= 0 && flow < Array.length t.l_drops then
-    t.l_drops.(flow) <- t.l_drops.(flow) + 1
-
-let create_legacy ~engine ~config ~rng ?(wrap_bottleneck = fun next -> next)
-    ?(wrap_reverse = fun next -> next) ?(on_drop = fun _ -> ()) ?side_delays
-    ?directions () =
-  if config.flows < 1 then invalid_arg "Dumbbell.create: flows < 1";
-  (match side_delays with
-  | Some delays when Array.length delays <> config.flows ->
-    invalid_arg "Dumbbell.create: side_delays length mismatch"
-  | Some _ | None -> ());
-  let directions =
-    match directions with
-    | Some array ->
-      if Array.length array <> config.flows then
-        invalid_arg "Dumbbell.create: directions length mismatch";
-      array
-    | None -> Array.make config.flows Forward
-  in
-  let side_delay_of flow =
-    match side_delays with
-    | Some delays -> delays.(flow)
-    | None -> config.side_delay
-  in
-  let drops = Array.make config.flows 0 in
-  let record_drop packet =
-    let flow = packet.Packet.flow in
-    if flow >= 0 && flow < config.flows then drops.(flow) <- drops.(flow) + 1;
-    on_drop packet
-  in
-  let data_handlers =
-    Array.init config.flows (fun flow ->
-        ref (fun (_ : Packet.t) ->
-            failwith (Printf.sprintf "no data handler for flow %d" flow)))
-  in
-  let ack_handlers =
-    Array.init config.flows (fun flow ->
-        ref (fun (_ : Packet.t) ->
-            failwith (Printf.sprintf "no ack handler for flow %d" flow)))
-  in
-  let droptail capacity =
-    Droptail.create ~capacity ~on_drop:record_drop ()
-  in
-  (* Delivery fan-out off each trunk: one exit link per host so
-     concurrent flows do not serialize behind each other. The forward
-     trunk carries a Forward flow's data (to its receiver) but a
-     Backward flow's ACKs (to its sender); the reverse trunk is the
-     mirror image. *)
-  let exit_forward_trunk =
-    Array.init config.flows (fun flow ->
-        Link.create ~engine ~bandwidth_bps:config.side_bandwidth_bps
-          ~delay:(side_delay_of flow)
-          ~queue:(droptail config.access_capacity)
-          ~dst:(fun packet ->
-            match directions.(flow) with
-            | Forward -> !(data_handlers.(flow)) packet
-            | Backward -> !(ack_handlers.(flow)) packet)
-          ())
-  in
-  let exit_reverse_trunk =
-    Array.init config.flows (fun flow ->
-        Link.create ~engine ~bandwidth_bps:config.side_bandwidth_bps
-          ~delay:(side_delay_of flow)
-          ~queue:(droptail config.reverse_capacity)
-          ~dst:(fun packet ->
-            match directions.(flow) with
-            | Forward -> !(ack_handlers.(flow)) packet
-            | Backward -> !(data_handlers.(flow)) packet)
-          ())
-  in
-  let route_to array packet =
-    let flow = packet.Packet.flow in
-    if flow < 0 || flow >= config.flows then
-      invalid_arg "Dumbbell: packet with unknown flow id"
-    else Link.send array.(flow) packet
-  in
-  let gateway_queue, red_stats =
-    match config.gateway with
-    | Droptail { capacity } -> (droptail capacity, None)
-    | Red { capacity; params } ->
-      let disc, stats =
-        Red.create ~engine ~capacity ~params ~rng:(Sim.Rng.split rng)
-          ~bandwidth_bps:config.bottleneck_bandwidth_bps ~on_drop:record_drop
-          ()
-      in
-      (disc, Some stats)
-  in
-  let bottleneck =
-    Link.create ~engine ~bandwidth_bps:config.bottleneck_bandwidth_bps
-      ~delay:config.bottleneck_delay ~queue:gateway_queue
-      ~dst:(route_to exit_forward_trunk) ()
-  in
-  let reverse_bottleneck =
-    Link.create ~engine ~bandwidth_bps:config.bottleneck_bandwidth_bps
-      ~delay:config.bottleneck_delay
-      ~queue:(droptail config.reverse_capacity)
-      ~dst:(route_to exit_reverse_trunk) ()
-  in
-  let bottleneck_entry = wrap_bottleneck (fun p -> Link.send bottleneck p) in
-  let forward_access =
-    Array.init config.flows (fun flow ->
-        Link.create ~engine ~bandwidth_bps:config.side_bandwidth_bps
-          ~delay:(side_delay_of flow)
-          ~queue:(droptail config.access_capacity)
-          ~dst:bottleneck_entry ())
-  in
-  let reverse_entry = wrap_reverse (fun p -> Link.send reverse_bottleneck p) in
-  let reverse_access =
-    Array.init config.flows (fun flow ->
-        Link.create ~engine ~bandwidth_bps:config.side_bandwidth_bps
-          ~delay:(side_delay_of flow)
-          ~queue:(droptail config.reverse_capacity)
-          ~dst:reverse_entry ())
-  in
-  let named prefix links =
-    Array.to_list
-      (Array.mapi
-         (fun flow link -> (Printf.sprintf "%s%d" prefix flow, Link.queue link))
-         links)
-  in
-  let queues =
-    (("gateway", Link.queue bottleneck)
-    :: ("reverse_gateway", Link.queue reverse_bottleneck)
-    :: named "access_fwd" forward_access)
-    @ named "access_rev" reverse_access
-    @ named "exit_fwd" exit_forward_trunk
-    @ named "exit_rev" exit_reverse_trunk
-  in
-  {
-    l_config = config;
-    l_directions = directions;
-    forward_access;
-    reverse_access;
-    data_handlers;
-    ack_handlers;
-    bottleneck;
-    reverse_bottleneck;
-    l_red_stats = red_stats;
-    l_drops = drops;
-    l_queues = queues;
-  }
-
-(* -- graph backend -------------------------------------------------- *)
-
-type graph = {
+type t = {
   topo : Topology.t;
-  g_queues : (string * Queue_disc.t) list;  (* legacy naming order *)
+  queues : (string * Queue_disc.t) list;  (* historical naming order *)
 }
 
-type t = G of graph | L of legacy
+let create ~engine ~config ~rng ?(taps = []) ?on_drop ?side_delays
+    ?directions () =
+  let spec, endpoints = Topology.dumbbell ~config ?side_delays ?directions () in
+  let topo =
+    Topology.create ~engine ~spec ~rng ~taps ?on_drop ~flows:endpoints ()
+  in
+  let per prefix =
+    List.init config.flows (fun i -> Printf.sprintf "%s%d" prefix i)
+  in
+  let names =
+    ("gateway" :: "reverse_gateway" :: per "access_fwd")
+    @ per "access_rev" @ per "exit_fwd" @ per "exit_rev"
+  in
+  let queues = List.map (fun name -> (name, Topology.queue topo name)) names in
+  { topo; queues }
 
-let create ~engine ~config ~rng ?wrap_bottleneck ?wrap_reverse ?(taps = [])
-    ?on_drop ?side_delays ?directions () =
-  match !backend_ref with
-  | Legacy_closures ->
-    if taps <> [] then
-      invalid_arg "Dumbbell.create: taps require the Graph backend";
-    L
-      (create_legacy ~engine ~config ~rng ?wrap_bottleneck ?wrap_reverse
-         ?on_drop ?side_delays ?directions ())
-  | Graph ->
-    let spec, endpoints = Topology.dumbbell ~config ?side_delays ?directions () in
-    (* Deprecated shims first, in the legacy invocation order (bottleneck
-       wrap before reverse wrap), so RNG draws inside wrap construction
-       stay in the historical sequence; explicit taps follow. *)
-    let shims =
-      (match wrap_bottleneck with Some w -> [ ("gateway", w) ] | None -> [])
-      @ match wrap_reverse with Some w -> [ ("reverse_gateway", w) ] | None -> []
-    in
-    let topo =
-      Topology.create ~engine ~spec ~rng ~taps:(shims @ taps) ?on_drop
-        ~flows:endpoints ()
-    in
-    let per prefix =
-      List.init config.flows (fun i -> Printf.sprintf "%s%d" prefix i)
-    in
-    let names =
-      ("gateway" :: "reverse_gateway" :: per "access_fwd")
-      @ per "access_rev" @ per "exit_fwd" @ per "exit_rev"
-    in
-    let g_queues = List.map (fun name -> (name, Topology.queue topo name)) names in
-    G { topo; g_queues }
+let topology t = t.topo
 
-let topology = function G g -> Some g.topo | L _ -> None
+let count_drop t packet = Topology.count_drop t.topo packet
 
-let count_drop t packet =
-  match t with
-  | G g -> Topology.count_drop g.topo packet
-  | L l -> legacy_count_drop l packet
+let drops_of_flow t flow = Topology.drops_of_flow t.topo flow
 
-let drops_of_flow t flow =
-  match t with
-  | G g -> Topology.drops_of_flow g.topo flow
-  | L l -> l.l_drops.(flow)
+let total_drops t = Topology.total_drops t.topo
 
-let total_drops = function
-  | G g -> Topology.total_drops g.topo
-  | L l -> Array.fold_left ( + ) 0 l.l_drops
+let inject_data t ~flow packet = Topology.inject_data t.topo ~flow packet
 
-let inject_data t ~flow packet =
-  match t with
-  | G g -> Topology.inject_data g.topo ~flow packet
-  | L l -> (
-    match l.l_directions.(flow) with
-    | Forward -> Link.send l.forward_access.(flow) packet
-    | Backward -> Link.send l.reverse_access.(flow) packet)
+let inject_ack t ~flow packet = Topology.inject_ack t.topo ~flow packet
 
-let inject_ack t ~flow packet =
-  match t with
-  | G g -> Topology.inject_ack g.topo ~flow packet
-  | L l -> (
-    match l.l_directions.(flow) with
-    | Forward -> Link.send l.reverse_access.(flow) packet
-    | Backward -> Link.send l.forward_access.(flow) packet)
+let on_data t ~flow handler = Topology.on_data t.topo ~flow handler
 
-let on_data t ~flow handler =
-  match t with
-  | G g -> Topology.on_data g.topo ~flow handler
-  | L l -> l.data_handlers.(flow) := handler
+let on_ack t ~flow handler = Topology.on_ack t.topo ~flow handler
 
-let on_ack t ~flow handler =
-  match t with
-  | G g -> Topology.on_ack g.topo ~flow handler
-  | L l -> l.ack_handlers.(flow) := handler
+let bottleneck_queue t = Topology.queue t.topo "gateway"
 
-let bottleneck_queue = function
-  | G g -> Topology.queue g.topo "gateway"
-  | L l -> Link.queue l.bottleneck
+let queues t = t.queues
 
-let bottleneck_link = function
-  | G g -> Topology.link g.topo "gateway"
-  | L l -> l.bottleneck
-
-let reverse_trunk_link = function
-  | G g -> Topology.link g.topo "reverse_gateway"
-  | L l -> l.reverse_bottleneck
-
-let queues = function G g -> g.g_queues | L l -> l.l_queues
-
-let red_stats = function
-  | G g -> Topology.red_stats g.topo "gateway"
-  | L l -> l.l_red_stats
+let red_stats t = Topology.red_stats t.topo "gateway"

@@ -34,21 +34,6 @@ type config = Dumbbell_config.t = {
     8-packet drop-tail gateway. *)
 val paper_config : flows:int -> config
 
-(** Which realization backs {!create}. [Graph] (the default) builds the
-    dumbbell as a {!Topology} graph; [Legacy_closures] keeps the
-    original hand-wired closure web. Both produce byte-identical runs
-    (proven by the [test_topology_diff] suite); the legacy backend
-    exists only as the reference for that proof and will be removed
-    once it has served a release. *)
-type backend = Graph | Legacy_closures
-
-(** [set_default_backend b] selects the backend used by subsequent
-    {!create} calls, in the mold of
-    {!Sim.Engine.set_default_scheduler}. *)
-val set_default_backend : backend -> unit
-
-val default_backend : unit -> backend
-
 type t
 
 (** [create ~engine ~config ~rng ?taps ?on_drop ()] builds the
@@ -65,21 +50,16 @@ type t
     assigns each flow a {!direction} (default all [Forward]); a
     [Backward] flow's [inject_data] rides the reverse trunk and its
     [inject_ack] the forward trunk, so two-way experiments share queues
-    exactly as in the paper's [22].
+    exactly as in the paper's [22]. The dumbbell is realized as a
+    {!Topology} graph; wraps are constructed in [taps] order, so RNG
+    draws inside them follow the list.
 
-    [wrap_bottleneck] and [wrap_reverse] are deprecated shims for
-    [taps] on ["gateway"] / ["reverse_gateway"], kept for one release;
-    they are applied before any explicit [taps], preserving the
-    historical wrap-construction order. Naming a link both ways raises.
-
-    @raise Invalid_argument on array-length mismatches, [flows < 1], or
-    (on the [Legacy_closures] backend) a non-empty [taps]. *)
+    @raise Invalid_argument on array-length mismatches or
+    [flows < 1]. *)
 val create :
   engine:Sim.Engine.t ->
   config:config ->
   rng:Sim.Rng.t ->
-  ?wrap_bottleneck:((Packet.t -> unit) -> Packet.t -> unit) ->
-  ?wrap_reverse:((Packet.t -> unit) -> Packet.t -> unit) ->
   ?taps:(string * Topology.wrap) list ->
   ?on_drop:(Packet.t -> unit) ->
   ?side_delays:float array ->
@@ -87,10 +67,10 @@ val create :
   unit ->
   t
 
-(** [topology t] is the underlying graph when [t] was built by the
-    [Graph] backend — the attachment point for capabilities the legacy
-    surface never had (taps or faults on arbitrary links). *)
-val topology : t -> Topology.t option
+(** [topology t] is the underlying graph — the attachment point for
+    taps or faults on arbitrary links, and the per-packet path callers
+    can drive directly. *)
+val topology : t -> Topology.t
 
 (** [inject_data t ~flow packet] is sender [flow] putting a packet on
     its access link. *)
@@ -109,16 +89,6 @@ val on_ack : t -> flow:int -> (Packet.t -> unit) -> unit
 
 (** [bottleneck_queue t] is the gateway discipline under test. *)
 val bottleneck_queue : t -> Queue_disc.t
-
-(** [bottleneck_link t] is the forward trunk link R1→R2 (the link that
-    serves the gateway queue) — the attachment point for link-level
-    fault injection ({!Link.set_up}). *)
-val bottleneck_link : t -> Link.t
-
-(** [reverse_trunk_link t] is the reverse trunk R2→R1 carrying ACKs
-    (and [Backward] flows' data). An outage of the physical trunk cuts
-    both this and {!bottleneck_link}. *)
-val reverse_trunk_link : t -> Link.t
 
 (** [queues t] names every queue discipline in the topology — the
     gateway under test first ("gateway"), then the reverse gateway and

@@ -1,6 +1,6 @@
 (** Shared parameter record for dumbbell-shaped topologies.
 
-    Extracted from {!Dumbbell} so both the legacy wrapper and the
+    Extracted from {!Dumbbell} so both {!Dumbbell} and the
     {!Topology} builders (which express the dumbbell, the parking lot
     and the fat tree in terms of the same link-parameter vocabulary)
     can consume it without a dependency cycle. {!Dumbbell} re-exports

@@ -403,10 +403,10 @@ let dumbbell ~(config : Dumbbell_config.t) ?side_delays ?directions () =
       queue = droptail capacity;
     }
   in
-  (* Realization order mirrors the legacy builder's queue-creation
+  (* Realization order is the dumbbell's historical queue-creation
      order — exits, gateway (the only possible RNG consumer), reverse
-     gateway, accesses — so RED draws the same stream. Link names are
-     the legacy queue names. *)
+     gateway, accesses — so RED draws the same stream as it always
+     has. Link names are the historical queue names. *)
   let links =
     per_flow (fun i ->
         ( Printf.sprintf "exit_fwd%d" i,

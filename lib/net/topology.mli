@@ -56,8 +56,8 @@ type spec = {
 type endpoint = { src : string; dst : string }
 
 (** A tap interposes on every packet entering a link (injected there or
-    forwarded into it), exactly like the old [wrap_bottleneck]: it
-    either calls the continuation or swallows the packet. *)
+    forwarded into it): it either calls the continuation or swallows
+    the packet. *)
 type wrap = (Packet.t -> unit) -> Packet.t -> unit
 
 (** [validate spec ~flows] checks well-formedness and raises
@@ -164,13 +164,12 @@ val total_drops : t -> int
 
 (** [dumbbell ~config ?side_delays ?directions ()] is the paper's
     Figure 4 as a graph: senders [s<i>] and receivers [k<i>] joined by
-    gateways [r1], [r2], with link names matching the legacy queue
+    gateways [r1], [r2], with link names matching the {!Dumbbell.queues}
     names ([gateway], [reverse_gateway], [access_fwd<i>],
     [access_rev<i>], [exit_fwd<i>], [exit_rev<i>]). The returned
     endpoints honour [directions] (a [Backward] flow's data rides the
     reverse trunk). Array lengths must equal [config.flows]; violations
-    raise [Invalid_argument] with the legacy [Dumbbell.create] messages
-    so existing callers keep their contract. *)
+    raise [Invalid_argument] with [Dumbbell.create: ...] messages. *)
 val dumbbell :
   config:Dumbbell_config.t ->
   ?side_delays:float array ->

@@ -6,23 +6,18 @@
    - The firing time is the IEEE-754 bit pattern of the float,
      recentred into the native 63-bit int range ([bits_of_time]). For
      non-negative times the mapping is exact and order-isomorphic, so
-     queues compare and store plain ints — no boxed float per event.
+     the queue compares and stores plain ints — no boxed float per
+     event.
    - A handle is an int packing (generation, slot). Slots are recycled
      through a free list the moment an event fires or a cancelled
      event drains; the generation check makes a stale handle's
-     [cancel] a no-op instead of a misfire. Unlike the PR-3 engine,
-     which could only recycle handle-less unit events, this recycles
-     everything — a steady-state run allocates nothing per event, and
-     an engine holding 100k pending events costs six flat arrays
-     rather than 100k heap records for the GC to trace and promote.
-   - Both schedulers are intrusive over the arena: calendar bucket
-     chains and the free list thread through the [qnext] array, the
-     heap is an int array of slots.
-
-   The generic [Heap] and [Calqueue] modules remain the reference
-   implementations (and the oracles the scheduler tests diff against);
-   the specialized copies here exist because the generic ones pay an
-   entry record, a boxed float and an option cell per event. *)
+     [cancel] a no-op instead of a misfire. Everything recycles — a
+     steady-state run allocates nothing per event, and an engine
+     holding 100k pending events costs six flat arrays rather than
+     100k heap records for the GC to trace and promote.
+   - The queue is an ns-2-style calendar queue (Brown 1988) that is
+     intrusive over the arena: bucket chains and the free list thread
+     through the [qnext] array. *)
 
 type handle = int
 
@@ -47,10 +42,6 @@ let nop () = ()
 let[@inline always] bits_of_time (t : float) = Timebits.of_time t
 let[@inline always] time_of_bits (bits : int) = Timebits.to_time bits
 
-type scheduler = [ `Calendar | `Heap ]
-
-type heap = { mutable hdata : int array; mutable hsize : int }
-
 type cal = {
   mutable buckets : int array;
   mutable tails : int array;
@@ -72,8 +63,6 @@ type cal = {
   mutable grow_at : int;
 }
 
-type queue = Q_heap of heap | Q_cal of cal
-
 type t = {
   (* Parallel per-slot arrays; [cap] is their common length and slots
      [0, high) have been handed out at least once. *)
@@ -88,7 +77,7 @@ type t = {
   mutable cap : int;
   mutable high : int;
   mutable free_head : int;
-  queue : queue;
+  queue : cal;
   mutable clock_bits : int;
   mutable stopped : bool;
   (* Live (non-cancelled, non-fired) events, so [pending] and callers
@@ -98,8 +87,7 @@ type t = {
 }
 
 (* Slot [a] fires before slot [b]: strictly earlier time, or same time
-   and earlier insertion — the stable-FIFO contract of the generic
-   queues. *)
+   and earlier insertion — the stable-FIFO contract. *)
 let[@inline always] before t a b =
   let tb = t.time_bits in
   let ta = Array.unsafe_get tb a and tbb = Array.unsafe_get tb b in
@@ -150,72 +138,19 @@ let[@inline] free_slot t s =
   Array.unsafe_set t.qnext s t.free_head;
   t.free_head <- s
 
-(* -- specialized binary heap over slots -- *)
+(* -- calendar queue (ns-2 style) with chains through the arena --
 
-let heap_create () = { hdata = Array.make 16 no_slot; hsize = 0 }
-
-let heap_grow h =
-  let fresh = Array.make (2 * Array.length h.hdata) no_slot in
-  Array.blit h.hdata 0 fresh 0 h.hsize;
-  h.hdata <- fresh
-
-let rec heap_sift_up t h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    let d = h.hdata in
-    let ei = Array.unsafe_get d i and ep = Array.unsafe_get d parent in
-    if before t ei ep then begin
-      Array.unsafe_set d i ep;
-      Array.unsafe_set d parent ei;
-      heap_sift_up t h parent
-    end
-  end
-
-let rec heap_sift_down t h i =
-  let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let d = h.hdata in
-  let smallest = ref i in
-  if
-    left < h.hsize
-    && before t (Array.unsafe_get d left) (Array.unsafe_get d !smallest)
-  then smallest := left;
-  if
-    right < h.hsize
-    && before t (Array.unsafe_get d right) (Array.unsafe_get d !smallest)
-  then smallest := right;
-  if !smallest <> i then begin
-    let tmp = Array.unsafe_get d i in
-    Array.unsafe_set d i (Array.unsafe_get d !smallest);
-    Array.unsafe_set d !smallest tmp;
-    heap_sift_down t h !smallest
-  end
-
-let[@inline] heap_push t h s =
-  if h.hsize = Array.length h.hdata then heap_grow h;
-  h.hdata.(h.hsize) <- s;
-  h.hsize <- h.hsize + 1;
-  heap_sift_up t h (h.hsize - 1)
-
-(* Pop the minimum if it fires at or before [limit_bits]; [no_slot]
-   otherwise. *)
-let heap_pop_if_before t h ~limit_bits =
-  if h.hsize = 0 then no_slot
-  else begin
-    let s = Array.unsafe_get h.hdata 0 in
-    if Array.unsafe_get t.time_bits s > limit_bits then no_slot
-    else begin
-      h.hsize <- h.hsize - 1;
-      if h.hsize > 0 then begin
-        h.hdata.(0) <- h.hdata.(h.hsize);
-        heap_sift_down t h 0
-      end;
-      s
-    end
-  end
-
-(* -- specialized calendar queue (ns-2 style, see Calqueue for the
-   commented generic version) with chains through the arena -- *)
+   An array of bucket "days" that the search position sweeps
+   cyclically, each bucket holding the (time, seq)-sorted chain of the
+   slots whose timestamps fall into any "year" of that day. Year
+   bookkeeping is in integers ([vbucket] = trunc (time / width),
+   recomputed on every width change), never by accumulating float
+   bucket tops, so boundary roundoff cannot reorder events. Each chain
+   keeps a tail pointer, so the common insert is an O(1) append and
+   bursts of equal-timestamp events stay linear. The table grows 4x
+   when the population outruns it and shrinks after an 8x drop,
+   keeping its width, so a fill/drain cycle rebuilds it a handful of
+   times rather than at every doubling. *)
 
 let min_buckets = 8
 
@@ -274,9 +209,8 @@ let[@inline] cal_insert t c s =
   end
 
 (* Width adaptation: a global average gap, then the observed density
-   within ~64 global-gap units of the minimum (same heuristic as
-   Calqueue.estimate_width). Unlike the generic version this scans a
-   bounded PREFIX of the chain: pop order is fixed by (time, seq)
+   within ~64 global-gap units of the minimum. The estimate scans a
+   bounded PREFIX of the chains: pop order is fixed by (time, seq)
    regardless of bucket layout, so width only affects speed and a
    sample is plenty — full passes over a 100k-entry chain were the
    dominant rebuild cost. The chain is bucket-ordered, so a prefix
@@ -318,17 +252,13 @@ let cal_iter_sample t c f =
 let cal_estimate t c =
   let lo = ref infinity and hi = ref neg_infinity and n = ref 0 in
   let distinct = ref 0 and min_gap = ref infinity in
-  let budget = ref width_sample and b = ref 0 in
   (* Same-time events are adjacent in the iteration order (chains are
      sorted by (time, seq) and one timestamp never spans two buckets),
      so a single previous-entry register dedupes and yields adjacent
      distinct gaps. Carried across buckets: negative cross-bucket or
      cross-year jumps are skipped for the gap but still break runs. *)
   let prev = ref neg_infinity in
-  while !budget > 0 && !b <= c.cmask do
-    let s = ref c.buckets.(!b) in
-    while !budget > 0 && !s <> no_slot do
-      let time = time_of_bits t.time_bits.(!s) in
+  cal_iter_sample t c (fun time ->
       if time < !lo then lo := time;
       if time > !hi then hi := time;
       if time <> !prev then begin
@@ -338,12 +268,7 @@ let cal_estimate t c =
           min_gap := gap
       end;
       prev := time;
-      incr n;
-      decr budget;
-      s := t.qnext.(!s)
-    done;
-    incr b
-  done;
+      incr n);
   if !n < 2 || !hi <= !lo then (c.width, false)
   else if
     4 * !distinct <= !n
@@ -540,18 +465,7 @@ let cal_pop_if_before t c ~limit_bits =
 
 (* -- the engine proper -- *)
 
-let default = ref (`Calendar : scheduler)
-
-let default_scheduler () = !default
-
-let set_default_scheduler s = default := s
-
-let create ?scheduler () =
-  let queue =
-    match match scheduler with Some s -> s | None -> !default with
-    | `Heap -> Q_heap (heap_create ())
-    | `Calendar -> Q_cal (cal_create ())
-  in
+let create () =
   {
     fire = Array.make initial_cap nop;
     meta = Array.make initial_cap 0;
@@ -562,14 +476,12 @@ let create ?scheduler () =
     cap = initial_cap;
     high = 0;
     free_head = no_slot;
-    queue;
+    queue = cal_create ();
     clock_bits = bits_of_time 0.0;
     stopped = false;
     live = 0;
     next_seq = 0;
   }
-
-let scheduler t = match t.queue with Q_heap _ -> `Heap | Q_cal _ -> `Calendar
 
 let now t = time_of_bits t.clock_bits
 
@@ -584,9 +496,7 @@ let[@inline] arm t bits fire =
   Array.unsafe_set t.qseq s t.next_seq;
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  (match t.queue with
-  | Q_heap q -> heap_push t q s
-  | Q_cal q -> cal_push t q s);
+  cal_push t t.queue s;
   s
 
 (* Validate and encode a firing time. The [time >= 0.0] guard also
@@ -649,33 +559,19 @@ let[@inline] fire_slot t s =
   end
   else free_slot t s
 
-(* The drain loops are specialized per scheduler so the hot path is a
-   direct allocation-free pop per event, with the queue-representation
-   branch hoisted out of the loop. *)
+(* The drain loop is a direct allocation-free pop per event. *)
 let drain t ~limit_bits =
-  match t.queue with
-  | Q_heap q ->
-    let rec loop () =
-      if not t.stopped then begin
-        let s = heap_pop_if_before t q ~limit_bits in
-        if s <> no_slot then begin
-          fire_slot t s;
-          loop ()
-        end
+  let q = t.queue in
+  let rec loop () =
+    if not t.stopped then begin
+      let s = cal_pop_if_before t q ~limit_bits in
+      if s <> no_slot then begin
+        fire_slot t s;
+        loop ()
       end
-    in
-    loop ()
-  | Q_cal q ->
-    let rec loop () =
-      if not t.stopped then begin
-        let s = cal_pop_if_before t q ~limit_bits in
-        if s <> no_slot then begin
-          fire_slot t s;
-          loop ()
-        end
-      end
-    in
-    loop ()
+    end
+  in
+  loop ()
 
 let run t =
   t.stopped <- false;

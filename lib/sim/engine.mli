@@ -3,36 +3,17 @@
     An engine owns virtual time and a queue of pending events. Components
     schedule closures to run at future instants; [run] drains the queue in
     time order (stable for simultaneous events) and advances the clock.
-    Engines are ordinary values — no global state beyond the configurable
-    default scheduler — so tests can run many independent simulations in
-    one process. *)
+    The queue is an ns-2-style calendar queue: O(1) amortized schedule
+    and fire. Engines are ordinary values with no global state, so tests
+    can run many independent simulations in one process. *)
 
 type t
 
 (** Cancellation handle for a scheduled event. *)
 type handle
 
-(** Event-queue implementation: [`Calendar] is the ns-2-style calendar
-    queue (O(1) amortized operations, the default), [`Heap] the binary
-    heap. Both fire identical (time, insertion-order) sequences; the
-    choice is purely a performance knob. *)
-type scheduler = [ `Calendar | `Heap ]
-
-(** [default_scheduler ()] is the scheduler picked by {!create} when
-    none is passed explicitly. *)
-val default_scheduler : unit -> scheduler
-
-(** [set_default_scheduler s] changes the process-wide default, for
-    front ends (e.g. [rr-sim --scheduler]) that build engines deep
-    inside experiment code. *)
-val set_default_scheduler : scheduler -> unit
-
-(** [create ?scheduler ()] returns an engine with the clock at time 0.
-    [scheduler] defaults to {!default_scheduler}[ ()]. *)
-val create : ?scheduler:scheduler -> unit -> t
-
-(** [scheduler t] reports which queue implementation [t] runs on. *)
-val scheduler : t -> scheduler
+(** [create ()] returns an engine with the clock at time 0. *)
+val create : unit -> t
 
 (** [now t] is the current virtual time in seconds. *)
 val now : t -> float

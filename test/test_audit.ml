@@ -346,11 +346,6 @@ let check_contains what needle haystack =
   if not (contains ~needle haystack) then
     Alcotest.failf "%s: %S not found in trace" what needle
 
-let with_scheduler scheduler f =
-  let saved = Sim.Engine.default_scheduler () in
-  Sim.Engine.set_default_scheduler scheduler;
-  Fun.protect ~finally:(fun () -> Sim.Engine.set_default_scheduler saved) f
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -383,43 +378,39 @@ let run_traced ~format ~out () =
        ~trace_format:format ())
 
 let test_binary_trace_roundtrip () =
+  let jsonl_path = Filename.temp_file "rr_trace" ".jsonl" in
+  let binary_path = Filename.temp_file "rr_trace" ".rrtb" in
+  let run ~format path =
+    let out = open_out_bin path in
+    let t = run_traced ~format ~out () in
+    close_out out;
+    Alcotest.(check bool) "faulted run is audited clean" true
+      (Audit.Auditor.ok t.Experiments.Scenario.auditor)
+  in
+  run ~format:`Jsonl jsonl_path;
+  run ~format:`Binary binary_path;
+  let exported_path = Filename.temp_file "rr_trace" ".export.jsonl" in
+  In_channel.with_open_bin binary_path (fun input ->
+      Out_channel.with_open_bin exported_path (fun output ->
+          Audit.Trace.export ~input ~output));
+  let live = read_file jsonl_path in
+  let exported = read_file exported_path in
+  let binary = read_file binary_path in
+  Alcotest.(check bool)
+    "exported JSONL is byte-identical to the live stream" true
+    (String.equal live exported);
+  Alcotest.(check bool) "binary stream is smaller than the JSONL" true
+    (String.length binary < String.length live);
   List.iter
-    (fun scheduler ->
-      with_scheduler scheduler @@ fun () ->
-      let jsonl_path = Filename.temp_file "rr_trace" ".jsonl" in
-      let binary_path = Filename.temp_file "rr_trace" ".rrtb" in
-      let run ~format path =
-        let out = open_out_bin path in
-        let t = run_traced ~format ~out () in
-        close_out out;
-        Alcotest.(check bool) "faulted run is audited clean" true
-          (Audit.Auditor.ok t.Experiments.Scenario.auditor)
-      in
-      run ~format:`Jsonl jsonl_path;
-      run ~format:`Binary binary_path;
-      let exported_path = Filename.temp_file "rr_trace" ".export.jsonl" in
-      In_channel.with_open_bin binary_path (fun input ->
-          Out_channel.with_open_bin exported_path (fun output ->
-              Audit.Trace.export ~input ~output));
-      let live = read_file jsonl_path in
-      let exported = read_file exported_path in
-      let binary = read_file binary_path in
-      Alcotest.(check bool)
-        "exported JSONL is byte-identical to the live stream" true
-        (String.equal live exported);
-      Alcotest.(check bool) "binary stream is smaller than the JSONL" true
-        (String.length binary < String.length live);
-      List.iter
-        (fun needle -> check_contains "fault event present" needle live)
-        [
-          "\"ev\":\"link_down\"";
-          "\"ev\":\"link_up\"";
-          "\"ev\":\"fault_drop\"";
-          "\"ev\":\"reorder\"";
-          "\"dup\":true";
-        ];
-      List.iter Sys.remove [ jsonl_path; binary_path; exported_path ])
-    [ `Calendar; `Heap ]
+    (fun needle -> check_contains "fault event present" needle live)
+    [
+      "\"ev\":\"link_down\"";
+      "\"ev\":\"link_up\"";
+      "\"ev\":\"fault_drop\"";
+      "\"ev\":\"reorder\"";
+      "\"dup\":true";
+    ];
+  List.iter Sys.remove [ jsonl_path; binary_path; exported_path ]
 
 let test_binary_trace_corruption () =
   let binary_path = Filename.temp_file "rr_trace" ".rrtb" in

@@ -70,23 +70,30 @@ let test_digest_stability () =
 
 (* -- the fork pool -- *)
 
+let show_outcome = function
+  | Campaign.Pool.Settled x -> string_of_int x
+  | Campaign.Pool.Failed failure -> Campaign.Pool.failure_to_string failure
+  | Campaign.Pool.Not_run -> "not run"
+
 let test_pool_order_and_results () =
   let inputs = List.init 17 Fun.id in
-  let expected = List.map (fun x -> x * x) inputs in
-  Alcotest.(check (list int))
-    "parallel map preserves input order" expected
-    (Campaign.Pool.map ~jobs:4 (fun x -> x * x) inputs);
-  Alcotest.(check (list int))
-    "serial fallback agrees" expected
-    (Campaign.Pool.map ~jobs:1 (fun x -> x * x) inputs)
+  let expected = List.map (fun x -> string_of_int (x * x)) inputs in
+  let run jobs =
+    List.map show_outcome (Campaign.Pool.run ~jobs (fun x -> x * x) inputs)
+  in
+  Alcotest.(check (list string)) "parallel run preserves input order" expected
+    (run 4);
+  Alcotest.(check (list string)) "serial fallback agrees" expected (run 1)
 
 let test_pool_propagates_failure () =
-  Alcotest.check_raises "a failing worker fails the batch"
-    (Failure "campaign worker: Failure(\"boom\")") (fun () ->
-      ignore
-        (Campaign.Pool.map ~jobs:2
-           (fun x -> if x = 2 then failwith "boom" else x)
-           [ 0; 1; 2; 3 ]))
+  Alcotest.(check (list string))
+    "a raising job is Failed (Crashed _) naming the exception; the others \
+     settle"
+    [ "0"; "1"; "crashed: Failure(\"boom\")"; "3" ]
+    (List.map show_outcome
+       (Campaign.Pool.run ~jobs:2
+          (fun x -> if x = 2 then failwith "boom" else x)
+          [ 0; 1; 2; 3 ]))
 
 (* -- pool supervision: deadlines, retries, quarantine, chaos -- *)
 

@@ -6,12 +6,12 @@ let data ~flow seq = Net.Packet.data ~uid:seq ~flow ~seq ~size_bytes:1000 ~born:
 let ack ~flow ackno =
   Net.Packet.ack ~uid:ackno ~flow ~ackno ~size_bytes:40 ~born:0.0 ()
 
-let build ?(flows = 2) ?wrap_bottleneck () =
+let build ?(flows = 2) ?taps () =
   let engine = Sim.Engine.create () in
   let topology =
     Net.Dumbbell.create ~engine
       ~config:(Net.Dumbbell.paper_config ~flows)
-      ~rng:(Sim.Rng.create 1L) ?wrap_bottleneck ()
+      ~rng:(Sim.Rng.create 1L) ?taps ()
   in
   (engine, topology)
 
@@ -67,13 +67,13 @@ let test_drop_ledger () =
   Alcotest.(check int) "total = flow" (Net.Dumbbell.drops_of_flow topology 0)
     (Net.Dumbbell.total_drops topology)
 
-let test_wrap_bottleneck () =
+let test_gateway_tap () =
   let seen = ref [] in
   let wrap next packet =
     seen := Net.Packet.seq_exn packet :: !seen;
     next packet
   in
-  let engine, topology = build ~flows:1 ~wrap_bottleneck:wrap () in
+  let engine, topology = build ~flows:1 ~taps:[ ("gateway", wrap) ] () in
   let delivered = ref 0 in
   Net.Dumbbell.on_data topology ~flow:0 (fun _ -> incr delivered);
   Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 5);
@@ -145,7 +145,7 @@ let suite =
         Alcotest.test_case "data latency" `Quick test_data_latency;
         Alcotest.test_case "ack path" `Quick test_ack_path;
         Alcotest.test_case "drop ledger" `Quick test_drop_ledger;
-        Alcotest.test_case "bottleneck wrapper" `Quick test_wrap_bottleneck;
+        Alcotest.test_case "bottleneck wrapper" `Quick test_gateway_tap;
         Alcotest.test_case "count_drop" `Quick test_count_drop;
         Alcotest.test_case "side delays" `Quick test_side_delays;
         Alcotest.test_case "side delays validated" `Quick test_side_delays_validated;

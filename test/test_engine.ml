@@ -150,66 +150,140 @@ let test_schedule_unit_rejects_past () =
     (Invalid_argument "Engine.schedule_unit: negative delay") (fun () ->
       Sim.Engine.schedule_unit engine ~delay:(-1.0) (fun () -> ()))
 
-let test_scheduler_selection () =
-  Alcotest.(check bool) "default is calendar" true
-    (Sim.Engine.scheduler (Sim.Engine.create ()) = `Calendar);
-  Alcotest.(check bool) "explicit heap" true
-    (Sim.Engine.scheduler (Sim.Engine.create ~scheduler:`Heap ()) = `Heap);
-  let saved = Sim.Engine.default_scheduler () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Engine.set_default_scheduler saved)
-    (fun () ->
-      Sim.Engine.set_default_scheduler `Heap;
-      Alcotest.(check bool) "default override" true
-        (Sim.Engine.scheduler (Sim.Engine.create ()) = `Heap))
+(* Differential property: the engine fires exactly what the test-only
+   [Reference_queue] fires — same (time, id) sequence, same [pending]
+   at every [run_until] boundary, same final clock — over random
+   programs of handle and fire-and-forget schedules, events that
+   schedule, cancel or stop from inside the run, top-level cancels
+   (stale handles included, once their slots are recycled) and
+   interleaved [run_until]s. Three time regimes: quarter-second quanta
+   (many equal-time ties), log-uniform offsets over seven orders of
+   magnitude (the calendar's far-future jump and width re-estimates),
+   and 2,000+ event populations (several grows, shrinks while
+   draining). *)
 
-(* Differential property: a random schedule/cancel/fire workload —
-   handle events, fire-and-forget events, events scheduled from inside
-   running events, and cancellations — fires the identical (time, id)
-   sequence under both schedulers, equal-timestamp ties included
-   (times are quantized to quarter-seconds to force many ties). *)
-let prop_schedulers_agree =
+module type QUEUE = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule_at : t -> time:float -> (unit -> unit) -> handle
+  val schedule_after : t -> delay:float -> (unit -> unit) -> handle
+  val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit
+  val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
+  val cancel : t -> handle -> unit
+  val pending : t -> int
+  val run : t -> unit
+  val run_until : t -> time:float -> unit
+  val stop : t -> unit
+end
+
+(* Offsets are relative to the clock when the op runs. *)
+type op =
+  | At of float  (** schedule_at, keeping the handle *)
+  | After of float  (** schedule_after, keeping the handle *)
+  | Unit_at of float  (** schedule_unit_at *)
+  | Unit of float  (** schedule_unit *)
+  | Nested of float * float
+      (** an event that schedules a handled child [d] after itself *)
+  | Cancel of int  (** cancel the k-th handle (mod count) now *)
+  | Cancel_from of float * int  (** an event that cancels the k-th handle *)
+  | Stop_from of float  (** an event that stops the current run *)
+  | Run_until of float
+
+type observation = Fired of float * int | Pending of int
+
+module Replay (Q : QUEUE) = struct
+  let run ops =
+    let q = Q.create () in
+    let log = ref [] in
+    let handles = ref [] and count = ref 0 in
+    let keep handle =
+      handles := handle :: !handles;
+      incr count
+    in
+    let cancel k =
+      if !count > 0 then Q.cancel q (List.nth !handles (k mod !count))
+    in
+    let note id () = log := Fired (Q.now q, id) :: !log in
+    let at dt = Q.now q +. dt in
+    List.iteri
+      (fun id op ->
+        match op with
+        | At dt -> keep (Q.schedule_at q ~time:(at dt) (note id))
+        | After dt -> keep (Q.schedule_after q ~delay:dt (note id))
+        | Unit_at dt -> Q.schedule_unit_at q ~time:(at dt) (note id)
+        | Unit dt -> Q.schedule_unit q ~delay:dt (note id)
+        | Nested (dt, d) ->
+          Q.schedule_unit_at q ~time:(at dt) (fun () ->
+              note id ();
+              keep (Q.schedule_at q ~time:(at d) (note (-1 - id))))
+        | Cancel k -> cancel k
+        | Cancel_from (dt, k) ->
+          Q.schedule_unit_at q ~time:(at dt) (fun () ->
+              note id ();
+              cancel k)
+        | Stop_from dt ->
+          Q.schedule_unit_at q ~time:(at dt) (fun () ->
+              note id ();
+              Q.stop q)
+        | Run_until dt ->
+          Q.run_until q ~time:(at dt);
+          log := Pending (Q.pending q) :: !log)
+      ops;
+    Q.run q;
+    (List.rev !log, Q.pending q, Q.now q)
+end
+
+module Engine_replay = Replay (Sim.Engine)
+module Reference_replay = Replay (Reference_queue)
+
+let gen_schedule offset =
   let open QCheck2.Gen in
-  let time = map (fun k -> float_of_int k /. 4.0) (int_range 0 40) in
-  let op =
-    oneof
-      [
-        map (fun t -> `Schedule t) time;
-        map (fun t -> `Schedule_unit t) time;
-        map2 (fun t d -> `Nested (t, d)) time time;
-        map (fun k -> `Cancel k) (int_range 0 1000);
-      ]
-  in
-  QCheck2.Test.make ~name:"heap and calendar schedulers fire identically"
-    ~count:300
-    (list_size (int_range 1 80) op)
-    (fun ops ->
-      let run scheduler =
-        let engine = Sim.Engine.create ~scheduler () in
-        let fired = ref [] in
-        let note id () = fired := (Sim.Engine.now engine, id) :: !fired in
-        let handles = ref [||] in
-        let register handle =
-          handles := Array.append !handles [| handle |]
-        in
-        List.iteri
-          (fun id op ->
-            match op with
-            | `Schedule t -> register (Sim.Engine.schedule_at engine ~time:t (note id))
-            | `Schedule_unit t ->
-              Sim.Engine.schedule_unit_at engine ~time:t (note id)
-            | `Nested (t, d) ->
-              Sim.Engine.schedule_unit_at engine ~time:t (fun () ->
-                  note id ();
-                  Sim.Engine.schedule_unit engine ~delay:d (note (1000 + id)))
-            | `Cancel k ->
-              let n = Array.length !handles in
-              if n > 0 then Sim.Engine.cancel engine !handles.(k mod n))
-          ops;
-        Sim.Engine.run engine;
-        (List.rev !fired, Sim.Engine.pending engine)
-      in
-      run `Heap = run `Calendar)
+  frequency
+    [
+      (3, map (fun t -> At t) offset);
+      (1, map (fun t -> After t) offset);
+      (4, map (fun t -> Unit_at t) offset);
+      (3, map (fun t -> Unit t) offset);
+      (2, map2 (fun t d -> Nested (t, d)) offset offset);
+    ]
+
+let gen_op offset =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (13, gen_schedule offset);
+      (2, map (fun k -> Cancel k) nat);
+      (1, map2 (fun t k -> Cancel_from (t, k)) offset nat);
+      (1, map (fun t -> Stop_from t) offset);
+      (1, map (fun t -> Run_until t) offset);
+    ]
+
+let gen_programs =
+  let open QCheck2.Gen in
+  let quarter_seconds = map (fun k -> float_of_int k /. 4.0) (int_range 0 12) in
+  let seven_decades = map (fun e -> 10.0 ** e) (float_range (-3.0) 4.0) in
+  let uniform = float_bound_inclusive 100.0 in
+  oneof
+    [
+      list_size (int_range 1 200) (gen_op quarter_seconds);
+      list_size (int_range 1 300) (gen_op seven_decades);
+      (* At least 2,000 events queued at once, then a mixed tail whose
+         run_untils drain (and shrink) the table while new schedules
+         regrow it. Not shrunk: almost every cut shrinks the table
+         below the size that fails, so shrinking would run for
+         minutes. *)
+      no_shrink
+        (map2 ( @ )
+           (list_size (int_range 2_000 2_500) (gen_schedule uniform))
+           (list_size (int_range 200 600) (gen_op uniform)));
+    ]
+
+let prop_engine_matches_reference =
+  QCheck2.Test.make ~name:"matches the reference queue" ~count:300 gen_programs
+    (fun ops -> Engine_replay.run ops = Reference_replay.run ops)
 
 let prop_random_schedule_fires_in_order =
   QCheck2.Test.make ~name:"random schedules fire in time order" ~count:300
@@ -298,8 +372,7 @@ let suite =
         Alcotest.test_case "schedule_unit" `Quick test_schedule_unit;
         Alcotest.test_case "schedule_unit rejects past" `Quick
           test_schedule_unit_rejects_past;
-        Alcotest.test_case "scheduler selection" `Quick test_scheduler_selection;
-        QCheck_alcotest.to_alcotest prop_schedulers_agree;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         QCheck_alcotest.to_alcotest prop_random_schedule_fires_in_order;
       ] );
     ( "timer",

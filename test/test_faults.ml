@@ -6,8 +6,8 @@
      reorder hold-back bound, and the FIFO guarantee of jitter — all
      deterministic under a fixed RNG;
    - properties: any fault spec the generator produces leaves the
-     runtime auditor clean, and a faulted scenario's JSONL trace is
-     byte-identical across seeds and event schedulers. *)
+     runtime auditor clean, a faulted scenario's JSONL trace is
+     deterministic, and two fault-free traces match pinned digests. *)
 
 let packet ?(flow = 0) ?(size = 1000) seq =
   Net.Packet.data ~uid:seq ~flow ~seq ~size_bytes:size ~born:0.0
@@ -449,43 +449,38 @@ let prop_random_faults_stay_clean =
       let t = run_faulted ~seed:(Int64.of_int seed) ~duration:3.0 spec in
       Audit.Auditor.ok t.Experiments.Scenario.auditor)
 
-let with_scheduler scheduler f =
-  let saved = Sim.Engine.default_scheduler () in
-  Sim.Engine.set_default_scheduler scheduler;
-  Fun.protect ~finally:(fun () -> Sim.Engine.set_default_scheduler saved) f
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-let faulted_trace scheduler =
-  with_scheduler scheduler (fun () ->
-      let path = Filename.temp_file "rr-faults" ".jsonl" in
-      let out = open_out path in
-      ignore
-        (run_faulted ~trace_out:out
-           "flap:1.5+0.3,drop,reorder:0.05,jitter:0.005"
-          : Experiments.Scenario.t);
-      close_out out;
-      let ic = open_in_bin path in
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Sys.remove path;
-      contents)
+(* The JSONL bytes [run] writes to the trace channel it is given. *)
+let trace_of run =
+  let path = Filename.temp_file "rr-faults" ".jsonl" in
+  let out = open_out path in
+  ignore (run out : Experiments.Scenario.t);
+  close_out out;
+  let contents = read_file path in
+  Sys.remove path;
+  contents
+
+let faulted_trace () =
+  trace_of (fun out ->
+      run_faulted ~trace_out:out "flap:1.5+0.3,drop,reorder:0.05,jitter:0.005")
 
 let test_faulted_trace_deterministic () =
-  let heap = faulted_trace `Heap in
-  Alcotest.(check bool) "trace non-trivial" true (String.length heap > 10_000);
-  Alcotest.(check string) "same seed, same bytes" heap (faulted_trace `Heap);
-  Alcotest.(check string) "byte-identical across schedulers" heap
-    (faulted_trace `Calendar);
+  let trace = faulted_trace () in
+  Alcotest.(check bool) "trace non-trivial" true (String.length trace > 10_000);
+  Alcotest.(check string) "same seed, same bytes" trace (faulted_trace ());
   List.iter
     (fun kind ->
       Alcotest.(check bool) ("trace carries " ^ kind) true
         (let pattern = Printf.sprintf {|"ev":"%s"|} kind in
          let plen = String.length pattern in
          let rec scan i =
-           i + plen <= String.length heap
-           && (String.sub heap i plen = pattern || scan (i + 1))
+           i + plen <= String.length trace
+           && (String.sub trace i plen = pattern || scan (i + 1))
          in
          scan 0))
     [ "link_down"; "link_up"; "fault_drop"; "reorder" ]
@@ -538,47 +533,55 @@ let prop_timeline_link_exactly_once_fifo =
          offered order. *)
       && got = List.sort_uniq compare got)
 
-(* The hostile-network machinery must cost nothing when unused: a run
-   with no fault spec and no link schedule produces the same trace
-   bytes as before the time-varying link work. The digest pins the
-   CLI's [run --variant rr --flows 2 --duration 10 --loss 0.01 --seed
-   7 --trace ...] output; if an intentional trace-format change breaks
-   it, re-record with [md5sum] on that command's output. *)
+(* Pinned event streams. The hostile-network machinery must cost
+   nothing when unused: a run with no fault spec and no link schedule
+   produces the same trace bytes as before the time-varying link work.
+   The first digest pins the CLI's [run --variant rr --flows 2
+   --duration 10 --loss 0.01 --seed 7 --trace ...] output. The second
+   is an RR + SACK pair with 2% data loss and 1% ACK loss at seed 11,
+   the one pinned trace with drops at the reverse-path tap. If an
+   intentional trace-format change breaks them, re-record with [md5sum]
+   on the trace files. *)
 let clean_trace_digest = "907898842d385974aba2bb8934e5ac3a"
 
+let ack_loss_trace_digest = "b0f212c2d34a8a1c6ef628f7ec10080a"
+
 let test_clean_trace_byte_identity () =
-  let trace =
-    with_scheduler `Calendar (fun () ->
-        let path = Filename.temp_file "rr-clean" ".jsonl" in
-        let out = open_out path in
-        let config = Net.Dumbbell.paper_config ~flows:2 in
-        ignore
-          (Experiments.Scenario.run
-             (Experiments.Scenario.make
-                ~topology:(Experiments.Scenario.dumbbell config)
-                ~flows:
-                  [
-                    Experiments.Scenario.flow Core.Variant.Rr;
-                    Experiments.Scenario.flow Core.Variant.Rr;
-                  ]
-                ~params:{ Tcp.Params.default with rwnd = 20 }
-                ~seed:7L ~duration:10.0 ~uniform_loss:0.01 ~ack_loss:0.0
-                ~delayed_ack:false ~monitor_queue:0.1 ~trace_out:out
-                ~trace_format:`Jsonl ~faults:Faults.Spec.none ~audit_sample:1
-                ())
-            : Experiments.Scenario.t);
-        close_out out;
-        let ic = open_in_bin path in
-        let contents =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Sys.remove path;
-        contents)
+  let rr_pair out =
+    Experiments.Scenario.run
+      (Experiments.Scenario.make
+         ~topology:
+           (Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:2))
+         ~flows:
+           [
+             Experiments.Scenario.flow Core.Variant.Rr;
+             Experiments.Scenario.flow Core.Variant.Rr;
+           ]
+         ~params:{ Tcp.Params.default with rwnd = 20 }
+         ~seed:7L ~duration:10.0 ~uniform_loss:0.01 ~ack_loss:0.0
+         ~delayed_ack:false ~monitor_queue:0.1 ~trace_out:out
+         ~trace_format:`Jsonl ~faults:Faults.Spec.none ~audit_sample:1 ())
   in
+  let rr_sack_with_ack_loss out =
+    Experiments.Scenario.run
+      (Experiments.Scenario.make
+         ~topology:
+           (Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:2))
+         ~flows:
+           [
+             Experiments.Scenario.flow Core.Variant.Rr;
+             Experiments.Scenario.flow Core.Variant.Sack;
+           ]
+         ~params:{ Tcp.Params.default with rwnd = 20 }
+         ~seed:11L ~duration:10.0 ~uniform_loss:0.02 ~ack_loss:0.01
+         ~trace_out:out ())
+  in
+  let digest run = Digest.to_hex (Digest.string (trace_of run)) in
   Alcotest.(check string) "clean trace digest unchanged" clean_trace_digest
-    (Digest.to_hex (Digest.string trace))
+    (digest rr_pair);
+  Alcotest.(check string) "ACK-loss trace digest unchanged"
+    ack_loss_trace_digest
+    (digest rr_sack_with_ack_loss)
 
 let suite =
   [
