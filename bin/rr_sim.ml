@@ -618,6 +618,8 @@ let run_term =
       rwnd ack_loss delack limited_transmit rto tracefile trace trace_format
       audit audit_sample faults link_schedule cross seed csv =
     if audit_sample < 0 then usage_error "--audit-sample must be >= 0";
+    if not (Float.is_finite duration && duration >= 0.0) then
+      usage_error "--duration %g: must be finite and >= 0" duration;
     if rrr_level <= 0.0 || rrr_level >= 1.0 then
       usage_error "--rrr-level must be inside (0, 1)";
     if topology = Run_many_flow then begin
@@ -811,148 +813,21 @@ let run_cmd =
 
 (* sweep: parallel campaign over a grid of scenario points *)
 
-let gateway_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s))
-    in
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "droptail" ] -> Ok (Campaign.Job.Droptail 8)
-    | [ "red" ] -> Ok (Campaign.Job.Red 25)
-    | [ "droptail"; buffer ] -> (
-      match int_of_string_opt buffer with
-      | Some b when b > 0 -> Ok (Campaign.Job.Droptail b)
-      | _ -> invalid ())
-    | [ "red"; buffer ] -> (
-      match int_of_string_opt buffer with
-      | Some b when b > 0 -> Ok (Campaign.Job.Red b)
-      | _ -> invalid ())
-    | _ -> invalid ()
-  in
-  let print ppf g = Format.pp_print_string ppf (Campaign.Job.gateway_name g) in
-  Arg.conv ~docv:"GATEWAY" (parse, print)
-
-let job_topology_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s))
-    in
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "dumbbell" ] -> Ok Campaign.Job.Dumbbell
-    | [ "parking-lot" ] -> Ok (Campaign.Job.Parking_lot 2)
-    | [ "parking-lot"; hops ] -> (
-      match int_of_string_opt hops with
-      | Some h when h >= 1 -> Ok (Campaign.Job.Parking_lot h)
-      | _ -> invalid ())
-    | _ -> invalid ()
-  in
-  let print ppf t = Format.pp_print_string ppf (Campaign.Job.topology_name t) in
-  Arg.conv ~docv:"TOPOLOGY" (parse, print)
-
 let sweep_term =
-  let variants =
-    let doc = "Comma-separated TCP variants to sweep." in
-    Arg.(
-      value
-      & opt (list ~sep:',' variant_conv) Core.Variant.[ Reno; Newreno; Sack; Rr ]
-      & info [ "variants" ] ~docv:"V,V,..." ~doc)
-  in
-  let gateways =
-    let doc =
-      "Comma-separated gateway disciplines, each droptail[:BUFFER] or \
-       red[:BUFFER]."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' gateway_conv) [ Campaign.Job.Droptail 8 ]
-      & info [ "gateways" ] ~docv:"G,G,..." ~doc)
-  in
-  let topologies =
-    let doc =
-      "Comma-separated topologies to sweep, each dumbbell or \
-       parking-lot[:HOPS] (flows run end to end over HOPS chained \
-       bottlenecks)."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' job_topology_conv) [ Campaign.Job.Dumbbell ]
-      & info [ "topologies" ] ~docv:"T,T,..." ~doc)
-  in
-  let losses =
-    let doc = "Comma-separated uniform data-loss rates injected at R1." in
-    Arg.(value & opt (list ~sep:',' float) [ 0.02 ] & info [ "loss" ] ~docv:"RATES" ~doc)
-  in
-  let ack_losses =
-    let doc = "Comma-separated reverse-path ACK-loss rates." in
-    Arg.(value & opt (list ~sep:',' float) [ 0.0 ] & info [ "ack-loss" ] ~docv:"RATES" ~doc)
-  in
-  let reorders =
-    let doc =
-      "Comma-separated packet-reordering probabilities at the bottleneck (0 \
-       = off)."
-    in
-    Arg.(value & opt (list ~sep:',' float) [ 0.0 ] & info [ "reorder" ] ~docv:"PROBS" ~doc)
-  in
-  let flap_periods =
-    let doc =
-      "Comma-separated trunk-outage periods in seconds (0 = off; each outage \
-       lasts 300 ms)."
-    in
-    Arg.(value & opt (list ~sep:',' float) [ 0.0 ] & info [ "flap-period" ] ~docv:"SECONDS" ~doc)
-  in
-  let cbr_shares =
-    let doc =
-      "Comma-separated CBR cross-traffic loads as fractions of the \
-       bottleneck capacity (0 = off)."
-    in
-    Arg.(value & opt (list ~sep:',' float) [ 0.0 ] & info [ "cbr-share" ] ~docv:"SHARES" ~doc)
-  in
-  let rtos =
-    let doc =
-      "Comma-separated RTO estimators to sweep (jacobson, fixed, rfc793, \
-       agile)."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' rto_conv) [ Tcp.Rto.Jacobson ]
-      & info [ "rto" ] ~docv:"E,E,..." ~doc)
-  in
-  let rrr_levels =
-    let doc =
-      "Comma-separated rrr congestion levels; the axis multiplies only the \
-       rrr variant (others ignore the field). 0.5 = the Reno half-cut."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' float) [ 0.5 ]
-      & info [ "rrr-levels" ] ~docv:"LEVELS" ~doc)
-  in
-  let asym_ratios =
-    let doc =
-      "Comma-separated forward:reverse trunk rate ratios (0 = off; the \
-       asym: spec clause; dumbbell topology only)."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' float) [ 0.0 ]
-      & info [ "asym-ratios" ] ~docv:"RATIOS" ~doc)
-  in
-  let handover_periods =
-    let doc =
-      "Comma-separated cellular-handover periods in seconds (0 = off; each \
-       handover darkens the trunk for 400 ms, burst-drops the backlog and \
-       resumes at the next cell rate)."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' float) [ 0.0 ]
-      & info [ "handover-period" ] ~docv:"SECONDS" ~doc)
+  (* One flag per campaign axis, straight from the axis table. The
+     values are parsed here and the grid validated below, so a bad
+     token and a bad value are both usage errors. *)
+  let axes =
+    List.fold_right
+      (fun (Campaign.Job.Axis a as axis) rest ->
+        let text =
+          Arg.(
+            value
+            & opt string a.Campaign.Job.default
+            & info [ a.flag ] ~docv:a.docv ~doc:a.doc)
+        in
+        Term.(const (fun text rest -> (axis, text) :: rest) $ text $ rest))
+      Campaign.Job.axes (Term.const [])
   in
   let seed_count =
     let doc = "Seeds per grid point (SEED, SEED+1, ...)." in
@@ -978,9 +853,9 @@ let sweep_term =
     let pool_conv =
       Arg.enum
         [
-          ("serial", Some Campaign.Pool.Serial);
-          ("fork", Some Campaign.Pool.Forked);
-          ("domains", Some Campaign.Pool.Domains);
+          ("serial", Campaign.Pool.Serial);
+          ("fork", Campaign.Pool.Forked);
+          ("domains", Campaign.Pool.Domains);
         ]
     in
     let doc =
@@ -990,7 +865,8 @@ let sweep_term =
        than kill the worker) or $(b,serial) (in-process loop). Default: \
        fork when more than one worker, serial otherwise."
     in
-    Arg.(value & opt pool_conv None & info [ "pool" ] ~docv:"BACKEND" ~doc)
+    Arg.(
+      value & opt (some pool_conv) None & info [ "pool" ] ~docv:"BACKEND" ~doc)
   in
   let cache_dir =
     let doc = "Result-cache directory (content-addressed JSON entries)." in
@@ -1032,25 +908,17 @@ let sweep_term =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let run variants gateways topologies losses ack_losses reorders
-      flap_periods cbr_shares rtos rrr_levels asym_ratios handover_periods
-      seed_count duration flows rwnd
-      jobs pool cache_dir no_cache json timeout retries backoff resume seed =
-    if List.exists (fun l -> l <= 0.0 || l >= 1.0) rrr_levels then
-      usage_error "--rrr-levels must all be inside (0, 1)";
-    if List.exists (fun r -> r <> 0.0 && r < 1.0) asym_ratios then
-      usage_error "--asym-ratios must be 0 (off) or >= 1";
-    if
-      List.exists (fun r -> r > 0.0) asym_ratios
-      && List.exists (fun t -> t <> Campaign.Job.Dumbbell) topologies
-    then usage_error "--asym-ratios requires --topologies dumbbell";
-    if
-      List.exists
-        (fun p -> p <> 0.0 && p <= Campaign.Job.handover_gap)
-        handover_periods
-    then
-      usage_error "--handover-period values must be 0 (off) or > %g s"
-        Campaign.Job.handover_gap;
+  let run axes seed_count duration flows rwnd jobs pool cache_dir no_cache json
+      timeout retries backoff resume seed =
+    let bindings =
+      List.map
+        (fun (Campaign.Job.Axis a, text) ->
+          match Campaign.Job.parse_values a text with
+          | Ok values -> Campaign.Sweep.Bind (a, values)
+          | Error message ->
+            usage_error "--%s %s: %s" a.Campaign.Job.flag text message)
+        axes
+    in
     (* Fail fast on an unparseable chaos spec instead of aborting
        mid-sweep from inside the pool. *)
     (match Sys.getenv_opt Campaign.Pool.chaos_env with
@@ -1060,10 +928,10 @@ let sweep_term =
       | Error message -> usage_error "%s: %s" Campaign.Pool.chaos_env message)
     | _ -> ());
     let grid =
-      Campaign.Sweep.grid ~variants ~gateways ~topologies
-        ~uniform_losses:losses ~ack_losses ~reorders ~flap_periods ~cbr_shares
-        ~estimators:rtos ~rrr_levels ~asym_ratios ~handover_periods ~seed
-        ~seed_count ~duration ~flows ~rwnd ()
+      try
+        Campaign.Sweep.grid ~bindings ~seed ~seed_count ~duration ~flows ~rwnd
+          ()
+      with Invalid_argument message -> usage_error "%s" message
     in
     if resume && no_cache then
       usage_error "--resume needs the result cache (drop --no-cache)";
@@ -1142,22 +1010,22 @@ let sweep_term =
       else if Campaign.Sweep.total_violations outcome > 0 then exit 1
   in
   Term.(
-    const run $ variants $ gateways $ topologies $ losses
-    $ ack_losses $ reorders $ flap_periods $ cbr_shares $ rtos $ rrr_levels
-    $ asym_ratios $ handover_periods
-    $ seed_count $ duration $ flows $ rwnd $ jobs $ pool $ cache_dir
+    const run $ axes $ seed_count $ duration $ flows $ rwnd $ jobs $ pool
+    $ cache_dir
     $ no_cache $ json $ timeout $ retries $ backoff $ resume $ seed_arg)
 
 let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Run a variants x gateways x loss-rates x seeds campaign on a \
-          supervised forked worker pool (per-job deadlines, bounded retries, \
-          crash quarantine) with an incremental result cache and run \
-          journal. Always completes with partial results; exits 3 if any \
-          job was quarantined, 1 on auditor violations, 128+signal when \
-          interrupted (resume with --resume).")
+         "Run a campaign over the cartesian product of its axes (variants x \
+          gateways x topologies x loss rates x ... x seeds) on a supervised \
+          forked worker pool (per-job deadlines, bounded retries, crash \
+          quarantine) with an incremental result cache and run journal. \
+          Every value is checked before any job runs: a bad value or a \
+          duplicate grid point exits 2. Always completes with partial \
+          results; exits 3 if any job was quarantined, 1 on auditor \
+          violations, 128+signal when interrupted (resume with --resume).")
     sweep_term
 
 (* list / all: the experiment registry *)

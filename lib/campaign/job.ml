@@ -33,54 +33,301 @@ let topology_name = function
   | Dumbbell -> "dumbbell"
   | Parking_lot hops -> Printf.sprintf "parking-lot:%d" hops
 
+(* [kind] (meaning [kind:default]) or [kind:N] with N >= 1. *)
+let sized ~kind ~default s =
+  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
+  | [ k ] when k = kind -> Some default
+  | [ k; n ] when k = kind ->
+    Option.bind (int_of_string_opt n) (fun n -> if n >= 1 then Some n else None)
+  | _ -> None
+
+let gateway_of_string s =
+  match (sized ~kind:"droptail" ~default:8 s, sized ~kind:"red" ~default:25 s)
+  with
+  | Some capacity, _ -> Ok (Droptail capacity)
+  | _, Some capacity -> Ok (Red capacity)
+  | None, None ->
+    Error
+      (Printf.sprintf
+         "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s)
+
+let topology_of_string s =
+  if String.lowercase_ascii (String.trim s) = "dumbbell" then Ok Dumbbell
+  else
+    match sized ~kind:"parking-lot" ~default:2 s with
+    | Some hops -> Ok (Parking_lot hops)
+    | None ->
+      Error
+        (Printf.sprintf
+           "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s)
+
+let default =
+  {
+    variant = Core.Variant.Reno;
+    gateway = Droptail 8;
+    topology = Dumbbell;
+    uniform_loss = 0.02;
+    ack_loss = 0.0;
+    reorder = 0.0;
+    flap_period = 0.0;
+    cbr_share = 0.0;
+    estimator = Tcp.Rto.Jacobson;
+    rrr_level = 0.5;
+    asym_ratio = 0.0;
+    handover_period = 0.0;
+    seed = 7L;
+    duration = 20.0;
+    flows = 2;
+    rwnd = 20;
+  }
+
+(* -- the axis table -- *)
+
+type 'a axis = {
+  key : string;
+  flag : string;
+  docv : string;
+  doc : string;
+  default : string;
+  parse : string -> ('a, string) Stdlib.result;
+  json : 'a -> Json.t;
+  label : string;
+  show : 'a -> string;
+  header : string;
+  cell : 'a -> string;
+  optional : bool;
+  multiplies : t -> bool;
+  check : t -> string option;
+  get : t -> 'a;
+  set : 'a -> t -> t;
+}
+
+type packed = Axis : 'a axis -> packed
+
+let every _ = true
+
+let named ~key ~flag ~docv ~doc ~default ?(label = "") ?(optional = true)
+    ~parse ~name get set =
+  {
+    key; flag; docv; doc; default; parse; label; optional; get; set;
+    json = (fun v -> Json.Str (name v));
+    show = name;
+    header = key;
+    cell = name;
+    multiplies = every;
+    check = (fun _ -> None);
+  }
+
+(* A numeric axis: finite values satisfying [ok]; [check] adds
+   cross-axis rules. *)
+let numeric ~key ~flag ~docv ~doc ~default ~label ~show ?(header = label)
+    ?(cell = show) ?(optional = true) ?(multiplies = every) ~ok ~expected
+    ?(check = fun _ -> None) get set =
+  {
+    key; flag; docv; doc; default; label; show; header; cell; optional;
+    multiplies; get; set;
+    parse =
+      (fun s ->
+        Option.to_result ~none:(Printf.sprintf "invalid number %S" s)
+          (float_of_string_opt s));
+    json = (fun v -> Json.Num v);
+    check =
+      (fun job ->
+        let v = get job in
+        if Float.is_finite v && ok v then check job else Some expected);
+  }
+
+let pct v = Printf.sprintf "%g%%" (100.0 *. v)
+let secs v = Printf.sprintf "%gs" v
+let num v = Printf.sprintf "%g" v
+let unit_interval v = v >= 0.0 && v <= 1.0
+let in_unit = "must be within [0, 1]"
+
+module Axes = struct
+  let variant =
+    named ~key:"variant" ~flag:"variants" ~docv:"V,V,..."
+      ~doc:"Comma-separated TCP variants to sweep."
+      ~default:"reno,newreno,sack,rr" ~optional:false
+      ~parse:Core.Variant.of_string ~name:Core.Variant.name
+      (fun j -> j.variant) (fun variant j -> { j with variant })
+
+  let gateway =
+    named ~key:"gateway" ~flag:"gateways" ~docv:"G,G,..."
+      ~doc:
+        "Comma-separated gateway disciplines, each droptail[:BUFFER] or \
+         red[:BUFFER]."
+      ~default:"droptail:8" ~optional:false ~parse:gateway_of_string
+      ~name:gateway_name (fun j -> j.gateway)
+      (fun gateway j -> { j with gateway })
+
+  let topology =
+    named ~key:"topology" ~flag:"topologies" ~docv:"T,T,..."
+      ~doc:
+        "Comma-separated topologies to sweep, each dumbbell or \
+         parking-lot[:HOPS] (flows run end to end over HOPS chained \
+         bottlenecks)."
+      ~default:"dumbbell" ~parse:topology_of_string ~name:topology_name
+      (fun j -> j.topology) (fun topology j -> { j with topology })
+
+  let uniform_loss =
+    numeric ~key:"uniform_loss" ~flag:"loss" ~docv:"RATES"
+      ~doc:"Comma-separated uniform data-loss rates injected at R1."
+      ~default:"0.02" ~label:"loss" ~show:pct ~optional:false ~ok:unit_interval
+      ~expected:in_unit (fun j -> j.uniform_loss)
+      (fun uniform_loss j -> { j with uniform_loss })
+
+  let ack_loss =
+    numeric ~key:"ack_loss" ~flag:"ack-loss" ~docv:"RATES"
+      ~doc:"Comma-separated reverse-path ACK-loss rates." ~default:"0."
+      ~label:"ack" ~show:pct ~header:"ack loss" ~optional:false
+      ~ok:unit_interval ~expected:in_unit (fun j -> j.ack_loss)
+      (fun ack_loss j -> { j with ack_loss })
+
+  let reorder =
+    numeric ~key:"reorder" ~flag:"reorder" ~docv:"PROBS"
+      ~doc:
+        "Comma-separated packet-reordering probabilities at the bottleneck (0 \
+         = off)."
+      ~default:"0." ~label:"reorder" ~show:pct ~ok:unit_interval
+      ~expected:in_unit (fun j -> j.reorder)
+      (fun reorder j -> { j with reorder })
+
+  let flap_period =
+    numeric ~key:"flap_period" ~flag:"flap-period" ~docv:"SECONDS"
+      ~doc:
+        "Comma-separated trunk-outage periods in seconds (0 = off; each outage \
+         lasts 300 ms)."
+      ~default:"0." ~label:"flap" ~show:secs
+      ~ok:(fun p -> p = 0.0 || p > flap_down_for)
+      ~expected:(Printf.sprintf "must be 0 (off) or > %g" flap_down_for)
+      (fun j -> j.flap_period) (fun flap_period j -> { j with flap_period })
+
+  let cbr_share =
+    numeric ~key:"cbr_share" ~flag:"cbr-share" ~docv:"SHARES"
+      ~doc:
+        "Comma-separated CBR cross-traffic loads as fractions of the \
+         bottleneck capacity (0 = off)."
+      ~default:"0." ~label:"cbr" ~show:pct ~ok:(fun s -> s >= 0.0)
+      ~expected:"must be >= 0" (fun j -> j.cbr_share)
+      (fun cbr_share j -> { j with cbr_share })
+
+  let estimator =
+    named ~key:"rto" ~flag:"rto" ~docv:"E,E,..."
+      ~doc:
+        "Comma-separated RTO estimators to sweep (jacobson, fixed, rfc793, \
+         agile)."
+      ~default:"jacobson" ~label:"rto" ~parse:Tcp.Rto.estimator_of_string
+      ~name:Tcp.Rto.estimator_name (fun j -> j.estimator)
+      (fun estimator j -> { j with estimator })
+
+  let rrr_level =
+    numeric ~key:"rrr_level" ~flag:"rrr-levels" ~docv:"LEVELS"
+      ~doc:
+        "Comma-separated rrr congestion levels; the axis multiplies only the \
+         rrr variant (others ignore the field). 0.5 = the Reno half-cut."
+      ~default:"0.5" ~label:"rrr" ~show:num
+      ~multiplies:(fun j -> j.variant = Core.Variant.Rrr)
+      ~ok:(fun l -> l > 0.0 && l < 1.0) ~expected:"must be inside (0, 1)"
+      (fun j -> j.rrr_level) (fun rrr_level j -> { j with rrr_level })
+
+  let asym_ratio =
+    numeric ~key:"asym_ratio" ~flag:"asym-ratios" ~docv:"RATIOS"
+      ~doc:
+        "Comma-separated forward:reverse trunk rate ratios (0 = off; the \
+         asym: spec clause; dumbbell topology only)."
+      ~default:"0." ~label:"asym" ~show:num
+      ~cell:(fun r -> if r > 0.0 then Printf.sprintf "%g:1" r else "-")
+      ~ok:(fun r -> r = 0.0 || r >= 1.0) ~expected:"must be 0 (off) or >= 1"
+      ~check:(fun j ->
+        if j.asym_ratio > 0.0 && j.topology <> Dumbbell then
+          Some "needs --topologies dumbbell"
+        else None)
+      (fun j -> j.asym_ratio) (fun asym_ratio j -> { j with asym_ratio })
+
+  let handover_period =
+    numeric ~key:"handover_period" ~flag:"handover-period" ~docv:"SECONDS"
+      ~doc:
+        "Comma-separated cellular-handover periods in seconds (0 = off; each \
+         handover darkens the trunk for 400 ms, burst-drops the backlog and \
+         resumes at the next cell rate)."
+      ~default:"0." ~label:"handover" ~show:secs
+      ~cell:(fun p -> if p > 0.0 then secs p else "-")
+      ~ok:(fun p -> p = 0.0 || p > handover_gap)
+      ~expected:(Printf.sprintf "must be 0 (off) or > %g" handover_gap)
+      (fun j -> j.handover_period)
+      (fun handover_period j -> { j with handover_period })
+end
+
+let axes =
+  Axes.
+    [
+      Axis variant; Axis gateway; Axis topology; Axis uniform_loss;
+      Axis ack_loss; Axis reorder; Axis flap_period; Axis cbr_share;
+      Axis estimator; Axis rrr_level; Axis asym_ratio; Axis handover_period;
+    ]
+
+(* Point labels and report columns order the axes differently from the
+   JSON (and from each other); an axis neither list names goes last. *)
+let ordered keys =
+  List.map (fun key -> List.find (fun (Axis a) -> a.key = key) axes) keys
+  @ List.filter (fun (Axis a) -> not (List.mem a.key keys)) axes
+
+let label_axes =
+  ordered
+    [
+      "variant"; "gateway"; "uniform_loss"; "ack_loss"; "topology"; "reorder";
+      "flap_period"; "cbr_share"; "rto"; "asym_ratio"; "handover_period";
+      "rrr_level";
+    ]
+
+let column_axes =
+  ordered
+    [
+      "variant"; "gateway"; "topology"; "uniform_loss"; "ack_loss"; "reorder";
+      "flap_period"; "cbr_share"; "asym_ratio"; "handover_period"; "rto";
+      "rrr_level";
+    ]
+
+let ( let* ) = Result.bind
+
+let parse_values axis text =
+  List.fold_right
+    (fun token values ->
+      let* values = values in
+      let* v = axis.parse token in
+      Ok (v :: values))
+    (List.filter (( <> ) "") (String.split_on_char ',' text))
+    (Ok [])
+
+let visible axis job =
+  axis.multiplies job
+  && ((not axis.optional) || axis.get job <> axis.get default)
+
+let cell axis job =
+  if axis.multiplies job then axis.cell (axis.get job) else "-"
+
+let validate job =
+  List.iter
+    (fun (Axis a) ->
+      Option.iter
+        (fun reason ->
+          invalid_arg
+            (Printf.sprintf "--%s %s: %s" a.flag
+               (match a.json (a.get job) with
+               | Json.Str s -> s
+               | v -> Json.to_string v)
+               reason))
+        (a.check job))
+    axes
+
 let point_label job =
-  let base =
-    Printf.sprintf "%s/%s/loss %g%%/ack %g%%"
-      (Core.Variant.name job.variant)
-      (gateway_name job.gateway)
-      (100.0 *. job.uniform_loss)
-      (100.0 *. job.ack_loss)
-  in
-  (* Fault/workload axes appear only when active, so labels (and the
-     reports built from them) look unchanged for classic grids. *)
-  let base =
-    if job.topology <> Dumbbell then base ^ "/" ^ topology_name job.topology
-    else base
-  in
-  let base =
-    if job.reorder > 0.0 then
-      base ^ Printf.sprintf "/reorder %g%%" (100.0 *. job.reorder)
-    else base
-  in
-  let base =
-    if job.flap_period > 0.0 then
-      base ^ Printf.sprintf "/flap %gs" job.flap_period
-    else base
-  in
-  let base =
-    if job.cbr_share > 0.0 then
-      base ^ Printf.sprintf "/cbr %g%%" (100.0 *. job.cbr_share)
-    else base
-  in
-  let base =
-    if job.estimator <> Tcp.Rto.Jacobson then
-      base ^ Printf.sprintf "/rto %s" (Tcp.Rto.estimator_name job.estimator)
-    else base
-  in
-  let base =
-    if job.asym_ratio > 0.0 then
-      base ^ Printf.sprintf "/asym %g" job.asym_ratio
-    else base
-  in
-  let base =
-    if job.handover_period > 0.0 then
-      base ^ Printf.sprintf "/handover %gs" job.handover_period
-    else base
-  in
-  (* The level only matters to (and only labels) the RRR sender. *)
-  if job.variant = Core.Variant.Rrr && job.rrr_level <> 0.5 then
-    base ^ Printf.sprintf "/rrr %g" job.rrr_level
-  else base
+  String.concat "/"
+    (List.filter_map
+       (fun (Axis a) ->
+         if not (visible a job) then None
+         else if a.label = "" then Some (a.show (a.get job))
+         else Some (a.label ^ " " ^ a.show (a.get job)))
+       label_axes)
 
 (* Bump whenever the job layout or the semantics of a run change, so
    stale cache entries can never be mistaken for current ones. *)
@@ -88,24 +335,13 @@ let schema = "rr-sim-campaign/7"
 
 let to_json job =
   Json.Obj
-    [
-      ("variant", Json.Str (Core.Variant.name job.variant));
-      ("gateway", Json.Str (gateway_name job.gateway));
-      ("topology", Json.Str (topology_name job.topology));
-      ("uniform_loss", Json.Num job.uniform_loss);
-      ("ack_loss", Json.Num job.ack_loss);
-      ("reorder", Json.Num job.reorder);
-      ("flap_period", Json.Num job.flap_period);
-      ("cbr_share", Json.Num job.cbr_share);
-      ("rto", Json.Str (Tcp.Rto.estimator_name job.estimator));
-      ("rrr_level", Json.Num job.rrr_level);
-      ("asym_ratio", Json.Num job.asym_ratio);
-      ("handover_period", Json.Num job.handover_period);
-      ("seed", Json.Str (Int64.to_string job.seed));
-      ("duration", Json.Num job.duration);
-      ("flows", Json.Num (float_of_int job.flows));
-      ("rwnd", Json.Num (float_of_int job.rwnd));
-    ]
+    (List.map (fun (Axis a) -> (a.key, a.json (a.get job))) axes
+    @ [
+        ("seed", Json.Str (Int64.to_string job.seed));
+        ("duration", Json.Num job.duration);
+        ("flows", Json.Num (float_of_int job.flows));
+        ("rwnd", Json.Num (float_of_int job.rwnd));
+      ])
 
 let digest job =
   Digest.to_hex (Digest.string (schema ^ "\n" ^ Json.to_string (to_json job)))
@@ -281,8 +517,6 @@ let result_to_json result =
       ("audit_checks", Json.Num (float_of_int result.audit_checks));
       ("audit_violations", Json.Num (float_of_int result.audit_violations));
     ]
-
-let ( let* ) = Result.bind
 
 let field name coerce json =
   match Option.bind (Json.member name json) coerce with

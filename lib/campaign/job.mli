@@ -1,11 +1,21 @@
-(** One fully-resolved point of a sweep grid.
+(** One fully-resolved point of a sweep grid, and the table of axes
+    that spans such grids.
 
     A job is everything needed to run one deterministic
     {!Experiments.Scenario}: the TCP variant, the gateway discipline,
-    the injected data/ACK loss rates, the seed, the horizon and the
-    flow count. Being a plain value with a canonical JSON form, a job
-    can be hashed (the cache key), shipped to a forked worker, and
-    stored next to its result. *)
+    the topology, the injected data/ACK loss rates, the fault and
+    cross-traffic knobs, the RTO estimator, the RRR level, the seed,
+    the horizon, the flow count and the receiver window. Being a plain
+    value with a canonical JSON form, a job can be hashed (the cache
+    key), shipped to a forked worker, and stored next to its result.
+
+    Every field but the last four is a sweep {e axis}, described once
+    in {!axes}: its JSON key, its [rr-sim sweep] flag, its point-label
+    clause and report column, the jobs it multiplies and the values it
+    accepts. {!point_label}, {!to_json}, {!Sweep.val-grid}'s expansion, the
+    sweep report's columns and the sweep flags are all folds over that
+    table, so a new axis is a field, one table entry and its use in
+    {!run}. *)
 
 type gateway = Droptail of int | Red of int  (** payload = buffer, packets *)
 
@@ -64,6 +74,99 @@ val gateway_name : gateway -> string
     ["parking-lot:<hops>"]. *)
 val topology_name : topology -> string
 
+(** [gateway_of_string s] parses [droptail[:BUFFER]] or
+    [red[:BUFFER]] (buffers 8 and 25 when omitted). *)
+val gateway_of_string : string -> (gateway, string) Stdlib.result
+
+(** [topology_of_string s] parses [dumbbell] or [parking-lot[:HOPS]]
+    (2 hops when omitted). *)
+val topology_of_string : string -> (topology, string) Stdlib.result
+
+(** [default] is the first job of the default grid: Reno over the
+    paper's drop-tail:8 dumbbell at 2% data loss, every other axis at
+    its off value, seed 7, 2 flows for 20 s with a 20-segment window.
+    An optional axis's value here is the one that leaves no trace in
+    point labels and reports. *)
+val default : t
+
+(** {1 Axes} *)
+
+(** One sweep axis over values of type ['a]. *)
+type 'a axis = {
+  key : string;  (** canonical JSON key *)
+  flag : string;  (** [rr-sim sweep] option name, without dashes *)
+  docv : string;
+  doc : string;
+  default : string;
+      (** the flag's default as [--help] prints it; parsed by
+          {!parse_values}, it is the axis's value list in a grid that
+          does not bind the axis *)
+  parse : string -> ('a, string) Stdlib.result;  (** one value *)
+  json : 'a -> Json.t;
+  label : string;  (** point-label clause prefix; [""] = the bare value *)
+  show : 'a -> string;  (** the value in a point label *)
+  header : string;  (** report column header *)
+  cell : 'a -> string;  (** report cell *)
+  optional : bool;
+      (** the clause and column appear only for points off the
+          {!val-default} job's value; a non-optional axis always shows *)
+  multiplies : t -> bool;
+      (** the jobs the axis expands ([rrr_level]: the [rrr] variant's,
+          as the grid sets axes in table order); the others keep the
+          {!val-default} value and print ["-"] in its column *)
+  check : t -> string option;
+      (** [Some reason] if the job's value is invalid. It sees the
+          whole job, so cross-axis rules (asym needs the dumbbell) fit. *)
+  get : t -> 'a;
+  set : 'a -> t -> t;
+}
+
+type packed = Axis : 'a axis -> packed
+
+(** The typed axes, one per field of {!t} from [variant] to
+    [handover_period]. *)
+module Axes : sig
+  val variant : Core.Variant.t axis
+  val gateway : gateway axis
+  val topology : topology axis
+  val uniform_loss : float axis
+  val ack_loss : float axis
+  val reorder : float axis
+  val flap_period : float axis
+  val cbr_share : float axis
+  val estimator : Tcp.Rto.estimator axis
+  val rrr_level : float axis
+  val asym_ratio : float axis
+  val handover_period : float axis
+end
+
+(** [axes] is the table, in canonical JSON order, which is also the
+    grid's expansion order (variant-major). *)
+val axes : packed list
+
+(** [column_axes] is {!axes} in sweep-report column order. *)
+val column_axes : packed list
+
+(** [parse_values axis text] parses a comma-separated value list; empty
+    items are skipped, as a cmdliner list would. *)
+val parse_values : 'a axis -> string -> ('a list, string) Stdlib.result
+
+(** [visible axis job]: the axis labels [job]'s point (and opens its
+    report column): it multiplies the job, and it is not optional or the
+    job leaves the {!val-default} value. *)
+val visible : 'a axis -> t -> bool
+
+(** [cell axis job] is the job's report cell, ["-"] where the axis
+    does not multiply the job. *)
+val cell : 'a axis -> t -> string
+
+(** [validate job] runs every axis's check.
+    @raise Invalid_argument naming the first failing axis's flag and
+    value, e.g. ["--loss 1.5: must be within [0, 1]"]. *)
+val validate : t -> unit
+
+(** {1 Identity} *)
+
 (** [point_label job] names the grid point the job belongs to —
     everything but the seed — e.g. ["rr/droptail:8/loss 2%/ack 0%"].
     Jobs of one point differing only in seed aggregate together. *)
@@ -74,6 +177,8 @@ val point_label : t -> string
     entries from older layouts never alias). *)
 val digest : t -> string
 
+(** [to_json job] is the canonical JSON: every axis under its key, in
+    table order, then seed, duration, flows and rwnd. *)
 val to_json : t -> Json.t
 
 (** {1 Execution} *)

@@ -1,122 +1,81 @@
-type grid = {
-  variants : Core.Variant.t list;
-  gateways : Job.gateway list;
-  topologies : Job.topology list;
-  uniform_losses : float list;
-  ack_losses : float list;
-  reorders : float list;
-  flap_periods : float list;
-  cbr_shares : float list;
-  estimators : Tcp.Rto.estimator list;
-  rrr_levels : float list;
-  asym_ratios : float list;
-  handover_periods : float list;
-  seeds : int64 list;
-  duration : float;
-  flows : int;
-  rwnd : int;
-}
+type binding = Bind : 'a Job.axis * 'a list -> binding
 
-let grid ?(variants = Core.Variant.[ Reno; Newreno; Sack; Rr ])
-    ?(gateways = [ Job.Droptail 8 ]) ?(topologies = [ Job.Dumbbell ])
-    ?(uniform_losses = [ 0.02 ])
-    ?(ack_losses = [ 0.0 ]) ?(reorders = [ 0.0 ]) ?(flap_periods = [ 0.0 ])
-    ?(cbr_shares = [ 0.0 ]) ?(estimators = [ Tcp.Rto.Jacobson ])
-    ?(rrr_levels = [ 0.5 ]) ?(asym_ratios = [ 0.0 ])
-    ?(handover_periods = [ 0.0 ]) ?seeds
-    ?(seed = 7L) ?(seed_count = 6) ?(duration = 20.0) ?(flows = 2)
-    ?(rwnd = 20) () =
+type grid = Job.t list
+
+let grid ?variants ?gateways ?topologies ?uniform_losses ?ack_losses ?reorders
+    ?flap_periods ?cbr_shares ?estimators ?rrr_levels ?asym_ratios
+    ?handover_periods ?(bindings = []) ?seeds ?(seed = 7L) ?(seed_count = 6)
+    ?(duration = 20.0) ?(flows = 2) ?(rwnd = 20) () =
+  let sugar axis = Option.map (fun values -> Bind (axis, values)) in
+  let bindings =
+    Job.Axes.
+      [
+        sugar variant variants; sugar gateway gateways;
+        sugar topology topologies; sugar uniform_loss uniform_losses;
+        sugar ack_loss ack_losses; sugar reorder reorders;
+        sugar flap_period flap_periods; sugar cbr_share cbr_shares;
+        sugar estimator estimators; sugar rrr_level rrr_levels;
+        sugar asym_ratio asym_ratios; sugar handover_period handover_periods;
+      ]
+    |> List.filter_map Fun.id |> List.append bindings
+  in
+  let require ok fmt =
+    Printf.ksprintf (fun message -> if not ok then invalid_arg message) fmt
+  in
+  require
+    (Float.is_finite duration && duration >= 0.0)
+    "--duration %g: must be finite and >= 0" duration;
+  require (flows >= 1) "--flows %d: must be >= 1" flows;
+  require (rwnd >= 1) "--rwnd %d: must be >= 1" rwnd;
+  require (seed_count >= 0) "--seeds %d: must be >= 0" seed_count;
   let seeds =
     match seeds with
     | Some seeds -> seeds
     | None -> List.init seed_count (fun i -> Int64.add seed (Int64.of_int i))
   in
-  {
-    variants;
-    gateways;
-    topologies;
-    uniform_losses;
-    ack_losses;
-    reorders;
-    flap_periods;
-    cbr_shares;
-    estimators;
-    rrr_levels;
-    asym_ratios;
-    handover_periods;
-    seeds;
-    duration;
-    flows;
-    rwnd;
-  }
+  (* Every axis in table order: its binding, else its documented
+     default. Each value is checked even if no job takes it up: an axis
+     expands only the jobs it multiplies, and the rest keep the default
+     job's value. *)
+  let base = { Job.default with duration; flows; rwnd } in
+  let expand jobs (Job.Axis axis) =
+    let (Bind (axis, values)) =
+      match
+        List.filter (fun (Bind (a, _)) -> a.Job.key = axis.Job.key) bindings
+      with
+      | [ binding ] -> binding
+      | [] -> Bind (axis, Result.get_ok (Job.parse_values axis axis.default))
+      | _ -> invalid_arg (Printf.sprintf "--%s is bound twice" axis.flag)
+    in
+    List.iter (fun v -> Job.validate (axis.set v base)) values;
+    List.concat_map
+      (fun job ->
+        if axis.multiplies job then
+          List.map (fun v -> axis.set v job) values
+        else [ job ])
+      jobs
+  in
+  let jobs =
+    List.concat_map
+      (fun job -> List.map (fun seed -> { job with Job.seed }) seeds)
+      (List.fold_left expand [ base ] Job.axes)
+  in
+  let points = Hashtbl.create 64 in
+  List.iter
+    (fun job ->
+      Job.validate job;
+      let point = (Job.point_label job, job.Job.seed) in
+      if Hashtbl.mem points point then
+        invalid_arg
+          (Printf.sprintf
+             "grid point %s, seed %Ld, appears twice: an axis lists values \
+              that label alike"
+             (fst point) job.Job.seed);
+      Hashtbl.add points point ())
+    jobs;
+  jobs
 
-let jobs_of_grid grid =
-  List.concat_map
-    (fun variant ->
-      List.concat_map
-        (fun gateway ->
-         List.concat_map
-          (fun topology ->
-          List.concat_map
-            (fun uniform_loss ->
-              List.concat_map
-                (fun ack_loss ->
-                  List.concat_map
-                    (fun reorder ->
-                      List.concat_map
-                        (fun flap_period ->
-                          List.concat_map
-                            (fun cbr_share ->
-                              List.concat_map
-                                (fun estimator ->
-                                  (* The level axis multiplies only the
-                                     RRR variant; every other variant
-                                     ignores the field, so expanding it
-                                     per level would duplicate jobs. *)
-                                  let levels =
-                                    if variant = Core.Variant.Rrr then
-                                      grid.rrr_levels
-                                    else [ 0.5 ]
-                                  in
-                                  List.concat_map
-                                    (fun rrr_level ->
-                                  List.concat_map
-                                    (fun asym_ratio ->
-                                  List.concat_map
-                                    (fun handover_period ->
-                                  List.map
-                                    (fun seed ->
-                                      {
-                                        Job.variant;
-                                        gateway;
-                                        topology;
-                                        uniform_loss;
-                                        ack_loss;
-                                        reorder;
-                                        flap_period;
-                                        cbr_share;
-                                        estimator;
-                                        rrr_level;
-                                        asym_ratio;
-                                        handover_period;
-                                        seed;
-                                        duration = grid.duration;
-                                        flows = grid.flows;
-                                        rwnd = grid.rwnd;
-                                      })
-                                    grid.seeds)
-                                    grid.handover_periods)
-                                    grid.asym_ratios)
-                                    levels)
-                                grid.estimators)
-                            grid.cbr_shares)
-                        grid.flap_periods)
-                    grid.reorders)
-                grid.ack_losses)
-            grid.uniform_losses)
-          grid.topologies)
-        grid.gateways)
-    grid.variants
+let jobs_of_grid grid = grid
 
 let sweep_digest grid =
   Digest.to_hex
@@ -283,32 +242,21 @@ let results_json outcome =
   Json.List (List.map Job.result_to_json outcome.results)
 
 let point_to_json point =
+  let job = point.point_job in
   Json.Obj
-    [
-      ("point", Json.Str (Job.point_label point.point_job));
-      ("variant", Json.Str (Core.Variant.name point.point_job.Job.variant));
-      ("gateway", Json.Str (Job.gateway_name point.point_job.Job.gateway));
-      ("topology", Json.Str (Job.topology_name point.point_job.Job.topology));
-      ("uniform_loss", Json.Num point.point_job.Job.uniform_loss);
-      ("ack_loss", Json.Num point.point_job.Job.ack_loss);
-      ("reorder", Json.Num point.point_job.Job.reorder);
-      ("flap_period", Json.Num point.point_job.Job.flap_period);
-      ("cbr_share", Json.Num point.point_job.Job.cbr_share);
-      ( "rto",
-        Json.Str (Tcp.Rto.estimator_name point.point_job.Job.estimator) );
-      ("rrr_level", Json.Num point.point_job.Job.rrr_level);
-      ("asym_ratio", Json.Num point.point_job.Job.asym_ratio);
-      ("handover_period", Json.Num point.point_job.Job.handover_period);
-      ("seeds", Json.Num (float_of_int point.goodput.Stats.Summary.n));
-      ("goodput_bps_mean", Json.Num point.goodput.Stats.Summary.mean);
-      ("goodput_bps_ci95", Json.Num point.goodput.Stats.Summary.ci95);
-      ("goodput_bps_stddev", Json.Num point.goodput.Stats.Summary.stddev);
-      ("jain_mean", Json.Num point.jain.Stats.Summary.mean);
-      ("timeouts_mean", Json.Num point.timeouts.Stats.Summary.mean);
-      ("retransmits_mean", Json.Num point.retransmits.Stats.Summary.mean);
-      ("drops_mean", Json.Num point.drops.Stats.Summary.mean);
-      ("audit_violations", Json.Num (float_of_int point.violations));
-    ]
+    ((("point", Json.Str (Job.point_label job))
+     :: List.map (fun (Job.Axis a) -> (a.key, a.json (a.get job))) Job.axes)
+    @ [
+        ("seeds", Json.Num (float_of_int point.goodput.Stats.Summary.n));
+        ("goodput_bps_mean", Json.Num point.goodput.Stats.Summary.mean);
+        ("goodput_bps_ci95", Json.Num point.goodput.Stats.Summary.ci95);
+        ("goodput_bps_stddev", Json.Num point.goodput.Stats.Summary.stddev);
+        ("jain_mean", Json.Num point.jain.Stats.Summary.mean);
+        ("timeouts_mean", Json.Num point.timeouts.Stats.Summary.mean);
+        ("retransmits_mean", Json.Num point.retransmits.Stats.Summary.mean);
+        ("drops_mean", Json.Num point.drops.Stats.Summary.mean);
+        ("audit_violations", Json.Num (float_of_int point.violations));
+      ])
 
 let failure_json = function
   | Pool.Crashed reason ->
@@ -354,48 +302,17 @@ let report_json outcome =
   ^ "\n"
 
 let report outcome =
-  (* Fault/workload columns appear only when some point exercises the
-     axis, so classic sweeps render exactly as before. *)
-  let any f = List.exists (fun p -> f p.point_job > 0.0) outcome.points in
-  let with_reorder = any (fun j -> j.Job.reorder) in
-  let with_flaps = any (fun j -> j.Job.flap_period) in
-  let with_cbr = any (fun j -> j.Job.cbr_share) in
-  let with_asym = any (fun j -> j.Job.asym_ratio) in
-  let with_handover = any (fun j -> j.Job.handover_period) in
-  let with_rto =
-    List.exists
-      (fun p -> p.point_job.Job.estimator <> Tcp.Rto.Jacobson)
-      outcome.points
-  in
-  let with_topology =
-    List.exists
-      (fun p -> p.point_job.Job.topology <> Job.Dumbbell)
-      outcome.points
-  in
-  let with_rrr =
-    List.exists
-      (fun p ->
-        p.point_job.Job.variant = Core.Variant.Rrr
-        && p.point_job.Job.rrr_level <> 0.5)
-      outcome.points
-  in
-  let opt_cols triples =
-    List.concat_map
-      (fun (enabled, cell) -> if enabled then [ cell ] else [])
-      triples
+  (* An optional axis gets a column only when some point leaves its
+     default, so a classic sweep shows only the classic columns. *)
+  let columns =
+    List.filter
+      (fun (Job.Axis a) ->
+        (not a.optional)
+        || List.exists (fun p -> Job.visible a p.point_job) outcome.points)
+      Job.column_axes
   in
   let header =
-    [ "variant"; "gateway" ]
-    @ opt_cols [ (with_topology, "topology") ]
-    @ [ "loss"; "ack loss" ]
-    @ opt_cols
-        [
-          (with_reorder, "reorder");
-          (with_flaps, "flap"); (with_cbr, "cbr");
-          (with_asym, "asym"); (with_handover, "handover");
-          (with_rto, "rto");
-          (with_rrr, "rrr");
-        ]
+    List.map (fun (Job.Axis a) -> a.header) columns
     @ [
         "seeds"; "goodput (Kbps)"; "jain"; "timeouts"; "retx"; "drops";
         "violations";
@@ -404,33 +321,7 @@ let report outcome =
   let rows =
     List.map
       (fun point ->
-        let job = point.point_job in
-        [ Core.Variant.name job.Job.variant; Job.gateway_name job.Job.gateway ]
-        @ opt_cols [ (with_topology, Job.topology_name job.Job.topology) ]
-        @ [
-            Printf.sprintf "%g%%" (100.0 *. job.Job.uniform_loss);
-            Printf.sprintf "%g%%" (100.0 *. job.Job.ack_loss);
-          ]
-        @ opt_cols
-            [
-              ( with_reorder,
-                Printf.sprintf "%g%%" (100.0 *. job.Job.reorder) );
-              (with_flaps, Printf.sprintf "%gs" job.Job.flap_period);
-              (with_cbr, Printf.sprintf "%g%%" (100.0 *. job.Job.cbr_share));
-              ( with_asym,
-                if job.Job.asym_ratio > 0.0 then
-                  Printf.sprintf "%g:1" job.Job.asym_ratio
-                else "-" );
-              ( with_handover,
-                if job.Job.handover_period > 0.0 then
-                  Printf.sprintf "%gs" job.Job.handover_period
-                else "-" );
-              (with_rto, Tcp.Rto.estimator_name job.Job.estimator);
-              ( with_rrr,
-                if job.Job.variant = Core.Variant.Rrr then
-                  Printf.sprintf "%g" job.Job.rrr_level
-                else "-" );
-            ]
+        List.map (fun (Job.Axis a) -> Job.cell a point.point_job) columns
         @ [
             string_of_int point.goodput.Stats.Summary.n;
             Stats.Summary.to_string ~scale:0.001 point.goodput;

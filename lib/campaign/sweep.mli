@@ -1,43 +1,33 @@
 (** Declarative multi-run sweep engine.
 
-    A {!grid} names the axes of a campaign — variants × gateway
-    disciplines × uniform data-loss rates × ACK-loss rates × seeds —
-    plus the scalar run parameters they share. {!jobs_of_grid} expands
-    it to the cartesian product of fully-resolved {!Job.t}s;
-    {!run} executes them on the {!Pool} (consulting the {!Cache}
-    first), then collapses each grid {e point} (same everything but
-    the seed) into cross-seed summary statistics. *)
+    A {!type-grid} is the cartesian product of value lists, one per
+    {!Job.axes} entry (variants × gateways × topologies × loss rates ×
+    … × seeds), expanded to fully-resolved {!Job.t}s that share the
+    scalar run parameters. {!run} executes them on the {!Pool}
+    (consulting the {!Cache} first), then collapses each grid {e point}
+    (same everything but the seed) into cross-seed summary statistics. *)
 
-type grid = {
-  variants : Core.Variant.t list;
-  gateways : Job.gateway list;
-  topologies : Job.topology list;
-      (** {!Job.t.topology} values; [Dumbbell] alone = classic *)
-  uniform_losses : float list;
-  ack_losses : float list;
-  reorders : float list;  (** {!Job.t.reorder} values; [0.] = off *)
-  flap_periods : float list;  (** {!Job.t.flap_period} values; [0.] = off *)
-  cbr_shares : float list;  (** {!Job.t.cbr_share} values; [0.] = off *)
-  estimators : Tcp.Rto.estimator list;
-      (** {!Job.t.estimator} values; [Jacobson] alone = classic *)
-  rrr_levels : float list;
-      (** {!Job.t.rrr_level} values, expanded only for the
-          {!Core.Variant.Rrr} variant (others would yield duplicate
-          jobs); [0.5] alone = classic *)
-  asym_ratios : float list;
-      (** {!Job.t.asym_ratio} values; [0.] = off (dumbbell only) *)
-  handover_periods : float list;
-      (** {!Job.t.handover_period} values; [0.] = off *)
-  seeds : int64 list;
-  duration : float;
-  flows : int;
-  rwnd : int;
-}
+(** A validated expansion: every job passed {!Job.validate}, and no two
+    share a point label and a seed. *)
+type grid
 
-(** [grid ()] with the defaults of the §4 uniform-loss studies: Reno /
-    New-Reno / SACK / RR under a drop-tail:8 gateway, 2% data loss, no
-    ACK loss, no faults or cross-traffic, six seeds derived from [seed]
-    (default 7), 2 flows for 20 s with a 20-segment window. *)
+(** Values for one axis. *)
+type binding = Bind : 'a Job.axis * 'a list -> binding
+
+(** [grid ()] expands the axes, each bound to its labelled list or to
+    a {!binding}, or else to its documented default (the table's
+    [default], which the CLI shows): Reno / New-Reno / SACK / RR under
+    a drop-tail:8 gateway on the dumbbell, 2% data loss and every other
+    axis off. The labelled lists are sugar for bindings of the
+    corresponding {!Job.Axes}. The jobs share six seeds derived from
+    [seed] (default 7) unless [seeds] lists them, and run 2 flows for
+    20 s with a 20-segment window.
+
+    @raise Invalid_argument with a message naming the offending flag
+    and value: an axis value that fails its check, an axis bound twice,
+    a non-finite or negative [duration], [flows] or [rwnd] below 1, a
+    negative [seed_count], or two jobs with the same point label and
+    seed (a repeated value, or two values that label alike). *)
 val grid :
   ?variants:Core.Variant.t list ->
   ?gateways:Job.gateway list ->
@@ -51,6 +41,7 @@ val grid :
   ?rrr_levels:float list ->
   ?asym_ratios:float list ->
   ?handover_periods:float list ->
+  ?bindings:binding list ->
   ?seeds:int64 list ->
   ?seed:int64 ->
   ?seed_count:int ->
@@ -136,10 +127,12 @@ val total_violations : outcome -> int
 val results_json : outcome -> Json.t
 
 (** [report outcome] renders the per-point aggregate table plus a
-    cache/pool summary line. Quarantined jobs render as an extra table
-    (job point, seed, failure) and interruption as a trailing note —
-    both only when present, so clean sweeps are byte-identical to the
-    pre-supervision format. *)
+    cache/pool summary line. The table has a column per
+    {!Job.column_axes} entry; an optional axis's column appears only
+    when some point leaves its default. Quarantined jobs render as an
+    extra table (job point, seed, failure) and interruption as a
+    trailing note — both only when present, so clean sweeps are
+    byte-identical to the pre-supervision format. *)
 val report : outcome -> string
 
 (** [report_json outcome] renders the whole campaign (quarantined jobs,

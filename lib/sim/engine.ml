@@ -577,7 +577,12 @@ let run t =
   t.stopped <- false;
   drain t ~limit_bits:(bits_of_time infinity)
 
+(* The bit encoding is monotone only for non-negative times: NaN would
+   never bound the drain, and -T would stand for +T. *)
 let run_until t ~time =
+  if not (time >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.run_until: time %g is negative or NaN" time);
   t.stopped <- false;
   let limit_bits = bits_of_time time in
   drain t ~limit_bits;

@@ -55,7 +55,8 @@ val run : t -> unit
 
 (** [run_until t ~time] processes events with timestamps [<= time], then
     sets the clock to [time]. If {!stop} was called mid-run, the clock
-    stays at the last fired event instead. *)
+    stays at the last fired event instead.
+    @raise Invalid_argument if [time] is negative or NaN. *)
 val run_until : t -> time:float -> unit
 
 (** [stop t] makes the current [run]/[run_until] return after the event

@@ -68,6 +68,100 @@ let test_digest_stability () =
     (Campaign.Job.digest job
     <> Campaign.Job.digest { job with estimator = Tcp.Rto.Rfc793 })
 
+let test_axis_defaults () =
+  Alcotest.(check bool)
+    "the default grid starts with the default job" true
+    (List.hd (Campaign.Sweep.jobs_of_grid (Campaign.Sweep.grid ()))
+    = Campaign.Job.default);
+  List.iter
+    (fun (Campaign.Job.Axis a) ->
+      match Campaign.Job.parse_values a a.Campaign.Job.default with
+      | Error message -> Alcotest.failf "--%s default: %s" a.flag message
+      | Ok values ->
+        Alcotest.(check bool)
+          (Printf.sprintf "--%s %s starts with the default job's value" a.flag
+             a.default)
+          true
+          (List.hd values = a.get Campaign.Job.default);
+        if a.optional then
+          Alcotest.(check int)
+            (Printf.sprintf "--%s defaults to its off value alone" a.flag)
+            1 (List.length values))
+    Campaign.Job.axes
+
+(* The labelled lists are sugar for bindings; one axis binds once. *)
+let test_bindings () =
+  let losses = Campaign.Sweep.Bind (Campaign.Job.Axes.uniform_loss, [ 0.01 ]) in
+  Alcotest.(check bool)
+    "a binding expands as its labelled list" true
+    (Campaign.Sweep.jobs_of_grid (Campaign.Sweep.grid ~bindings:[ losses ] ())
+    = Campaign.Sweep.jobs_of_grid
+        (Campaign.Sweep.grid ~uniform_losses:[ 0.01 ] ()));
+  Alcotest.check_raises "an axis bound twice"
+    (Invalid_argument "--loss is bound twice") (fun () ->
+      ignore
+        (Campaign.Sweep.grid ~uniform_losses:[ 0.02 ] ~bindings:[ losses ] ()))
+
+(* Every bad input is refused when the grid is built, before any job
+   runs, with a message naming the flag and the value. *)
+let test_grid_validation () =
+  let rejects message build =
+    Alcotest.check_raises message (Invalid_argument message) (fun () ->
+        ignore (build () : Campaign.Sweep.grid))
+  in
+  let grid = Campaign.Sweep.grid in
+  rejects "--loss 1.5: must be within [0, 1]" (grid ~uniform_losses:[ 1.5 ]);
+  rejects "--loss -0.1: must be within [0, 1]" (grid ~uniform_losses:[ -0.1 ]);
+  rejects "--loss nan: must be within [0, 1]"
+    (grid ~uniform_losses:[ Float.nan ]);
+  rejects "--ack-loss 2: must be within [0, 1]" (grid ~ack_losses:[ 2.0 ]);
+  rejects "--reorder -0.5: must be within [0, 1]" (grid ~reorders:[ -0.5 ]);
+  rejects "--flap-period 0.2: must be 0 (off) or > 0.3"
+    (grid ~flap_periods:[ 0.2 ]);
+  rejects "--flap-period -1: must be 0 (off) or > 0.3"
+    (grid ~flap_periods:[ -1.0 ]);
+  rejects "--cbr-share -0.5: must be >= 0" (grid ~cbr_shares:[ -0.5 ]);
+  rejects "--cbr-share inf: must be >= 0" (grid ~cbr_shares:[ Float.infinity ]);
+  rejects "--rrr-levels 1.5: must be inside (0, 1)"
+    (grid ~variants:[ Core.Variant.Reno ] ~rrr_levels:[ 1.5 ]);
+  rejects "--asym-ratios 0.5: must be 0 (off) or >= 1"
+    (grid ~asym_ratios:[ 0.5 ]);
+  rejects "--asym-ratios 2: needs --topologies dumbbell"
+    (grid ~asym_ratios:[ 2.0 ]
+       ~topologies:[ Campaign.Job.Dumbbell; Campaign.Job.Parking_lot 2 ]);
+  rejects "--handover-period 0.4: must be 0 (off) or > 0.4"
+    (grid ~handover_periods:[ 0.4 ]);
+  rejects "--duration nan: must be finite and >= 0" (grid ~duration:Float.nan);
+  rejects "--duration -5: must be finite and >= 0" (grid ~duration:(-5.0));
+  rejects "--flows 0: must be >= 1" (grid ~flows:0);
+  rejects "--rwnd 0: must be >= 1" (grid ~rwnd:0);
+  rejects "--seeds -1: must be >= 0" (grid ~seed_count:(-1))
+
+(* Two jobs with one point label and seed would aggregate as one point
+   with twice the seeds, shrinking its confidence interval. *)
+let test_duplicate_points_rejected () =
+  let duplicate label =
+    Printf.sprintf
+      "grid point %s, seed 7, appears twice: an axis lists values that label \
+       alike"
+      label
+  in
+  let rr = [ Core.Variant.Rr ] in
+  Alcotest.check_raises "a repeated value"
+    (Invalid_argument (duplicate "rr/droptail:8/loss 1%/ack 0%"))
+    (fun () ->
+      ignore
+        (Campaign.Sweep.grid ~variants:rr ~uniform_losses:[ 0.01; 0.01 ] ()));
+  Alcotest.check_raises "two values that label alike"
+    (Invalid_argument (duplicate "rr/droptail:8/loss 1%/ack 0%"))
+    (fun () ->
+      ignore
+        (Campaign.Sweep.grid ~variants:rr
+           ~uniform_losses:[ 0.01; 0.0100000001 ] ()));
+  Alcotest.check_raises "a repeated seed"
+    (Invalid_argument (duplicate "rr/droptail:8/loss 2%/ack 0%"))
+    (fun () -> ignore (Campaign.Sweep.grid ~variants:rr ~seeds:[ 7L; 7L ] ()))
+
 (* -- the fork pool -- *)
 
 let show_outcome = function
@@ -459,6 +553,80 @@ let test_journal_resume_roundtrip () =
        (Campaign.Journal.resume ~path
           ~sweep:(Campaign.Sweep.sweep_digest other)))
 
+(* -- byte identity: job labels, digests, canonical JSON and reports
+   are pinned; a change to any of them re-keys users' result caches and
+   the benchmark's campaign pin -- *)
+
+(* Every axis off its default in two grids, because the asym axis needs
+   the dumbbell: the first keeps the dumbbell and sweeps asym, the
+   second adds a parking lot with asym off. *)
+let every_axis_grids ~wide ~seed_count ~duration =
+  let two a b = if wide then [ a; b ] else [ b ] in
+  [
+    Campaign.Sweep.grid
+      ~variants:Core.Variant.[ Newreno; Rrr ]
+      ~gateways:(two (Campaign.Job.Droptail 8) (Campaign.Job.Red 25))
+      ~uniform_losses:(two 0.0 0.02) ~ack_losses:(two 0.0 0.05)
+      ~reorders:(two 0.0 0.05) ~flap_periods:(two 0.0 2.0)
+      ~cbr_shares:(two 0.0 0.25)
+      ~estimators:(two Tcp.Rto.Jacobson Tcp.Rto.Rfc793)
+      ~rrr_levels:[ 0.5; 0.2 ] ~asym_ratios:[ 0.0; 10.0 ]
+      ~handover_periods:[ 0.0; 3.0 ] ~seed:3L ~seed_count ~duration ~flows:3
+      ~rwnd:16 ();
+    Campaign.Sweep.grid
+      ~variants:Core.Variant.[ Reno; Rrr ]
+      ~gateways:[ Campaign.Job.Red 12 ]
+      ~topologies:[ Campaign.Job.Dumbbell; Campaign.Job.Parking_lot 3 ]
+      ~uniform_losses:[ 0.01 ] ~ack_losses:[ 0.02 ] ~reorders:[ 0.1 ]
+      ~flap_periods:[ 5.0 ] ~cbr_shares:[ 0.1 ]
+      ~estimators:(two Tcp.Rto.Agile Tcp.Rto.Fixed)
+      ~rrr_levels:[ 0.8 ] ~handover_periods:[ 4.0 ] ~seed:11L ~seed_count
+      ~duration ~flows:1 ~rwnd:24 ();
+  ]
+
+let md5 text = Digest.to_hex (Digest.string text)
+
+let test_job_identity_pinned () =
+  List.iter2
+    (fun grid (count, pinned) ->
+      let jobs = Campaign.Sweep.jobs_of_grid grid in
+      Alcotest.(check int) "job count" count (List.length jobs);
+      Alcotest.(check string)
+        "digest, point label and canonical JSON of every job" pinned
+        (md5
+           (String.concat ""
+              (List.map
+                 (fun job ->
+                   Printf.sprintf "%s\t%s\t%s\n" (Campaign.Job.digest job)
+                     (Campaign.Job.point_label job)
+                     (Campaign.Json.to_string (Campaign.Job.to_json job)))
+                 jobs))))
+    (every_axis_grids ~wide:true ~seed_count:2 ~duration:7.5)
+    [
+      (3072, "0f9d9b033fa7870332fe7ec2b9984ae0");
+      (16, "00fcb0678510465dc7e10cbecf51744f");
+    ]
+
+let test_sweep_reports_pinned () =
+  List.iter2
+    (fun grid (text, json) ->
+      let outcome =
+        {
+          (Campaign.Sweep.run ~jobs:1 grid) with
+          Campaign.Sweep.elapsed_seconds = 0.0;
+          workers = 0;
+        }
+      in
+      Alcotest.(check string) "text report" text
+        (md5 (Campaign.Sweep.report outcome));
+      Alcotest.(check string) "JSON report" json
+        (md5 (Campaign.Sweep.report_json outcome)))
+    (every_axis_grids ~wide:false ~seed_count:2 ~duration:6.0)
+    [
+      ("57c2bee20d1bf8a25fd10d7ef1218a9e", "950b9f76ba3b55f8e86aee284ae8937f");
+      ("06bd069b9553d4d5c01ec50b459e6096", "15554818bcf4d984c083c1da1db4932f");
+    ]
+
 (* -- summary statistics -- *)
 
 let test_summary () =
@@ -501,6 +669,11 @@ let suite =
       [
         Alcotest.test_case "grid expansion" `Quick test_grid_expansion;
         Alcotest.test_case "digest stability" `Quick test_digest_stability;
+        Alcotest.test_case "axis defaults" `Quick test_axis_defaults;
+        Alcotest.test_case "bindings" `Quick test_bindings;
+        Alcotest.test_case "grid validation" `Quick test_grid_validation;
+        Alcotest.test_case "duplicate points rejected" `Quick
+          test_duplicate_points_rejected;
         Alcotest.test_case "pool order" `Quick test_pool_order_and_results;
         Alcotest.test_case "pool failure" `Quick test_pool_propagates_failure;
         Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -532,6 +705,8 @@ let suite =
           test_interrupted_sweep_keeps_finished_work;
         Alcotest.test_case "journal resume roundtrip" `Slow
           test_journal_resume_roundtrip;
+        Alcotest.test_case "job identity pinned" `Quick test_job_identity_pinned;
+        Alcotest.test_case "sweep reports pinned" `Slow test_sweep_reports_pinned;
         Alcotest.test_case "summary stats" `Quick test_summary;
         Alcotest.test_case "registry" `Quick test_registry_unique_and_complete;
       ] );

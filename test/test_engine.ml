@@ -80,6 +80,21 @@ let test_run_until () =
   Sim.Engine.run_until engine ~time:5.0;
   Alcotest.(check (list (float 1e-9))) "rest" [ 1.0; 2.0; 3.0 ] (List.rev !fired)
 
+let test_run_until_rejects_bad_horizon () =
+  (* Unguarded, a NaN horizon would drain forever and -T would run up
+     to +T: the time encoding is monotone only for non-negative times. *)
+  let engine = Sim.Engine.create () in
+  let fired = ref 0 in
+  ignore (Sim.Engine.schedule_at engine ~time:1.0 (fun () -> incr fired));
+  Alcotest.check_raises "NaN"
+    (Invalid_argument "Engine.run_until: time nan is negative or NaN")
+    (fun () -> Sim.Engine.run_until engine ~time:Float.nan);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Engine.run_until: time -5 is negative or NaN")
+    (fun () -> Sim.Engine.run_until engine ~time:(-5.0));
+  Alcotest.(check int) "nothing fired" 0 !fired;
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.Engine.now engine)
+
 let test_stop () =
   let engine = Sim.Engine.create () in
   let count = ref 0 in
@@ -365,6 +380,8 @@ let suite =
         Alcotest.test_case "negative delay rejected" `Quick
           test_negative_delay_rejected;
         Alcotest.test_case "run_until" `Quick test_run_until;
+        Alcotest.test_case "run_until rejects NaN and negative" `Quick
+          test_run_until_rejects_bad_horizon;
         Alcotest.test_case "stop" `Quick test_stop;
         Alcotest.test_case "stop during run_until" `Quick
           test_stop_during_run_until;
