@@ -301,10 +301,7 @@ let vegas_cmd =
 
 let audit_sweep seed =
   let gateways =
-    [
-      ("drop-tail", Net.Dumbbell.Droptail { capacity = 8 });
-      ("red", Net.Dumbbell.Red { capacity = 25; params = Net.Red.paper_params });
-    ]
+    [ ("drop-tail", Campaign.Job.Droptail 8); ("red", Campaign.Job.Red 25) ]
   in
   let burst n =
     List.init n (fun i -> { Net.Loss.flow = 0; seq = 33 + i; occurrence = 1 })
@@ -319,51 +316,59 @@ let audit_sweep seed =
       ("loss 5% + ack 5%", [], 0.05, 0.05);
     ]
   in
-  let total_violations = ref 0 in
-  let total_checks = ref 0 in
-  let rows = ref [] in
-  List.iter
-    (fun variant ->
-      List.iter
-        (fun (gateway_name, gateway) ->
-          List.iter
-            (fun (pattern, forced_drops, uniform_loss, ack_loss) ->
-              let config =
-                { (Net.Dumbbell.paper_config ~flows:2) with gateway }
-              in
-              let spec =
-                Experiments.Scenario.make ~topology:(Experiments.Scenario.dumbbell config)
-                  ~flows:
-                    [
-                      Experiments.Scenario.flow variant;
-                      Experiments.Scenario.flow variant;
-                    ]
-                  ~params:
-                    { Tcp.Params.default with rwnd = 20; initial_ssthresh = 16.0 }
-                  ~seed ~duration:20.0 ~forced_drops ~uniform_loss ~ack_loss ()
-              in
-              let t = Experiments.Scenario.run spec in
-              let auditor = t.Experiments.Scenario.auditor in
-              let violations = Audit.Auditor.violation_count auditor in
-              total_violations := !total_violations + violations;
-              total_checks := !total_checks + Audit.Auditor.checks_run auditor;
-              rows :=
-                [
-                  Core.Variant.name variant;
-                  gateway_name;
-                  pattern;
-                  string_of_int (Audit.Auditor.checks_run auditor);
-                  string_of_int violations;
-                ]
-                :: !rows)
-            patterns)
-        gateways)
-    Core.Variant.all;
+  let runs =
+    List.concat_map
+      (fun variant ->
+        List.concat_map
+          (fun (gateway_name, gateway) ->
+            List.map
+              (fun (pattern, forced_drops, uniform_loss, ack_loss) ->
+                (* The default job is the audit's shape: two flows on
+                   the paper dumbbell for 20 s with a 20-segment window. *)
+                let job =
+                  {
+                    Campaign.Job.default with
+                    variant;
+                    gateway;
+                    uniform_loss;
+                    ack_loss;
+                    seed;
+                  }
+                in
+                let spec = Campaign.Job.scenario job in
+                let result =
+                  Campaign.Job.measure job
+                    (Experiments.Scenario.run
+                       {
+                         spec with
+                         forced_drops;
+                         params =
+                           {
+                             spec.params with
+                             Tcp.Params.initial_ssthresh = 16.0;
+                           };
+                       })
+                in
+                ( [ Core.Variant.name variant; gateway_name; pattern ],
+                  result.Campaign.Job.audit_checks,
+                  result.Campaign.Job.audit_violations ))
+              patterns)
+          gateways)
+      Core.Variant.all
+  in
+  let total f = List.fold_left (fun acc run -> acc + f run) 0 runs in
   let header = [ "variant"; "gateway"; "pattern"; "checks"; "violations" ] in
-  print_string (Stats.Text_table.render ~header (List.rev !rows));
+  print_string
+    (Stats.Text_table.render ~header
+       (List.map
+          (fun (names, checks, violations) ->
+            names @ [ string_of_int checks; string_of_int violations ])
+          runs));
+  let violations = total (fun (_, _, v) -> v) in
   Printf.printf "\naudit sweep: %d checks across %d runs, %d violation(s)\n"
-    !total_checks (List.length !rows) !total_violations;
-  if !total_violations > 0 then exit 1
+    (total (fun (_, c, _) -> c))
+    (List.length runs) violations;
+  if violations > 0 then exit 1
 
 let audit_cmd =
   Cmd.v
@@ -374,107 +379,7 @@ let audit_cmd =
           any violation.")
     Term.(const audit_sweep $ seed_arg)
 
-(* run: ad-hoc scenario *)
-
-let faults_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Faults.Spec.of_string s) in
-  let print ppf spec = Format.pp_print_string ppf (Faults.Spec.to_string spec) in
-  Arg.conv ~docv:"SPEC" (parse, print)
-
-let timeline_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Faults.Timeline.of_string s)
-  in
-  let print ppf t = Format.pp_print_string ppf (Faults.Timeline.to_string t) in
-  Arg.conv ~docv:"STEPS" (parse, print)
-
-let rto_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Tcp.Rto.estimator_of_string s)
-  in
-  let print ppf e = Format.pp_print_string ppf (Tcp.Rto.estimator_name e) in
-  Arg.conv ~docv:"ESTIMATOR" (parse, print)
-
-let cross_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid cross-traffic %S (expected BPS[:BYTES][:reverse])" s))
-    in
-    let build ?packet_bytes ?(reverse = false) rate =
-      match float_of_string_opt rate with
-      | Some rate_bps when rate_bps > 0.0 ->
-        let direction =
-          if reverse then Net.Dumbbell.Backward else Net.Dumbbell.Forward
-        in
-        Ok (Experiments.Scenario.cbr ?packet_bytes ~direction ~rate_bps ())
-      | _ -> invalid ()
-    in
-    match String.split_on_char ':' (String.trim s) with
-    | [ rate ] -> build rate
-    | [ rate; "reverse" ] -> build ~reverse:true rate
-    | [ rate; bytes ] -> (
-      match int_of_string_opt bytes with
-      | Some packet_bytes when packet_bytes > 0 -> build ~packet_bytes rate
-      | _ -> invalid ())
-    | [ rate; bytes; "reverse" ] -> (
-      match int_of_string_opt bytes with
-      | Some packet_bytes when packet_bytes > 0 ->
-        build ~packet_bytes ~reverse:true rate
-      | _ -> invalid ())
-    | _ -> invalid ()
-  in
-  let print ppf (c : Experiments.Scenario.cross) =
-    Format.fprintf ppf "%g:%d%s" c.Experiments.Scenario.rate_bps
-      c.Experiments.Scenario.packet_bytes
-      (match c.Experiments.Scenario.cross_direction with
-      | Net.Dumbbell.Backward -> ":reverse"
-      | Net.Dumbbell.Forward -> "")
-  in
-  Arg.conv ~docv:"BPS[:BYTES][:reverse]" (parse, print)
-
-type run_topology =
-  | Run_dumbbell
-  | Run_parking_lot of int  (* hops *)
-  | Run_fat_tree of int  (* pods *)
-  | Run_many_flow
-
-let topology_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid topology %S (expected dumbbell, parking-lot[:HOPS], \
-              fat-tree[:PODS] or many-flow)"
-             s))
-    in
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "dumbbell" ] -> Ok Run_dumbbell
-    | [ "parking-lot" ] -> Ok (Run_parking_lot 2)
-    | [ "parking-lot"; hops ] -> (
-      match int_of_string_opt hops with
-      | Some h when h >= 1 -> Ok (Run_parking_lot h)
-      | _ -> invalid ())
-    | [ "fat-tree" ] -> Ok (Run_fat_tree 2)
-    | [ "fat-tree"; pods ] -> (
-      match int_of_string_opt pods with
-      | Some p when p >= 2 -> Ok (Run_fat_tree p)
-      | _ -> invalid ())
-    | [ "many-flow" ] -> Ok Run_many_flow
-    | _ -> invalid ()
-  in
-  let print ppf t =
-    Format.pp_print_string ppf
-      (match t with
-      | Run_dumbbell -> "dumbbell"
-      | Run_parking_lot hops -> Printf.sprintf "parking-lot:%d" hops
-      | Run_fat_tree pods -> Printf.sprintf "fat-tree:%d" pods
-      | Run_many_flow -> "many-flow")
-  in
-  Arg.conv ~docv:"TOPOLOGY" (parse, print)
+(* run: one scenario point, a campaign job plus run-only extras *)
 
 let run_term =
   let variant =
@@ -482,7 +387,7 @@ let run_term =
       "TCP variant (tahoe, reno, newreno, sack, fack, vegas, rr, relentless, \
        rrr)."
     in
-    Arg.(value & opt variant_conv Core.Variant.Rr & info [ "variant" ] ~doc)
+    Arg.(value & opt string "rr" & info [ "variant" ] ~doc)
   in
   let rrr_level =
     let doc =
@@ -495,13 +400,14 @@ let run_term =
   let topology =
     let doc =
       "Network topology: dumbbell (the paper's Figure 4, default), \
-       parking-lot[:HOPS] (--flows long flows across HOPS chained \
-       bottlenecks plus one cross flow per hop), fat-tree[:PODS] (--flows \
+       parking-lot[:HOPS] (--flows flows end to end across HOPS chained \
+       bottlenecks, as in sweep --topologies), fat-tree[:PODS] (--flows \
        hosts per pod, one flow per host, striped across pods), or many-flow \
        (the flat-array flock scale path; honours --flows, --duration, \
        --rwnd, --buffer and --seed only)."
     in
-    Arg.(value & opt topology_conv Run_dumbbell & info [ "topology" ] ~docv:"TOPOLOGY" ~doc)
+    Arg.(
+      value & opt string "dumbbell" & info [ "topology" ] ~docv:"TOPOLOGY" ~doc)
   in
   let flows =
     let doc = "Number of concurrent flows of that variant." in
@@ -545,7 +451,7 @@ let run_term =
        default), fixed (no adaptation), rfc793 (mean-only, RTO = 2*srtt) or \
        agile (mean+variance with faster gains)."
     in
-    Arg.(value & opt rto_conv Tcp.Rto.Jacobson & info [ "rto" ] ~docv:"ESTIMATOR" ~doc)
+    Arg.(value & opt string "jacobson" & info [ "rto" ] ~docv:"ESTIMATOR" ~doc)
   in
   let tracefile =
     let doc = "Write an ns-2-style event trace of the whole run to FILE." in
@@ -591,7 +497,7 @@ let run_term =
        jitter:MAX (FIFO-preserving delay noise), reverse (reorder/jitter the \
        ACK path too). Example: --faults flap:4+0.5,drop,reorder:0.05"
     in
-    Arg.(value & opt faults_conv Faults.Spec.none & info [ "faults" ] ~docv:"SPEC" ~doc)
+    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
   let link_schedule =
     let doc =
@@ -603,7 +509,7 @@ let run_term =
     in
     Arg.(
       value
-      & opt (some timeline_conv) None
+      & opt (some string) None
       & info [ "link-schedule" ] ~docv:"STEPS" ~doc)
   in
   let cross =
@@ -612,19 +518,69 @@ let run_term =
        (repeatable): BPS[:BYTES][:reverse], e.g. 200000:1000 or \
        100000:reverse for the ACK path."
     in
-    Arg.(value & opt_all cross_conv [] & info [ "cross-traffic" ] ~docv:"BPS[:BYTES][:reverse]" ~doc)
+    Arg.(
+      value & opt_all string []
+      & info [ "cross-traffic" ] ~docv:"BPS[:BYTES][:reverse]" ~doc)
   in
   let run variant rrr_level topology flows duration red buffer loss
       rwnd ack_loss delack limited_transmit rto tracefile trace trace_format
       audit audit_sample faults link_schedule cross seed csv =
-    if audit_sample < 0 then usage_error "--audit-sample must be >= 0";
-    if not (Float.is_finite duration && duration >= 0.0) then
-      usage_error "--duration %g: must be finite and >= 0" duration;
-    if rrr_level <= 0.0 || rrr_level >= 1.0 then
-      usage_error "--rrr-level must be inside (0, 1)";
-    if topology = Run_many_flow then begin
-      if link_schedule <> None then
-        usage_error "--link-schedule does not apply to --topology many-flow";
+    (* Every input is checked here, before any output is opened: a bad
+       token or value is a usage error naming run's own flag. *)
+    let parse flag parser text =
+      match parser text with
+      | Ok value -> value
+      | Error reason -> usage_error "--%s %s: %s" flag text reason
+    in
+    (* many-flow is a different engine, not a job topology; its job
+       stands on the dumbbell only to have its fields checked. *)
+    let many_flow =
+      String.lowercase_ascii (String.trim topology) = "many-flow"
+    in
+    let job =
+      {
+        Campaign.Job.default with
+        variant = parse "variant" Core.Variant.of_string variant;
+        gateway = (if red then Red buffer else Droptail buffer);
+        topology =
+          (if many_flow then Dumbbell
+           else parse "topology" Campaign.Job.topology_of_string topology);
+        uniform_loss = loss;
+        ack_loss;
+        estimator = parse "rto" Tcp.Rto.estimator_of_string rto;
+        rrr_level;
+        seed;
+        duration;
+        flows;
+        rwnd;
+      }
+    in
+    (try Campaign.Job.validate ~flags:[ ("rrr_level", "rrr-level") ] job
+     with Invalid_argument message -> usage_error "%s" message);
+    if audit_sample < 0 then
+      usage_error "--audit-sample %d: must be >= 0" audit_sample;
+    let fault_spec =
+      Option.fold ~none:Faults.Spec.none
+        ~some:(parse "faults" Faults.Spec.of_string)
+        faults
+    in
+    let timeline =
+      Option.map (parse "link-schedule" Faults.Timeline.of_string) link_schedule
+    in
+    let sources =
+      List.map
+        (parse "cross-traffic"
+           (Experiments.Scenario.cross_of_string ~until:duration))
+        cross
+    in
+    if many_flow then begin
+      Option.iter
+        (usage_error
+           "--link-schedule %s: does not apply to --topology many-flow")
+        link_schedule;
+      if not (duration > 0.0) then
+        usage_error "--duration %g: must be > 0 for --topology many-flow"
+          duration;
       (* The flock scale path: flat arrays and streaming statistics, no
          per-flow agents — most scenario knobs do not apply. *)
       print_string
@@ -634,51 +590,13 @@ let run_term =
               ()))
     end
     else begin
-    let gateway =
-      if red then
-        Net.Dumbbell.Red { capacity = buffer; params = Net.Red.paper_params }
-      else Net.Dumbbell.Droptail { capacity = buffer }
-    in
-    if topology <> Run_dumbbell && cross <> [] then
-      usage_error "--cross-traffic requires --topology dumbbell";
-    let tcp_flows, scenario_topology =
-      match topology with
-      | Run_many_flow -> assert false
-      | Run_dumbbell ->
-        ( flows,
-          Experiments.Scenario.dumbbell
-            {
-              (Net.Dumbbell.paper_config ~flows:(flows + List.length cross)) with
-              gateway;
-            } )
-      | Run_parking_lot hops ->
-        let total = flows + hops in
-        let config =
-          { (Net.Dumbbell.paper_config ~flows:total) with gateway }
-        in
-        let spec, endpoints =
-          Net.Topology.parking_lot ~hops ~long_flows:flows ~cross_per_hop:1
-            ~config ()
-        in
-        ( total,
-          Experiments.Scenario.graph ~bottleneck:"bottleneck0"
-            ~loss_link:"bottleneck0"
-            ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-            ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-            ~spec ~endpoints () )
-      | Run_fat_tree pods ->
-        let total = pods * flows in
-        let config =
-          { (Net.Dumbbell.paper_config ~flows:total) with gateway }
-        in
-        let spec, endpoints =
-          Net.Topology.fat_tree ~pods ~hosts_per_pod:flows ~config ()
-        in
-        ( total,
-          Experiments.Scenario.graph ~bottleneck:"up0" ~loss_link:"up0"
-            ~ack_loss_link:"down0" ~flap_links:[ "up0"; "down0" ] ~spec
-            ~endpoints () )
-    in
+    if job.topology <> Dumbbell && cross <> [] then
+      usage_error "--cross-traffic %s: requires --topology dumbbell"
+        (List.hd cross);
+    let spec = Campaign.Job.scenario ~cross:sources job in
+    if not (Experiments.Scenario.faults_fit spec.topology fault_spec) then
+      usage_error "--faults %s: asym needs --topology dumbbell"
+        (Option.value faults ~default:"");
     let trace_channel = Option.map open_output trace in
     let tracefile_channel =
       Option.map (fun path -> (path, open_output path)) tracefile
@@ -691,53 +609,39 @@ let run_term =
       Fun.protect
         ~finally:(fun () -> Option.iter close_out_noerr trace_channel)
         (fun () ->
-          let spec =
-            Experiments.Scenario.make ~topology:scenario_topology
-              ~flows:(List.init tcp_flows (fun _ -> Experiments.Scenario.flow variant))
-              ~params:
-                {
-                  Tcp.Params.default with
-                  rwnd;
-                  limited_transmit;
-                  rto_estimator = rto;
-                  rrr_level;
-                }
-              ~seed ~duration ~uniform_loss:loss ~ack_loss ~delayed_ack:delack
-              ~monitor_queue:0.1 ?trace_out:trace_channel ~trace_format
-              ~audit_sample ~faults ?link_schedule ~cross ()
-          in
-          Experiments.Scenario.run spec)
+          Experiments.Scenario.run
+            {
+              spec with
+              params = { spec.params with limited_transmit };
+              delayed_ack = delack;
+              monitor_queue = Some 0.1;
+              trace_out = trace_channel;
+              trace_format;
+              audit_sample;
+              faults = fault_spec;
+              link_schedule = timeline;
+            })
     in
     Option.iter (fun path -> Printf.printf "wrote %s\n" path) trace;
-    let mss = Tcp.Params.default.Tcp.Params.mss in
-    let header =
-      [ "flow"; "goodput (Kbps)"; "drops"; "timeouts"; "retransmits" ]
-    in
-    let rows =
-      List.init tcp_flows (fun flow ->
-          let result = t.Experiments.Scenario.results.(flow) in
-          let counters =
-            result.Experiments.Scenario.agent.Tcp.Agent.base
-              .Tcp.Sender_common.counters
-          in
-          let goodput =
-            Stats.Metrics.effective_throughput_bps
-              result.Experiments.Scenario.trace ~mss ~t0:0.0 ~t1:duration
-          in
-          [
-            string_of_int flow;
-            Printf.sprintf "%.1f" (goodput /. 1000.0);
-            string_of_int (Experiments.Scenario.drops t ~flow);
-            string_of_int counters.Tcp.Counters.timeouts;
-            string_of_int counters.Tcp.Counters.retransmits;
-          ])
-    in
+    let metrics = (Campaign.Job.measure job t).flow_metrics in
     Printf.printf "%d %s flow(s), %s gateway (buffer %d), %.0f s\n\n%s"
-      tcp_flows
-      (Core.Variant.name variant)
+      (List.length metrics)
+      (Core.Variant.name job.variant)
       (if red then "RED" else "drop-tail")
       buffer duration
-      (Stats.Text_table.render ~header rows);
+      (Stats.Text_table.render
+         ~header:
+           [ "flow"; "goodput (Kbps)"; "drops"; "timeouts"; "retransmits" ]
+         (List.map
+            (fun (m : Campaign.Job.flow_metrics) ->
+              [
+                string_of_int m.flow;
+                Printf.sprintf "%.1f" (m.goodput_bps /. 1000.0);
+                string_of_int m.drops;
+                string_of_int m.timeouts;
+                string_of_int m.retransmits;
+              ])
+            metrics));
     Array.iter
       (fun cr ->
         let sent = Workload.Cbr.sent cr.Experiments.Scenario.source in
@@ -808,7 +712,9 @@ let run_term =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run" ~doc:"Run an ad-hoc dumbbell scenario and print per-flow stats.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one scenario point (a sweep job, plus run-only faults, link           schedule, cross traffic and outputs) and print per-flow stats.           Every value is checked before the run: a bad value or token exits           2.")
     run_term
 
 (* sweep: parallel campaign over a grid of scenario points *)
@@ -1118,11 +1024,23 @@ let modelcheck_term =
     Arg.(value & opt (some float) None & info [ "check" ] ~docv:"TOL" ~doc)
   in
   let run variants losses seeds duration rrr_level check =
-    if rrr_level <= 0.0 || rrr_level >= 1.0 then
-      usage_error "--rrr-level must be inside (0, 1)";
+    (* Each comparison fails on NaN. The models' domain is 0 < p <= 1. *)
+    List.iter
+      (fun p ->
+        if not (p > 0.0 && p <= 1.0) then
+          usage_error "--loss %g: must be within (0, 1]" p)
+      losses;
+    if not (Float.is_finite duration && duration >= 0.0) then
+      usage_error "--duration %g: must be finite and >= 0" duration;
+    if not (rrr_level > 0.0 && rrr_level < 1.0) then
+      usage_error "--rrr-level %g: must be inside (0, 1)" rrr_level;
+    Option.iter
+      (fun tol ->
+        if not (tol >= 0.0) then usage_error "--check %g: must be >= 0" tol)
+      check;
     let all_seeds = [ 3L; 17L; 29L; 101L; 2048L ] in
     if seeds < 1 || seeds > List.length all_seeds then
-      usage_error "--seeds must be 1-%d" (List.length all_seeds);
+      usage_error "--seeds %d: must be 1-%d" seeds (List.length all_seeds);
     let seeds = List.filteri (fun i _ -> i < seeds) all_seeds in
     let outcome =
       Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds ~duration
@@ -1131,22 +1049,7 @@ let modelcheck_term =
     print_string (Experiments.Modelcheck.report outcome);
     Option.iter
       (fun tolerance ->
-        let over =
-          List.concat_map
-            (fun point ->
-              List.filter_map
-                (fun row ->
-                  if Float.abs row.Experiments.Modelcheck.deviation > tolerance
-                  then
-                    Some
-                      (Printf.sprintf "%s at p=%g: %+.1f%%"
-                         (Core.Variant.name row.Experiments.Modelcheck.variant)
-                         point.Experiments.Modelcheck.loss_rate
-                         (100.0 *. row.Experiments.Modelcheck.deviation))
-                  else None)
-                point.Experiments.Modelcheck.rows)
-            outcome.Experiments.Modelcheck.points
-        in
+        let over = Experiments.Modelcheck.beyond outcome ~tolerance in
         if over <> [] then begin
           Printf.printf "\n%d cell(s) beyond the %.0f%% tolerance:\n%s\n"
             (List.length over) (100.0 *. tolerance)

@@ -1,6 +1,6 @@
 type gateway = Droptail of int | Red of int
 
-type topology = Dumbbell | Parking_lot of int
+type topology = Dumbbell | Parking_lot of int | Fat_tree of int
 
 type t = {
   variant : Core.Variant.t;
@@ -32,13 +32,15 @@ let gateway_name = function
 let topology_name = function
   | Dumbbell -> "dumbbell"
   | Parking_lot hops -> Printf.sprintf "parking-lot:%d" hops
+  | Fat_tree pods -> Printf.sprintf "fat-tree:%d" pods
 
-(* [kind] (meaning [kind:default]) or [kind:N] with N >= 1. *)
-let sized ~kind ~default s =
+(* [kind] (meaning [kind:default]) or [kind:N] with N >= [least]. *)
+let sized ~kind ~default ?(least = 1) s =
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
   | [ k ] when k = kind -> Some default
   | [ k; n ] when k = kind ->
-    Option.bind (int_of_string_opt n) (fun n -> if n >= 1 then Some n else None)
+    Option.bind (int_of_string_opt n) (fun n ->
+        if n >= least then Some n else None)
   | _ -> None
 
 let gateway_of_string s =
@@ -54,12 +56,18 @@ let gateway_of_string s =
 let topology_of_string s =
   if String.lowercase_ascii (String.trim s) = "dumbbell" then Ok Dumbbell
   else
-    match sized ~kind:"parking-lot" ~default:2 s with
-    | Some hops -> Ok (Parking_lot hops)
-    | None ->
+    match
+      ( sized ~kind:"parking-lot" ~default:2 s,
+        sized ~kind:"fat-tree" ~default:2 ~least:2 s )
+    with
+    | Some hops, _ -> Ok (Parking_lot hops)
+    | _, Some pods -> Ok (Fat_tree pods)
+    | None, None ->
       Error
         (Printf.sprintf
-           "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s)
+           "invalid topology %S (expected dumbbell, parking-lot[:HOPS] or \
+            fat-tree[:PODS])"
+           s)
 
 let default =
   {
@@ -80,6 +88,14 @@ let default =
     flows = 2;
     rwnd = 20;
   }
+
+(* The CBR competitor of a job's [cbr_share]: a share of the paper
+   dumbbell's bottleneck rate, which every topology's links carry. *)
+let cbr_source job : Experiments.Scenario.cross =
+  let paper = Net.Dumbbell.paper_config ~flows:1 in
+  Experiments.Scenario.cbr
+    ~rate_bps:(job.cbr_share *. paper.bottleneck_bandwidth_bps)
+    ()
 
 (* -- the axis table -- *)
 
@@ -163,9 +179,9 @@ module Axes = struct
   let topology =
     named ~key:"topology" ~flag:"topologies" ~docv:"T,T,..."
       ~doc:
-        "Comma-separated topologies to sweep, each dumbbell or \
+        "Comma-separated topologies to sweep, each dumbbell, \
          parking-lot[:HOPS] (flows run end to end over HOPS chained \
-         bottlenecks)."
+         bottlenecks) or fat-tree[:PODS] (--flows hosts per pod)."
       ~default:"dumbbell" ~parse:topology_of_string ~name:topology_name
       (fun j -> j.topology) (fun topology j -> { j with topology })
 
@@ -208,7 +224,19 @@ module Axes = struct
         "Comma-separated CBR cross-traffic loads as fractions of the \
          bottleneck capacity (0 = off)."
       ~default:"0." ~label:"cbr" ~show:pct ~ok:(fun s -> s >= 0.0)
-      ~expected:"must be >= 0" (fun j -> j.cbr_share)
+      ~expected:"must be >= 0"
+      ~check:(fun j ->
+        let cbr = cbr_source j in
+        match j.topology with
+        | _ when j.cbr_share = 0.0 -> None
+        | Fat_tree _ -> Some "needs a spare topology slot, which a fat tree lacks"
+        | _
+          when not
+                 (Workload.Cbr.advances ~rate_bps:cbr.rate_bps
+                    ~packet_bytes:cbr.packet_bytes ~until:j.duration) ->
+          Some "too high: the CBR packet interval does not advance the clock"
+        | _ -> None)
+      (fun j -> j.cbr_share)
       (fun cbr_share j -> { j with cbr_share })
 
   let estimator =
@@ -306,17 +334,37 @@ let visible axis job =
 let cell axis job =
   if axis.multiplies job then axis.cell (axis.get job) else "-"
 
-let validate job =
+let capacity = function Droptail capacity | Red capacity -> capacity
+
+let validate ?(flags = []) job =
+  let fail flag value reason =
+    invalid_arg (Printf.sprintf "--%s %s: %s" flag value reason)
+  in
+  (* The fields outside the table, named alike by run and sweep. *)
+  List.iter
+    (fun (flag, ok, value, reason) -> if not ok then fail flag value reason)
+    [
+      ( "duration",
+        Float.is_finite job.duration && job.duration >= 0.0,
+        Printf.sprintf "%g" job.duration,
+        "must be finite and >= 0" );
+      ("flows", job.flows >= 1, string_of_int job.flows, "must be >= 1");
+      ("rwnd", job.rwnd >= 1, string_of_int job.rwnd, "must be >= 1");
+      ( "buffer",
+        capacity job.gateway >= 1,
+        string_of_int (capacity job.gateway),
+        "must be >= 1" );
+    ];
   List.iter
     (fun (Axis a) ->
       Option.iter
         (fun reason ->
-          invalid_arg
-            (Printf.sprintf "--%s %s: %s" a.flag
-               (match a.json (a.get job) with
-               | Json.Str s -> s
-               | v -> Json.to_string v)
-               reason))
+          fail
+            (Option.value (List.assoc_opt a.key flags) ~default:a.flag)
+            (match a.json (a.get job) with
+            | Json.Str s -> s
+            | v -> Json.to_string v)
+            reason)
         (a.check job))
     axes
 
@@ -364,37 +412,44 @@ type result = {
   audit_violations : int;
 }
 
-let run job =
+let scenario ?(cross = []) job =
   let gateway =
     match job.gateway with
     | Droptail capacity -> Net.Dumbbell.Droptail { capacity }
     | Red capacity -> Net.Dumbbell.Red { capacity; params = Net.Red.paper_params }
   in
-  let cross_slots = if job.cbr_share > 0.0 then 1 else 0 in
-  let config =
-    {
-      (Net.Dumbbell.paper_config ~flows:(job.flows + cross_slots)) with
-      gateway;
-    }
-  in
-  (* On a parking lot every job flow (and the CBR competitor, when the
-     share axis is active) runs end to end across all [hops]
-     bottlenecks; the runner's loss/fault knobs attach to the first
-     bottleneck pair, as they do to the dumbbell trunks. *)
-  let topology =
+  let cross = (if job.cbr_share > 0.0 then [ cbr_source job ] else []) @ cross in
+  let slots = job.flows + List.length cross in
+  (* On a parking lot every job flow (and every cross source) runs end
+     to end across all [hops] bottlenecks; on a fat tree each of the
+     [pods] pods holds [flows] hosts. The runner's loss/fault knobs
+     attach to the first bottleneck pair, as they do to the dumbbell
+     trunks. *)
+  let config flows = { (Net.Dumbbell.paper_config ~flows) with gateway } in
+  let flows, topology =
     match job.topology with
-    | Dumbbell -> Experiments.Scenario.dumbbell config
+    | Dumbbell -> (job.flows, Experiments.Scenario.dumbbell (config slots))
     | Parking_lot hops ->
       let spec, endpoints =
-        Net.Topology.parking_lot ~hops
-          ~long_flows:(job.flows + cross_slots)
-          ~cross_per_hop:0 ~config ()
+        Net.Topology.parking_lot ~hops ~long_flows:slots ~cross_per_hop:0
+          ~config:(config slots) ()
       in
-      Experiments.Scenario.graph ~bottleneck:"bottleneck0"
-        ~loss_link:"bottleneck0"
-        ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-        ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-        ~spec ~endpoints ()
+      ( job.flows,
+        Experiments.Scenario.graph ~bottleneck:"bottleneck0"
+          ~loss_link:"bottleneck0"
+          ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
+          ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
+          ~spec ~endpoints () )
+    | Fat_tree pods ->
+      let total = pods * job.flows in
+      let spec, endpoints =
+        Net.Topology.fat_tree ~pods ~hosts_per_pod:job.flows
+          ~config:(config total) ()
+      in
+      ( total,
+        Experiments.Scenario.graph ~bottleneck:"up0" ~loss_link:"up0"
+          ~ack_loss_link:"down0" ~flap_links:[ "up0"; "down0" ] ~spec
+          ~endpoints () )
   in
   let params =
     {
@@ -448,52 +503,39 @@ let run job =
       { spec with Faults.Spec.asym = Some job.asym_ratio }
     else spec
   in
-  let cross =
-    if job.cbr_share > 0.0 then
-      [
-        Experiments.Scenario.cbr
-          ~rate_bps:
-            (job.cbr_share *. config.Net.Dumbbell.bottleneck_bandwidth_bps)
-          ();
-      ]
-    else []
-  in
-  let spec =
-    Experiments.Scenario.make ~topology
-      ~flows:(List.init job.flows (fun _ -> Experiments.Scenario.flow job.variant))
-      ~params ~seed:job.seed ~duration:job.duration
-      ~uniform_loss:job.uniform_loss ~ack_loss:job.ack_loss ~faults ~cross ()
-  in
-  let t = Experiments.Scenario.run spec in
-  let mss = params.Tcp.Params.mss in
+  Experiments.Scenario.make ~topology
+    ~flows:(List.init flows (fun _ -> Experiments.Scenario.flow job.variant))
+    ~params ~seed:job.seed ~duration:job.duration
+    ~uniform_loss:job.uniform_loss ~ack_loss:job.ack_loss ~faults ~cross ()
+
+let measure job (t : Experiments.Scenario.t) =
   let flow_metrics =
-    List.init job.flows (fun flow ->
-        let result = t.Experiments.Scenario.results.(flow) in
-        let counters =
-          result.Experiments.Scenario.agent.Tcp.Agent.base
-            .Tcp.Sender_common.counters
-        in
+    List.mapi
+      (fun flow (result : Experiments.Scenario.flow_result) ->
+        let counters = result.agent.Tcp.Agent.base.Tcp.Sender_common.counters in
         {
           flow;
           goodput_bps =
-            Stats.Metrics.effective_throughput_bps
-              result.Experiments.Scenario.trace ~mss ~t0:0.0 ~t1:job.duration;
+            Stats.Metrics.effective_throughput_bps result.trace
+              ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:0.0 ~t1:job.duration;
           drops = Experiments.Scenario.drops t ~flow;
           timeouts = counters.Tcp.Counters.timeouts;
           retransmits = counters.Tcp.Counters.retransmits;
           fast_retransmits = counters.Tcp.Counters.fast_retransmits;
         })
+      (Array.to_list t.results)
   in
   let goodputs = List.map (fun m -> m.goodput_bps) flow_metrics in
-  let auditor = t.Experiments.Scenario.auditor in
   {
     job;
     flow_metrics;
     aggregate_goodput_bps = List.fold_left ( +. ) 0.0 goodputs;
     jain = Stats.Metrics.jain_index goodputs;
-    audit_checks = Audit.Auditor.checks_run auditor;
-    audit_violations = Audit.Auditor.violation_count auditor;
+    audit_checks = Audit.Auditor.checks_run t.auditor;
+    audit_violations = Audit.Auditor.violation_count t.auditor;
   }
+
+let run job = measure job (Experiments.Scenario.run (scenario job))
 
 let flow_metrics_to_json m =
   Json.Obj

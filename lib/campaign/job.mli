@@ -15,14 +15,25 @@
     accepts. {!point_label}, {!to_json}, {!Sweep.val-grid}'s expansion, the
     sweep report's columns and the sweep flags are all folds over that
     table, so a new axis is a field, one table entry and its use in
-    {!run}. *)
+    {!scenario}.
+
+    {!scenario} is the one place a job becomes an
+    {!Experiments.Scenario.spec}, and {!measure} the one place a finished
+    run becomes per-flow metrics: [rr-sim sweep] composes them as {!run},
+    while [rr-sim run] and the [rr-sim audit] sweep build a job from
+    their flags and set on the spec only what a job does not describe. *)
 
 type gateway = Droptail of int | Red of int  (** payload = buffer, packets *)
 
-(** The network the job's flows cross: the paper's dumbbell, or a
-    parking lot of k chained bottlenecks ({!Net.Topology.parking_lot})
-    with every flow running end to end. *)
-type topology = Dumbbell | Parking_lot of int  (** payload = hops *)
+(** The network the job's flows cross: the paper's dumbbell, a parking
+    lot of k chained bottlenecks ({!Net.Topology.parking_lot}) with
+    every flow running end to end, or a fat tree of k pods
+    ({!Net.Topology.fat_tree}) with [flows] hosts per pod, each sending
+    one flow. *)
+type topology =
+  | Dumbbell
+  | Parking_lot of int  (** payload = hops, >= 1 *)
+  | Fat_tree of int  (** payload = pods, >= 2 *)
 
 type t = {
   variant : Core.Variant.t;
@@ -38,7 +49,8 @@ type t = {
           {!flap_down_for} with the buffer held *)
   cbr_share : float;
       (** CBR cross-traffic load as a fraction of the bottleneck
-          capacity, 0 = off (occupies one extra topology slot) *)
+          capacity, 0 = off (occupies one extra topology slot, so not
+          on a fat tree) *)
   estimator : Tcp.Rto.estimator;
       (** the senders' RTO prediction algorithm
           ({!Tcp.Rto.Jacobson} = classic default) *)
@@ -56,7 +68,9 @@ type t = {
           {!Faults.Spec.default_handover_levels} cell rate *)
   seed : int64;
   duration : float;  (** seconds *)
-  flows : int;  (** same-variant flows sharing the bottleneck *)
+  flows : int;
+      (** same-variant flows sharing the bottleneck (on a fat tree:
+          hosts per pod) *)
   rwnd : int;  (** receiver advertised window, segments *)
 }
 
@@ -70,16 +84,17 @@ val handover_gap : float
 
 val gateway_name : gateway -> string
 
-(** [topology_name t] is the sweep-axis spelling: ["dumbbell"] or
-    ["parking-lot:<hops>"]. *)
+(** [topology_name t] is the sweep-axis spelling: ["dumbbell"],
+    ["parking-lot:<hops>"] or ["fat-tree:<pods>"]. *)
 val topology_name : topology -> string
 
 (** [gateway_of_string s] parses [droptail[:BUFFER]] or
-    [red[:BUFFER]] (buffers 8 and 25 when omitted). *)
+    [red[:BUFFER]] (buffers 8 and 25 when omitted; BUFFER >= 1). *)
 val gateway_of_string : string -> (gateway, string) Stdlib.result
 
-(** [topology_of_string s] parses [dumbbell] or [parking-lot[:HOPS]]
-    (2 hops when omitted). *)
+(** [topology_of_string s] parses [dumbbell], [parking-lot[:HOPS]]
+    (2 hops when omitted, HOPS >= 1) or [fat-tree[:PODS]] (2 pods when
+    omitted, PODS >= 2). *)
 val topology_of_string : string -> (topology, string) Stdlib.result
 
 (** [default] is the first job of the default grid: Reno over the
@@ -160,10 +175,14 @@ val visible : 'a axis -> t -> bool
     does not multiply the job. *)
 val cell : 'a axis -> t -> string
 
-(** [validate job] runs every axis's check.
-    @raise Invalid_argument naming the first failing axis's flag and
-    value, e.g. ["--loss 1.5: must be within [0, 1]"]. *)
-val validate : t -> unit
+(** [validate job] checks the fields outside the table ([duration]
+    finite and >= 0; [flows], [rwnd] and the gateway buffer >= 1), then
+    runs every axis's check. [flags] renames an axis's flag by its
+    [key], for a command whose flags differ from [sweep]'s.
+    @raise Invalid_argument naming the first failing field's flag and
+    value, e.g. ["--loss 1.5: must be within [0, 1]"] or
+    ["--buffer 0: must be >= 1"]. *)
+val validate : ?flags:(string * string) list -> t -> unit
 
 (** {1 Identity} *)
 
@@ -201,9 +220,22 @@ type result = {
   audit_violations : int;  (** failed invariant checks (0 = healthy) *)
 }
 
-(** [run job] executes the scenario under the runtime auditor and
-    reduces it to metrics. Deterministic: equal jobs yield equal
-    results, whichever process runs them. *)
+(** [scenario ?cross job] is the job's scenario: its gateway and
+    topology, its loss rates, its fault axes as a {!Faults.Spec.t}, its
+    CBR share as a source, its RTO estimator, RRR level and receiver
+    window, seed and horizon. [cross] appends sources after the job's
+    own CBR source; like it, each takes a topology slot. *)
+val scenario : ?cross:Experiments.Scenario.cross list -> t -> Experiments.Scenario.spec
+
+(** [measure job t] reduces a finished run of (a spec derived from)
+    [job] to metrics: one row per TCP flow of the run, which on a fat
+    tree is pods × [flows]. *)
+val measure : t -> Experiments.Scenario.t -> result
+
+(** [run job] is [measure job (Scenario.run (scenario job))]: the
+    scenario under the runtime auditor, reduced to metrics.
+    Deterministic: equal jobs yield equal results, whichever process
+    runs them. *)
 val run : t -> result
 
 val result_to_json : result -> Json.t

@@ -19,15 +19,10 @@ let grid ?variants ?gateways ?topologies ?uniform_losses ?ack_losses ?reorders
       ]
     |> List.filter_map Fun.id |> List.append bindings
   in
-  let require ok fmt =
-    Printf.ksprintf (fun message -> if not ok then invalid_arg message) fmt
-  in
-  require
-    (Float.is_finite duration && duration >= 0.0)
-    "--duration %g: must be finite and >= 0" duration;
-  require (flows >= 1) "--flows %d: must be >= 1" flows;
-  require (rwnd >= 1) "--rwnd %d: must be >= 1" rwnd;
-  require (seed_count >= 0) "--seeds %d: must be >= 0" seed_count;
+  let base = { Job.default with duration; flows; rwnd } in
+  Job.validate base;
+  if seed_count < 0 then
+    invalid_arg (Printf.sprintf "--seeds %d: must be >= 0" seed_count);
   let seeds =
     match seeds with
     | Some seeds -> seeds
@@ -37,7 +32,6 @@ let grid ?variants ?gateways ?topologies ?uniform_losses ?ack_losses ?reorders
      default. Each value is checked even if no job takes it up: an axis
      expands only the jobs it multiplies, and the rest keep the default
      job's value. *)
-  let base = { Job.default with duration; flows; rwnd } in
   let expand jobs (Job.Axis axis) =
     let (Bind (axis, values)) =
       match

@@ -24,10 +24,11 @@ type binding = Bind : 'a Job.axis * 'a list -> binding
     20 s with a 20-segment window.
 
     @raise Invalid_argument with a message naming the offending flag
-    and value: an axis value that fails its check, an axis bound twice,
-    a non-finite or negative [duration], [flows] or [rwnd] below 1, a
-    negative [seed_count], or two jobs with the same point label and
-    seed (a repeated value, or two values that label alike). *)
+    and value: a job {!Job.validate} refuses (a non-finite or negative
+    [duration], [flows] or [rwnd] below 1, an axis value that fails its
+    check), an axis bound twice, a negative [seed_count], or two jobs
+    with the same point label and seed (a repeated value, or two values
+    that label alike). *)
 val grid :
   ?variants:Core.Variant.t list ->
   ?gateways:Job.gateway list ->

@@ -122,6 +122,21 @@ let deviation outcome ~variant ~loss_rate =
       else None)
     outcome.points
 
+let beyond outcome ~tolerance =
+  List.concat_map
+    (fun point ->
+      List.filter_map
+        (fun row ->
+          (* Written so that a NaN deviation is beyond any tolerance. *)
+          if Float.abs row.deviation <= tolerance then None
+          else
+            Some
+              (Printf.sprintf "%s at p=%g: %+.1f%%"
+                 (Core.Variant.name row.variant)
+                 point.loss_rate (100.0 *. row.deviation)))
+        point.rows)
+    outcome.points
+
 let report outcome =
   let header =
     [ "loss rate p"; "variant"; "model"; "predicted"; "measured"; "dev"; "timeouts" ]

@@ -74,4 +74,9 @@ val run :
 val deviation :
   outcome -> variant:Core.Variant.t -> loss_rate:float -> float option
 
+(** [beyond outcome ~tolerance] describes each cell whose |deviation|
+    is not within [tolerance] (a NaN deviation never is), e.g.
+    ["rr at p=0.1: +23.4%"], in report order. *)
+val beyond : outcome -> tolerance:float -> string list
+
 val report : outcome -> string

@@ -58,6 +58,41 @@ let cbr ?(label = "cbr") ?(packet_bytes = 1000) ?(start = 0.0) ?until
     cross_direction = direction;
   }
 
+let cross_of_string ~until s =
+  let invalid () =
+    Error
+      (Printf.sprintf "invalid cross-traffic %S (expected BPS[:BYTES][:reverse])"
+         s)
+  in
+  let build ?(packet_bytes = 1000) ?(reverse = false) rate =
+    match float_of_string_opt rate with
+    | Some rate_bps when rate_bps > 0.0 ->
+      if Workload.Cbr.advances ~rate_bps ~packet_bytes ~until then
+        let direction =
+          if reverse then Net.Dumbbell.Backward else Net.Dumbbell.Forward
+        in
+        Ok (cbr ~packet_bytes ~direction ~rate_bps ())
+      else
+        Error
+          (Printf.sprintf
+             "rate %s bps is too high: the interval between %d-byte \
+              packets does not advance the clock at %g s"
+             rate packet_bytes until)
+    | _ -> invalid ()
+  in
+  let sized bytes k =
+    match int_of_string_opt bytes with
+    | Some packet_bytes when packet_bytes > 0 -> k packet_bytes
+    | _ -> invalid ()
+  in
+  match String.split_on_char ':' (String.trim s) with
+  | [ rate ] -> build rate
+  | [ rate; "reverse" ] -> build ~reverse:true rate
+  | [ rate; bytes ] -> sized bytes (fun packet_bytes -> build ~packet_bytes rate)
+  | [ rate; bytes; "reverse" ] ->
+    sized bytes (fun packet_bytes -> build ~packet_bytes ~reverse:true rate)
+  | _ -> invalid ()
+
 type graph = {
   graph : Net.Topology.spec;
   endpoints : Net.Topology.endpoint array;
@@ -187,10 +222,16 @@ let slots = function
   | Dumbbell config -> config.Net.Dumbbell.flows
   | Graph g -> Array.length g.endpoints
 
+(* [asym] re-rates the dumbbell's reverse trunk, which a graph lacks. *)
+let faults_fit topology (faults : Faults.Spec.t) =
+  match topology with Dumbbell _ -> true | Graph _ -> faults.asym = None
+
 let run spec =
   if List.length spec.flows + List.length spec.cross <> slots spec.topology then
     invalid_arg
       "Scenario.run: flow + cross-traffic specs do not match topology width";
+  if not (faults_fit spec.topology spec.faults) then
+    invalid_arg "Scenario.run: asym requires a dumbbell topology";
   (match spec.topology with
   | Graph g ->
     if spec.side_delays <> None then
@@ -415,25 +456,22 @@ let run spec =
         targets
     | None -> ());
     (match spec.faults.Faults.Spec.asym with
-    | Some ratio -> (
-      match net with
-      | Dumbbell_net _ ->
-        let forward = Net.Topology.link topo "gateway" in
-        let reverse = Net.Topology.link topo "reverse_gateway" in
-        (* One step at t = 0 rather than a direct set_rate at setup, so
-           the change is evented and traced like any other timeline
-           step. *)
-        Faults.Injector.vary_link inj ~name:"reverse" reverse
-          (Faults.Timeline.of_steps
-             [
-               {
-                 Faults.Timeline.at = 0.0;
-                 rate = Some (Net.Link.rate_bps forward /. ratio);
-                 delay = None;
-               };
-             ])
-      | Graph_net _ ->
-        invalid_arg "Scenario.run: asym requires a dumbbell topology")
+    | Some ratio ->
+      (* A dumbbell, by [faults_fit]. *)
+      let forward = Net.Topology.link topo "gateway" in
+      let reverse = Net.Topology.link topo "reverse_gateway" in
+      (* One step at t = 0 rather than a direct set_rate at setup, so
+         the change is evented and traced like any other timeline
+         step. *)
+      Faults.Injector.vary_link inj ~name:"reverse" reverse
+        (Faults.Timeline.of_steps
+           [
+             {
+               Faults.Timeline.at = 0.0;
+               rate = Some (Net.Link.rate_bps forward /. ratio);
+               delay = None;
+             };
+           ])
     | None -> ())
   | _ -> ());
   (* [audit_sample = 0] turns auditing off entirely — the clean-run

@@ -78,6 +78,13 @@ val cbr :
   unit ->
   cross
 
+(** [cross_of_string ~until s] parses [rr-sim run]'s [--cross-traffic]
+    form [BPS[:BYTES][:reverse]] (1000-byte packets when omitted) into
+    a source running until the scenario horizon [until]. A rate whose
+    packet interval does not advance the clock at [until] is an
+    [Error] ({!Workload.Cbr.advances}). *)
+val cross_of_string : until:float -> string -> (cross, string) result
+
 (** A general-graph scenario topology: the {!Net.Topology.spec} plus
     the link names the runner's knobs act on. *)
 type graph = {
@@ -119,6 +126,11 @@ val graph :
   endpoints:Net.Topology.endpoint array ->
   unit ->
   topology
+
+(** [faults_fit topology faults] is [false] when [faults] asks for what
+    [topology] cannot realise: an [asym] clause needs the dumbbell's
+    reverse trunk. {!run} raises [Invalid_argument] on such a spec. *)
+val faults_fit : topology -> Faults.Spec.t -> bool
 
 type spec = {
   topology : topology;

@@ -51,9 +51,14 @@ let flap_schedule t ~rng ~until =
     Some (Schedule.random ~rng ~mean_up ~mean_down ~until ())
   | Some (Explicit pairs) -> Some (Schedule.of_flaps pairs)
 
-(* Render floats compactly ("4" not "4.") so labels and cache keys stay
-   tidy, while keeping enough digits to round-trip typical CLI values. *)
-let float_str f = Printf.sprintf "%.12g" f
+(* Render floats compactly ("4" not "4."): 12 significant digits, which
+   keep typical CLI values tidy, and 17 only where 12 would not
+   round-trip. '+' separates fields, so exponents read 1e300, not
+   1e+300. *)
+let float_str f =
+  let s = Printf.sprintf "%.12g" f in
+  let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+  String.concat "" (String.split_on_char '+' s)
 
 let to_string t =
   let clauses = ref [] in
@@ -94,33 +99,33 @@ let to_string t =
     else
       add (Printf.sprintf "reorder:%s:%s" (float_str prob) (float_str max_extra))
   | None -> ());
+  (* "drop" renders even without a flap clause, so that every parsed
+     spec round-trips. *)
+  (match t.flap_policy with `Drop_queued -> add "drop" | `Hold_queued -> ());
   (match t.flaps with
   | None -> ()
-  | Some f ->
-    (match t.flap_policy with `Drop_queued -> add "drop" | `Hold_queued -> ());
-    (match f with
-    | Periodic { period; down_for } ->
-      add (Printf.sprintf "flap:%s+%s" (float_str period) (float_str down_for))
-    | Random { mean_up; mean_down } ->
-      add
-        (Printf.sprintf "flap:rand:%s+%s" (float_str mean_up)
-           (float_str mean_down))
-    | Explicit pairs ->
-      let body =
-        List.map
-          (fun (d, u) -> Printf.sprintf "@%s+%s" (float_str d) (float_str u))
-          pairs
-        |> String.concat ""
-      in
-      add (Printf.sprintf "flap:%s" body)));
+  | Some (Periodic { period; down_for }) ->
+    add (Printf.sprintf "flap:%s+%s" (float_str period) (float_str down_for))
+  | Some (Random { mean_up; mean_down }) ->
+    add
+      (Printf.sprintf "flap:rand:%s+%s" (float_str mean_up) (float_str mean_down))
+  | Some (Explicit pairs) ->
+    let body =
+      List.map
+        (fun (d, u) -> Printf.sprintf "@%s+%s" (float_str d) (float_str u))
+        pairs
+      |> String.concat ""
+    in
+    add (Printf.sprintf "flap:%s" body));
   String.concat "," !clauses
 
 let ( let* ) = Result.bind
 
 let parse_float ~what s =
   match float_of_string_opt s with
-  | Some f when f = f (* not nan *) -> Ok f
-  | _ -> Error (Printf.sprintf "faults: bad %s %S" what s)
+  | Some f when Float.is_finite f -> Ok f
+  | _ ->
+    Error (Printf.sprintf "faults: bad %s %S (expected a finite number)" what s)
 
 let parse_pair ~what s =
   match String.split_on_char '+' s with
@@ -141,7 +146,9 @@ let parse_explicit body =
         go (pair :: acc) rest
     in
     let* pairs = go [] pairs in
-    Ok (Explicit pairs)
+    (match Schedule.of_flaps pairs with
+    | _ -> Ok (Explicit pairs)
+    | exception Invalid_argument message -> Error ("faults: " ^ message))
   | _ -> Error (Printf.sprintf "faults: bad explicit flap list %S" body)
 
 let parse_floats ~what s =

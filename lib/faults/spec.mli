@@ -93,7 +93,9 @@ val default_handover_levels : float list
 val flap_schedule : t -> rng:Sim.Rng.t -> until:float -> Schedule.t option
 
 (** [of_string s] parses the textual form. The empty string is
-    {!none}. *)
+    {!none}. Every number must be finite ([nan] and [inf] are
+    errors), and explicit outages must be ones {!Schedule.of_flaps}
+    accepts. *)
 val of_string : string -> (t, string) result
 
 (** [to_string t] renders the canonical textual form; a round-trip

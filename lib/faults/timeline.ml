@@ -6,20 +6,23 @@ let steps t = t.steps
 
 let is_empty t = t.steps = []
 
+(* Each comparison is written so that NaN fails it. *)
 let of_steps steps =
   let rec validate last = function
     | [] -> ()
     | { at; rate; delay } :: rest ->
-      if at < 0.0 then invalid_arg "Timeline.of_steps: negative time";
-      if at <= last then
+      if not (at >= 0.0) then invalid_arg "Timeline.of_steps: negative time";
+      if not (at > last) then
         invalid_arg "Timeline.of_steps: steps not strictly increasing";
       if rate = None && delay = None then
         invalid_arg "Timeline.of_steps: step changes neither rate nor delay";
       (match rate with
-      | Some bps when bps <= 0.0 -> invalid_arg "Timeline.of_steps: rate <= 0"
+      | Some bps when not (bps > 0.0) ->
+        invalid_arg "Timeline.of_steps: rate <= 0"
       | _ -> ());
       (match delay with
-      | Some d when d < 0.0 -> invalid_arg "Timeline.of_steps: negative delay"
+      | Some d when not (d >= 0.0) ->
+        invalid_arg "Timeline.of_steps: negative delay"
       | _ -> ());
       validate at rest
   in
@@ -31,13 +34,20 @@ let of_steps steps =
    unchanged field. "@2+500000@5+-+0.25" = rate to 500 kbps at t=2,
    delay to 250 ms at t=5. *)
 let to_string t =
-  let field = function None -> "-" | Some v -> Printf.sprintf "%g" v in
+  (* %g where it round-trips, 17 digits where it would not; '+'
+     separates fields, so exponents read 1e06, not 1e+06. *)
+  let num v =
+    let s = Printf.sprintf "%g" v in
+    let s = if float_of_string s = v then s else Printf.sprintf "%.17g" v in
+    String.concat "" (String.split_on_char '+' s)
+  in
+  let field = function None -> "-" | Some v -> num v in
   String.concat ""
     (List.map
        (fun { at; rate; delay } ->
          match delay with
-         | None -> Printf.sprintf "@%g+%s" at (field rate)
-         | Some _ -> Printf.sprintf "@%g+%s+%s" at (field rate) (field delay))
+         | None -> Printf.sprintf "@%s+%s" (num at) (field rate)
+         | Some _ -> Printf.sprintf "@%s+%s+%s" (num at) (field rate) (field delay))
        t.steps)
 
 let of_string s =
@@ -48,12 +58,13 @@ let of_string s =
       (Printf.sprintf
          "invalid timeline %S (expected @T+RATE[+DELAY] steps, '-' = keep)" s)
   else
+    let number name v =
+      match float_of_string_opt v with
+      | Some f when Float.is_finite f -> Ok f
+      | _ -> Error (Printf.sprintf "invalid timeline %s %S" name v)
+    in
     let field name v =
-      if v = "-" then Ok None
-      else
-        match float_of_string_opt v with
-        | Some f -> Ok (Some f)
-        | None -> Error (Printf.sprintf "invalid timeline %s %S" name v)
+      if v = "-" then Ok None else Result.map Option.some (number name v)
     in
     let ( let* ) = Result.bind in
     let rec parse acc = function
@@ -61,16 +72,14 @@ let of_string s =
       | chunk :: rest -> (
         match String.split_on_char '+' chunk with
         | [ at; rate ] | [ at; rate; _ ] as parts -> (
-          match float_of_string_opt at with
-          | None -> Error (Printf.sprintf "invalid timeline time %S" at)
-          | Some at ->
-            let* rate = field "rate" rate in
-            let* delay =
-              match parts with
-              | [ _; _; d ] -> field "delay" d
-              | _ -> Ok None
-            in
-            parse ({ at; rate; delay } :: acc) rest)
+          let* at = number "time" at in
+          let* rate = field "rate" rate in
+          let* delay =
+            match parts with
+            | [ _; _; d ] -> field "delay" d
+            | _ -> Ok None
+          in
+          parse ({ at; rate; delay } :: acc) rest)
         | _ ->
           Error
             (Printf.sprintf "invalid timeline step %S (expected T+RATE[+DELAY])"

@@ -24,7 +24,7 @@ val is_empty : t -> bool
 
     @raise Invalid_argument unless times are non-negative and strictly
     increasing, every step changes at least one of rate/delay, rates
-    are positive and delays non-negative. *)
+    are positive and delays non-negative (NaN is none of these). *)
 val of_steps : step list -> t
 
 (** [of_string s] parses the textual step form used by
@@ -33,7 +33,8 @@ val of_steps : step list -> t
     at [T], set the rate to [RATE] bps and the delay to [DELAY]
     seconds, ["-"] (or an omitted trailing delay) leaving that field
     unchanged. The empty string is the empty timeline. Values are
-    absolute, unlike the Spec DSL's relative fade/handover factors. *)
+    absolute, unlike the Spec DSL's relative fade/handover factors, and
+    must be finite: [nan] and [inf] are errors. *)
 val of_string : string -> (t, string) result
 
 (** [to_string t] renders the canonical textual form; a round-trip

@@ -48,5 +48,5 @@ let validate t =
   if t.initial_rto < t.min_rto then invalid_arg "Params: initial_rto < min_rto";
   if t.initial_rto > t.max_rto then invalid_arg "Params: initial_rto > max_rto";
   if t.tick < 0.0 then invalid_arg "Params: negative tick";
-  if t.rrr_level <= 0.0 || t.rrr_level >= 1.0 then
+  if not (t.rrr_level > 0.0 && t.rrr_level < 1.0) then
     invalid_arg "Params: rrr_level out of (0, 1)"

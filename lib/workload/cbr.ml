@@ -30,13 +30,25 @@ let rec tick t =
   if next < t.until then
     Sim.Engine.schedule_unit_at t.engine ~time:next (fun () -> tick t)
 
+let period ~rate_bps ~packet_bytes =
+  Sim.Units.bits_of_bytes packet_bytes /. rate_bps
+
+(* Float spacing only grows with magnitude, so an interval that moves
+   the clock at [until] moves it at every earlier time: [tick] can
+   never reschedule itself at the instant it fires. *)
+let advances ~rate_bps ~packet_bytes ~until =
+  Float.is_finite rate_bps && rate_bps > 0.0 && packet_bytes > 0
+  && until +. period ~rate_bps ~packet_bytes > until
+
 let create ~engine ~flow ~rate_bps ~packet_bytes ~at ~until ~emit () =
   if rate_bps <= 0.0 then invalid_arg "Cbr.create: rate_bps <= 0";
   if packet_bytes <= 0 then invalid_arg "Cbr.create: packet_bytes <= 0";
-  if not (at < until) then invalid_arg "Cbr.create: need at < until";
-  let interval = float_of_int (packet_bytes * 8) /. rate_bps in
+  if not (advances ~rate_bps ~packet_bytes ~until) then
+    invalid_arg "Cbr.create: the packet interval does not advance the clock";
+  let interval = period ~rate_bps ~packet_bytes in
   let t =
     { engine; flow; packet_bytes; interval; until; emit; uid = 0; sent = 0 }
   in
-  Sim.Engine.schedule_unit_at engine ~time:at (fun () -> tick t);
+  if at < until then
+    Sim.Engine.schedule_unit_at engine ~time:at (fun () -> tick t);
   t

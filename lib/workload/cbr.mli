@@ -13,12 +13,19 @@
 
 type t
 
+(** [advances ~rate_bps ~packet_bytes ~until] holds when [rate_bps] is
+    finite and positive, [packet_bytes] is positive, and the packet
+    interval advances the clock at [until] (and so at every earlier
+    time). A source that fails it would emit forever at one instant. *)
+val advances : rate_bps:float -> packet_bytes:int -> until:float -> bool
+
 (** [create ~engine ~flow ~rate_bps ~packet_bytes ~at ~until ~emit ()]
     arms the source. [emit] receives each freshly built packet; packet
-    uids count up from 0 within this source.
+    uids count up from 0 within this source. An empty window
+    ([at >= until], e.g. a zero-length run) sends nothing.
 
     @raise Invalid_argument unless [rate_bps > 0], [packet_bytes > 0]
-    and [at < until]. *)
+    and {!advances} holds. *)
 val create :
   engine:Sim.Engine.t ->
   flow:int ->

@@ -137,6 +137,67 @@ let test_grid_validation () =
   rejects "--rwnd 0: must be >= 1" (grid ~rwnd:0);
   rejects "--seeds -1: must be >= 0" (grid ~seed_count:(-1))
 
+(* The checks [rr-sim run] shares with the grid: the fields outside the
+   axis table, the CBR share's clock and topology rules, and a renamed
+   flag for a command whose flags differ from sweep's. *)
+let test_job_validation () =
+  let rejects ?flags message job =
+    Alcotest.check_raises message (Invalid_argument message) (fun () ->
+        Campaign.Job.validate ?flags job)
+  in
+  let job = Campaign.Job.default in
+  rejects "--buffer 0: must be >= 1" { job with gateway = Campaign.Job.Red 0 };
+  rejects "--flows 0: must be >= 1"
+    { job with topology = Campaign.Job.Fat_tree 2; flows = 0 };
+  rejects "--cbr-share 1e+300: too high: the CBR packet interval does not \
+           advance the clock"
+    { job with cbr_share = 1e300 };
+  rejects "--cbr-share 0.1: needs a spare topology slot, which a fat tree lacks"
+    { job with topology = Campaign.Job.Fat_tree 2; cbr_share = 0.1 };
+  rejects ~flags:[ ("rrr_level", "rrr-level") ]
+    "--rrr-level nan: must be inside (0, 1)"
+    { job with rrr_level = Float.nan };
+  rejects "--rrr-levels nan: must be inside (0, 1)"
+    { job with rrr_level = Float.nan };
+  Alcotest.check_raises "sweep --topologies fat-tree --cbr-share 0.1"
+    (Invalid_argument
+       "--cbr-share 0.1: needs a spare topology slot, which a fat tree lacks")
+    (fun () ->
+      ignore
+        (Campaign.Sweep.grid
+           ~topologies:[ Campaign.Job.Fat_tree 2 ]
+           ~cbr_shares:[ 0.1 ] ()))
+
+(* One topology vocabulary: sweep takes what run takes, and a fat-tree
+   job runs pods x flows flows. *)
+let test_fat_tree_jobs () =
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (result string string))
+        text expected
+        (Result.map Campaign.Job.topology_name
+           (Campaign.Job.topology_of_string text)))
+    [
+      ("fat-tree", Ok "fat-tree:2");
+      ("fat-tree:3", Ok "fat-tree:3");
+      ( "fat-tree:1",
+        Error
+          "invalid topology \"fat-tree:1\" (expected dumbbell, \
+           parking-lot[:HOPS] or fat-tree[:PODS])" );
+    ];
+  let job =
+    {
+      Campaign.Job.default with
+      topology = Campaign.Job.Fat_tree 3;
+      flows = 1;
+      duration = 2.0;
+    }
+  in
+  let result = Campaign.Job.run job in
+  Alcotest.(check int) "one row per host" 3
+    (List.length result.Campaign.Job.flow_metrics);
+  Alcotest.(check int) "audited clean" 0 result.Campaign.Job.audit_violations
+
 (* Two jobs with one point label and seed would aggregate as one point
    with twice the seeds, shrinking its confidence interval. *)
 let test_duplicate_points_rejected () =
@@ -672,6 +733,8 @@ let suite =
         Alcotest.test_case "axis defaults" `Quick test_axis_defaults;
         Alcotest.test_case "bindings" `Quick test_bindings;
         Alcotest.test_case "grid validation" `Quick test_grid_validation;
+        Alcotest.test_case "job validation" `Quick test_job_validation;
+        Alcotest.test_case "fat-tree jobs" `Quick test_fat_tree_jobs;
         Alcotest.test_case "duplicate points rejected" `Quick
           test_duplicate_points_rejected;
         Alcotest.test_case "pool order" `Quick test_pool_order_and_results;

@@ -355,6 +355,69 @@ let test_modelcheck_relentless_tolerance () =
           (Float.abs dev <= 0.15))
     [ Core.Variant.Relentless; Core.Variant.Rrr ]
 
+(* A NaN level would drive RRR's (1 - l) * W backoff to NaN, and a NaN
+   deviation passes any [> tol] test; both must be refused. *)
+let test_nan_level_and_deviation () =
+  Alcotest.check_raises "Params.validate refuses a NaN rrr_level"
+    (Invalid_argument "Params: rrr_level out of (0, 1)") (fun () ->
+      Tcp.Params.validate { Tcp.Params.default with rrr_level = Float.nan });
+  let row deviation =
+    {
+      Experiments.Modelcheck.variant = Core.Variant.Rrr;
+      model = "rrr(0.5)";
+      predicted_window = 10.0;
+      measured_window = 10.0;
+      deviation;
+      timeouts = 0;
+    }
+  in
+  let outcome =
+    {
+      Experiments.Modelcheck.rtt = 0.2;
+      rwnd = 20;
+      rrr_level = 0.5;
+      points =
+        [ { loss_rate = 0.01; rows = [ row 0.05; row Float.nan; row (-0.3) ] } ];
+    }
+  in
+  Alcotest.(check (list string))
+    "a NaN deviation is beyond any tolerance"
+    [ "rrr at p=0.01: +nan%"; "rrr at p=0.01: -30.0%" ]
+    (Experiments.Modelcheck.beyond outcome ~tolerance:0.2)
+
+(* The asym clause needs the dumbbell's reverse trunk: one predicate
+   decides, for the CLI's up-front check and for [Scenario.run]. *)
+let test_faults_fit () =
+  let asym =
+    { Faults.Spec.none with Faults.Spec.asym = Some 20.0 }
+  in
+  let dumbbell =
+    Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1)
+  in
+  let spec, endpoints =
+    Net.Topology.parking_lot ~hops:2 ~long_flows:1 ~cross_per_hop:0
+      ~config:(Net.Dumbbell.paper_config ~flows:1) ()
+  in
+  let graph =
+    Experiments.Scenario.graph ~loss_link:"bottleneck0"
+      ~flap_links:[ "bottleneck0" ] ~spec ~endpoints ()
+  in
+  Alcotest.(check bool) "asym fits the dumbbell" true
+    (Experiments.Scenario.faults_fit dumbbell asym);
+  Alcotest.(check bool) "asym does not fit a graph" false
+    (Experiments.Scenario.faults_fit graph asym);
+  Alcotest.(check bool) "other faults fit a graph" true
+    (Experiments.Scenario.faults_fit graph
+       { Faults.Spec.none with Faults.Spec.jitter = Some 0.01 });
+  Alcotest.check_raises "Scenario.run refuses asym on a graph"
+    (Invalid_argument "Scenario.run: asym requires a dumbbell topology")
+    (fun () ->
+      ignore
+        (Experiments.Scenario.run
+           (Experiments.Scenario.make ~topology:graph
+              ~flows:[ Experiments.Scenario.flow Core.Variant.Rr ]
+              ~duration:1.0 ~faults:asym ())))
+
 let suite =
   [
     ( "experiments",
@@ -385,5 +448,8 @@ let suite =
         Alcotest.test_case "sensitivity ordering" `Quick test_sensitivity_ordering;
         Alcotest.test_case "modelcheck tolerance" `Quick
           test_modelcheck_relentless_tolerance;
+        Alcotest.test_case "NaN level and deviation" `Quick
+          test_nan_level_and_deviation;
+        Alcotest.test_case "asym needs the dumbbell" `Quick test_faults_fit;
       ] );
   ]

@@ -392,6 +392,32 @@ let test_timeline_string_form () =
       "@5+400000@2+500000" (* times must increase *);
     ]
 
+(* NaN passes every [<] and [<=] range test, and infinity is no time
+   or rate a link can use: both DSLs refuse any non-finite number, and
+   the fault DSL refuses explicit outages [Schedule.of_flaps] would. *)
+let test_non_finite_rejected () =
+  List.iter
+    (fun s ->
+      match Faults.Spec.of_string s with
+      | Ok _ -> Alcotest.failf "fault spec %S should not parse" s
+      | Error _ -> ())
+    [
+      "asym:inf"; "jitter:inf"; "jitter:nan"; "fade:1+inf"; "fade:nan+1";
+      "flap:inf+0.3"; "flap:rand:inf+1"; "handover:inf+0.3";
+      "reorder:0.1:inf"; "flap:@5+2"; "flap:@1+2@1.5+3";
+    ];
+  List.iter
+    (fun s ->
+      match Faults.Timeline.of_string s with
+      | Ok _ -> Alcotest.failf "timeline %S should not parse" s
+      | Error _ -> ())
+    [ "@nan+1"; "@1+nan"; "@1+-+nan"; "@inf+1"; "@1+inf"; "@1+-+inf"; "@-inf+1" ];
+  Alcotest.check_raises "of_steps refuses a NaN rate"
+    (Invalid_argument "Timeline.of_steps: rate <= 0") (fun () ->
+      ignore
+        (Faults.Timeline.of_steps
+           [ { Faults.Timeline.at = 1.0; rate = Some Float.nan; delay = None } ]))
+
 (* -- properties over whole scenarios -- *)
 
 let run_faulted ?(variant = Core.Variant.Rr) ?(seed = 7L) ?(duration = 5.0)
@@ -603,6 +629,8 @@ let suite =
           test_spec_rejects_garbage;
         Alcotest.test_case "spec hostile clauses" `Quick
           test_spec_hostile_parse;
+        Alcotest.test_case "non-finite numbers rejected" `Quick
+          test_non_finite_rejected;
         Alcotest.test_case "timeline string form" `Quick
           test_timeline_string_form;
         Alcotest.test_case "faulted scenarios stay clean" `Slow

@@ -123,6 +123,39 @@ let test_cbr_validation () =
         (Workload.Cbr.create ~engine ~flow:0 ~rate_bps:0.0 ~packet_bytes:1000
            ~at:0.0 ~until:1.0 ~emit:ignore ()))
 
+(* At an infinite rate the interval is 0, and at 1e300 bps it is too
+   small to move a clock at 20 s: either way the source would re-emit
+   at one instant forever. *)
+let test_cbr_interval_advances () =
+  let advances rate_bps =
+    Workload.Cbr.advances ~rate_bps ~packet_bytes:1000 ~until:20.0
+  in
+  Alcotest.(check bool) "a paper-scale rate advances" true (advances 200_000.0);
+  Alcotest.(check bool) "1e12 bps still advances" true (advances 1e12);
+  Alcotest.(check bool) "infinity does not" false (advances Float.infinity);
+  Alcotest.(check bool) "1e300 bps does not" false (advances 1e300);
+  Alcotest.(check bool) "NaN does not" false (advances Float.nan);
+  Alcotest.(check bool) "a zero horizon has room" true
+    (Workload.Cbr.advances ~rate_bps:1e300 ~packet_bytes:1000 ~until:0.0);
+  let engine = Sim.Engine.create () in
+  List.iter
+    (fun rate_bps ->
+      Alcotest.check_raises
+        (Printf.sprintf "create refuses %g bps" rate_bps)
+        (Invalid_argument
+           "Cbr.create: the packet interval does not advance the clock")
+        (fun () ->
+          ignore
+            (Workload.Cbr.create ~engine ~flow:0 ~rate_bps ~packet_bytes:1000
+               ~at:0.0 ~until:1.0 ~emit:ignore ())))
+    [ Float.infinity; 1e300 ];
+  let cbr =
+    Workload.Cbr.create ~engine ~flow:0 ~rate_bps:80_000.0 ~packet_bytes:1000
+      ~at:0.0 ~until:0.0 ~emit:ignore ()
+  in
+  Sim.Engine.run engine;
+  Alcotest.(check int) "an empty window sends nothing" 0 (Workload.Cbr.sent cbr)
+
 (* -- Pareto on/off mice -- *)
 
 let mice_fixture ~seed ~profile =
@@ -196,6 +229,8 @@ let suite =
           test_supply_data_after_infinite_rejected;
         Alcotest.test_case "cbr rate and window" `Quick test_cbr_rate_and_window;
         Alcotest.test_case "cbr validation" `Quick test_cbr_validation;
+        Alcotest.test_case "cbr interval advances" `Quick
+          test_cbr_interval_advances;
         Alcotest.test_case "mice bursts and completions" `Quick
           test_mice_bursts_and_completions;
         Alcotest.test_case "mice deterministic" `Quick test_mice_deterministic;
