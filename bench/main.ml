@@ -98,11 +98,12 @@ let link_saturated () =
 
 (* The same 12-job sweep under each supervised backend, one worker
    each, so the fork/domains comparison isolates per-attempt dispatch
-   cost (fork+Marshal vs shared-memory hand-off) from machine-dependent
-   parallel speedup. A backend that quietly quarantined its jobs would
-   "win" every timing, so a clean sweep is asserted. (The GC counters
-   are per-process: the fork entry's words exclude allocation done in
-   the children, the domain entry's include every worker.) *)
+   cost (one fork per sweep plus a pipe and Marshal round trip per job,
+   vs shared-memory hand-off) from machine-dependent parallel speedup.
+   A backend that quietly quarantined its jobs would "win" every
+   timing, so a clean sweep is asserted. (The GC counters are
+   per-process: the fork entry's words exclude allocation done in the
+   worker process, the domain entry's include every worker.) *)
 let campaign_sweep backend =
   let outcome =
     Campaign.Sweep.run ~jobs:1 ~backend
@@ -160,8 +161,8 @@ let all_benchmarks : (string * (unit -> unit)) list =
           (Experiments.Rtt_fairness.run ~variants:[ Core.Variant.Rr ]
              ~duration:40.0 ()) );
     (* The same 12-job sweep under each supervised backend, one worker
-       each so the comparison isolates per-attempt dispatch cost
-       (fork+Marshal vs shared-memory hand-off) from machine-dependent
+       each so the comparison isolates per-attempt dispatch cost (pipe
+       and Marshal vs shared-memory hand-off) from machine-dependent
        parallel speedup. Registration order matters: the OCaml runtime
        refuses [Unix.fork] forever once any domain has been spawned in
        the process, so the fork entry must run first. *)

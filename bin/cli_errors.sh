@@ -89,6 +89,10 @@ run '--faults fade:1+inf: faults: bad fade "inf" (expected a finite number)' --f
 run '--faults flap:inf+0.3: faults: bad flap period "inf" (expected a finite number)' --faults flap:inf+0.3
 run '--faults handover:inf+0.3: faults: bad handover "inf" (expected a finite number)' --faults handover:inf+0.3
 
+# run: a finite level whose product with the link rate is not.
+run '--faults fade:1+1e308: faults: fade level 1e+308 takes a 800000 bps link to an infinite rate' --faults fade:1+1e308 --duration 5
+run '--faults handover:2+0.3+1+1e308: faults: handover level 1e+308 takes a 800000 bps link to an infinite rate' --topology parking-lot --faults handover:2+0.3+1+1e308 --duration 5
+
 # run: combinations a topology cannot realise, and CBR rates whose
 # packet interval cannot advance the clock.
 run '--faults asym:20: asym needs --topology dumbbell' --topology parking-lot --faults asym:20
@@ -106,11 +110,16 @@ expect '--duration nan: must be finite and >= 0' sweep --duration nan --no-cache
 expect '--cbr-share 1e+300: too high: the CBR packet interval does not advance the clock' sweep --cbr-share 1e300 --variants rr --seeds 1 --duration 1 --jobs 1 --no-cache
 expect '--cbr-share 0.1: needs a spare topology slot, which a fat tree lacks' sweep --topologies fat-tree --cbr-share 0.1 --no-cache
 
+# sweep: a deadline only a worker process can enforce.
+expect '--timeout 0.5: the serial pool cannot enforce deadlines' sweep --pool serial --timeout 0.5 --variants rr --seeds 1 --no-cache
+
 # modelcheck: the models' domain, the horizon and the RRR level.
 expect '--rrr-level nan: must be inside (0, 1)' modelcheck --rrr-level nan --variants rrr --loss 0.01 --seeds 1 --duration 10 --check 0.2
 expect '--loss 2: must be within (0, 1]' modelcheck --loss 2
 expect '--loss 0: must be within (0, 1]' modelcheck --loss 0
 expect '--duration nan: must be finite and >= 0' modelcheck --duration nan
 expect '--duration -1: must be finite and >= 0' modelcheck --duration=-1
+expect '--duration 3: must exceed the 5 s warm-up' modelcheck --duration 3 --seeds 1 --variants rr --loss 0.01 --check 0.2
+expect '--duration 5: must exceed the 5 s warm-up' modelcheck --duration 5
 
 exit $failed

@@ -597,6 +597,9 @@ let run_term =
     if not (Experiments.Scenario.faults_fit spec.topology fault_spec) then
       usage_error "--faults %s: asym needs --topology dumbbell"
         (Option.value faults ~default:"");
+    Option.iter
+      (usage_error "--faults %s: %s" (Option.value faults ~default:""))
+      (Experiments.Scenario.rate_overflow spec.topology fault_spec);
     let trace_channel = Option.map open_output trace in
     let tracefile_channel =
       Option.map (fun path -> (path, open_output path)) tracefile
@@ -752,7 +755,10 @@ let sweep_term =
     Arg.(value & opt int 20 & info [ "rwnd" ] ~docv:"SEGMENTS" ~doc)
   in
   let jobs =
-    let doc = "Worker processes (0 = number of cores)." in
+    let doc =
+      "Worker processes, forked once per sweep and reused for every job \
+       (0 = number of cores)."
+    in
     Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let pool =
@@ -765,11 +771,13 @@ let sweep_term =
         ]
     in
     let doc =
-      "Worker pool backend: $(b,fork) (one process per job attempt; full \
-       isolation, SIGKILL-enforced deadlines), $(b,domains) (shared-memory \
-       OCaml domains; no fork/marshal overhead, deadlines abandon rather \
-       than kill the worker) or $(b,serial) (in-process loop). Default: \
-       fork when more than one worker, serial otherwise."
+      "Worker pool backend: $(b,fork) (persistent worker processes fed \
+       jobs over pipes; concurrent jobs never share a process, and a worker \
+       past its deadline is SIGKILLed and replaced), $(b,domains) \
+       (shared-memory OCaml domains; no marshalling, deadlines abandon \
+       rather than kill the worker) or $(b,serial) (in-process loop; no \
+       deadlines, so --timeout is refused). Default: fork, at every \
+       --jobs."
     in
     Arg.(
       value & opt (some pool_conv) None & info [ "pool" ] ~docv:"BACKEND" ~doc)
@@ -825,6 +833,9 @@ let sweep_term =
             usage_error "--%s %s: %s" a.Campaign.Job.flag text message)
         axes
     in
+    if pool = Some Campaign.Pool.Serial && timeout > 0.0 then
+      usage_error "--timeout %g: the serial pool cannot enforce deadlines"
+        timeout;
     (* Fail fast on an unparseable chaos spec instead of aborting
        mid-sweep from inside the pool. *)
     (match Sys.getenv_opt Campaign.Pool.chaos_env with
@@ -926,12 +937,13 @@ let sweep_cmd =
        ~doc:
          "Run a campaign over the cartesian product of its axes (variants x \
           gateways x topologies x loss rates x ... x seeds) on a supervised \
-          forked worker pool (per-job deadlines, bounded retries, crash \
-          quarantine) with an incremental result cache and run journal. \
-          Every value is checked before any job runs: a bad value or a \
-          duplicate grid point exits 2. Always completes with partial \
-          results; exits 3 if any job was quarantined, 1 on auditor \
-          violations, 128+signal when interrupted (resume with --resume).")
+          pool of persistent forked workers (per-job deadlines, bounded \
+          retries, crash quarantine) with an incremental result cache and \
+          run journal. Every value is checked before any job runs: a bad \
+          value or a duplicate grid point exits 2. Always completes with \
+          partial results; exits 3 if any job was quarantined, 1 on \
+          auditor violations, 128+signal when interrupted (resume with \
+          --resume).")
     sweep_term
 
 (* list / all: the experiment registry *)
@@ -1032,6 +1044,9 @@ let modelcheck_term =
       losses;
     if not (Float.is_finite duration && duration >= 0.0) then
       usage_error "--duration %g: must be finite and >= 0" duration;
+    if not (duration > Experiments.Modelcheck.warmup) then
+      usage_error "--duration %g: must exceed the %g s warm-up" duration
+        Experiments.Modelcheck.warmup;
     if not (rrr_level > 0.0 && rrr_level < 1.0) then
       usage_error "--rrr-level %g: must be inside (0, 1)" rrr_level;
     Option.iter

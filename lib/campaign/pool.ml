@@ -158,20 +158,150 @@ let signal_name signal =
   else if signal = Sys.sigabrt then "SIGABRT"
   else Printf.sprintf "signal %d" signal
 
-(* -- the supervised pool -- *)
+(* -- supervision book-keeping, shared by the fork and domain pools --
 
-type 'b worker = {
-  pid : int;
-  index : int;
-  attempt : int;
-  channel : in_channel;
-  deadline : float option;  (* absolute wall clock, [gettimeofday] basis *)
-}
+   The attempts waiting to start (each not before its backoff ends),
+   every item's terminal state, and the policy's verdict on a finished
+   attempt: settle the item, or queue a backed-off retry. *)
 
 type pending = { p_index : int; p_attempt : int; not_before : float }
 
 let backoff_delay policy attempt =
   policy.backoff *. (2.0 ** float_of_int (attempt - 1))
+
+let ledger ~policy ~on_done ~on_retry ~on_settled total =
+  let statuses = Array.make total None in
+  let pending =
+    ref
+      (List.init total (fun i ->
+           { p_index = i; p_attempt = 1; not_before = neg_infinity }))
+  in
+  let settled = ref 0 in
+  let settle index outcome =
+    statuses.(index) <-
+      Some (match outcome with Ok v -> Settled v | Error f -> Failed f);
+    incr settled;
+    on_settled ~index outcome;
+    on_done !settled
+  in
+  let resolve ~index ~attempt = function
+    | Ok value -> settle index (Ok value)
+    | Error failure ->
+      if attempt <= policy.retries then begin
+        on_retry ~index ~attempt failure;
+        pending :=
+          !pending
+          @ [
+              {
+                p_index = index;
+                p_attempt = attempt + 1;
+                not_before =
+                  Unix.gettimeofday () +. backoff_delay policy attempt;
+              };
+            ]
+      end
+      else if attempt = 1 then settle index (Error failure)
+      else settle index (Error (Gave_up attempt))
+  in
+  let outcomes () =
+    Array.to_list
+      (Array.map (function Some status -> status | None -> Not_run) statuses)
+  in
+  (pending, resolve, outcomes)
+
+(* -- the fork pool --
+
+   Up to [jobs] persistent workers, forked on demand and reused for
+   every attempt of one [run] call. The supervisor writes an (index,
+   attempt) task on an idle worker's task pipe and reads the Marshal'd
+   outcome back from its result pipe, so a job costs two pipe transfers
+   rather than a fork, while concurrent jobs still run in separate
+   processes. A worker that dies, tears its payload or passes its
+   deadline is SIGKILLed, reaped and forgotten; the next attempt that
+   finds no idle worker forks a replacement. *)
+
+type task = { index : int; attempt : int; deadline : float option }
+
+type worker = {
+  pid : int;
+  tasks : Unix.file_descr;  (* write end: one task record per attempt *)
+  results : Unix.file_descr;  (* read end: one Marshal'd outcome per task *)
+  channel : in_channel;  (* over [results] *)
+  mutable busy : task option;
+}
+
+(* A task record is (index, attempt) as two big-endian 32-bit ints.
+   Eight bytes is below PIPE_BUF, so a write is atomic: it lands whole
+   or fails whole. *)
+let task_size = 8
+
+let rec write_task fd ~index ~attempt =
+  let record = Bytes.create task_size in
+  Bytes.set_int32_be record 0 (Int32.of_int index);
+  Bytes.set_int32_be record 4 (Int32.of_int attempt);
+  match Unix.write fd record 0 task_size with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+    write_task fd ~index ~attempt
+
+(* [None] at end of file: the supervisor closed the pipe. *)
+let read_task fd record =
+  let rec fill off =
+    if off = task_size then
+      Some
+        ( Int32.to_int (Bytes.get_int32_be record 0),
+          Int32.to_int (Bytes.get_int32_be record 4) )
+    else
+      match Unix.read fd record off (task_size - off) with
+      | 0 -> None
+      | n -> fill (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+  in
+  fill 0
+
+(* A worker's whole life: run each task it is sent until the supervisor
+   closes the task pipe. The chaos hook fires as the attempt arrives,
+   and reproduces the real failure, not a polite simulation of it:
+   Crash dies by SIGKILL, Hang never reports, Truncate tears the payload
+   and exits. *)
+let serve ~plan ~tasks ~results f items =
+  let oc = Unix.out_channel_of_descr results in
+  let record = Bytes.create task_size in
+  let rec loop () =
+    match read_task tasks record with
+    | None -> ()
+    | Some (index, attempt) -> (
+      let action =
+        match plan with None -> None | Some plan -> plan ~index ~attempt
+      in
+      (match action with
+      | Some Crash -> Unix.kill (Unix.getpid ()) Sys.sigkill
+      | Some Hang ->
+        while true do
+          Unix.sleepf 3600.0
+        done
+      | Some Truncate | None -> ());
+      let value =
+        try Ok (f items.(index)) with e -> Error (Printexc.to_string e)
+      in
+      match action with
+      | Some Truncate ->
+        let payload = Marshal.to_string value [] in
+        output_substring oc payload 0 (String.length payload - 1);
+        flush oc
+      | _ ->
+        Marshal.to_channel oc value [];
+        flush oc;
+        loop ())
+  in
+  loop ()
+
+(* Why a worker ended without a whole result. *)
+let death = function
+  | Unix.WSIGNALED signal -> Printf.sprintf "killed by %s" (signal_name signal)
+  | Unix.WEXITED 0 -> "truncated result payload"
+  | Unix.WEXITED code -> Printf.sprintf "exited with status %d" code
+  | Unix.WSTOPPED signal -> Printf.sprintf "stopped by %s" (signal_name signal)
 
 let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
   let settled = ref 0 in
@@ -206,187 +336,196 @@ let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
 let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
   let plan = resolve_chaos () in
   let items = Array.of_list items in
-  let total = Array.length items in
-  let statuses : 'b outcome option array = Array.make total None in
-  let running : (Unix.file_descr, 'b worker) Hashtbl.t = Hashtbl.create 16 in
-  let pending =
-    ref
-      (List.init total (fun i ->
-           { p_index = i; p_attempt = 1; not_before = neg_infinity }))
+  let pending, resolve, outcomes =
+    ledger ~policy ~on_done ~on_retry ~on_settled (Array.length items)
   in
-  let settled = ref 0 in
-  let settle index outcome =
-    statuses.(index) <-
-      Some (match outcome with Ok v -> Settled v | Error f -> Failed f);
-    incr settled;
-    on_settled ~index outcome;
-    on_done !settled
-  in
-  let spawn { p_index = index; p_attempt = attempt; _ } =
-    (* Anything buffered in the parent would otherwise be flushed a
-       second time by the child's channels. *)
+  let workers = ref [] in
+  let spawn () =
+    (* Anything buffered in the supervisor would otherwise be flushed a
+       second time by the worker's channels. *)
     flush stdout;
     flush stderr;
-    let action =
-      match plan with None -> None | Some plan -> plan ~index ~attempt
+    let task_r, task_w = Unix.pipe () in
+    let result_r, result_w =
+      try Unix.pipe ()
+      with e ->
+        Unix.close task_r;
+        Unix.close task_w;
+        raise e
     in
-    let read_fd, write_fd = Unix.pipe () in
     match Unix.fork () with
     | 0 ->
-      (* Child: run the one task, ship the outcome, and leave without
-         running at_exit handlers (Unix._exit skips the inherited
-         buffer flushes). Chaos actions reproduce the real-world
-         failure, not a polite simulation of it: Crash dies by SIGKILL
-         mid-job, Hang never reports, Truncate tears the payload. *)
-      Unix.close read_fd;
-      (match action with
-      | Some Crash -> Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Some Hang ->
-        while true do
-          Unix.sleepf 3600.0
-        done
-      | Some Truncate | None -> ());
-      let value =
-        try Ok (f items.(index)) with e -> Error (Printexc.to_string e)
+      (* Close the supervisor's ends, this worker's and its siblings',
+         so each pipe ends when its one worker does; leave through
+         [Unix._exit], which skips the at_exit flushes of buffers
+         inherited from the supervisor. *)
+      let code =
+        try
+          Unix.close task_w;
+          Unix.close result_r;
+          List.iter
+            (fun w ->
+              Unix.close w.tasks;
+              Unix.close w.results)
+            !workers;
+          serve ~plan ~tasks:task_r ~results:result_w f items;
+          0
+        with _ -> 2
       in
-      let oc = Unix.out_channel_of_descr write_fd in
-      (match action with
-      | Some Truncate ->
-        let payload = Marshal.to_string value [] in
-        output_substring oc payload 0 (String.length payload - 1)
-      | _ -> Marshal.to_channel oc value []);
-      flush oc;
-      Unix._exit 0
+      Unix._exit code
     | pid ->
-      Unix.close write_fd;
-      let deadline =
-        Option.map (fun t -> Unix.gettimeofday () +. t) policy.timeout
-      in
-      Hashtbl.replace running read_fd
+      Unix.close task_r;
+      Unix.close result_w;
+      let worker =
         {
           pid;
-          index;
-          attempt;
-          channel = Unix.in_channel_of_descr read_fd;
-          deadline;
+          tasks = task_w;
+          results = result_r;
+          channel = Unix.in_channel_of_descr result_r;
+          busy = None;
         }
-  in
-  let resolve worker = function
-    | Ok value -> settle worker.index (Ok value)
-    | Error failure ->
-      if worker.attempt <= policy.retries then begin
-        on_retry ~index:worker.index ~attempt:worker.attempt failure;
-        pending :=
-          !pending
-          @ [
-              {
-                p_index = worker.index;
-                p_attempt = worker.attempt + 1;
-                not_before =
-                  Unix.gettimeofday () +. backoff_delay policy worker.attempt;
-              };
-            ]
-      end
-      else if worker.attempt = 1 then settle worker.index (Error failure)
-      else settle worker.index (Error (Gave_up worker.attempt))
-  in
-  let collect fd =
-    match Hashtbl.find_opt running fd with
-    | None -> ()
-    | Some worker ->
-      Hashtbl.remove running fd;
-      let payload =
-        match (Marshal.from_channel worker.channel : ('b, string) result) with
-        | value -> Some value
-        | exception End_of_file -> None
-        (* A torn payload ("input_value: truncated object") means the
-           worker died mid-write: the same crash as an empty pipe. *)
-        | exception Failure _ -> None
       in
-      close_in_noerr worker.channel;
-      let status = reap worker.pid in
-      let outcome =
-        match (payload, status) with
-        | Some (Ok value), _ -> Ok value
-        | Some (Error message), _ -> Error (Crashed message)
-        | None, Unix.WSIGNALED signal ->
-          Error (Crashed (Printf.sprintf "killed by %s" (signal_name signal)))
-        | None, Unix.WEXITED 0 -> Error (Crashed "truncated result payload")
-        | None, Unix.WEXITED code ->
-          Error (Crashed (Printf.sprintf "exited with status %d" code))
-        | None, Unix.WSTOPPED signal ->
-          Error (Crashed (Printf.sprintf "stopped by %s" (signal_name signal)))
-      in
-      resolve worker outcome
+      workers := worker :: !workers;
+      worker
+    | exception e ->
+      List.iter Unix.close [ task_r; task_w; result_r; result_w ];
+      raise e
   in
-  let kill_and_reap worker =
+  (* SIGKILL (a no-op on the dead), reap and forget a worker. *)
+  let retire worker =
+    workers := List.filter (fun w -> w != worker) !workers;
     (try Unix.kill worker.pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (reap worker.pid);
-    close_in_noerr worker.channel
+    let status = reap worker.pid in
+    (try Unix.close worker.tasks with Unix.Unix_error _ -> ());
+    close_in_noerr worker.channel;
+    status
   in
-  let expire fd worker =
+  let dispatch worker { p_index = index; p_attempt = attempt; _ } =
+    write_task worker.tasks ~index ~attempt;
+    let deadline =
+      Option.map (fun t -> Unix.gettimeofday () +. t) policy.timeout
+    in
+    worker.busy <- Some { index; attempt; deadline }
+  in
+  (* Hand every mature pending attempt to an idle worker, forking one
+     while the pool is below strength. *)
+  let rec start now =
+    match List.find_opt (fun p -> p.not_before <= now) !pending with
+    | None -> ()
+    | Some next -> (
+      let worker =
+        match List.find_opt (fun w -> w.busy = None) !workers with
+        | Some idle -> Some idle
+        | None -> if List.length !workers < jobs then Some (spawn ()) else None
+      in
+      match worker with
+      | None -> ()
+      | Some worker ->
+        pending := List.filter (fun p -> p != next) !pending;
+        (* With SIGPIPE ignored, a worker that died while idle fails
+           the write with EPIPE; the attempt never started, so it goes
+           back to the front of the queue. *)
+        (try dispatch worker next
+         with Unix.Unix_error (Unix.EPIPE, _, _) ->
+           ignore (retire worker);
+           pending := next :: !pending);
+        start now)
+  in
+  let receive worker task =
+    match (Marshal.from_channel worker.channel : ('b, string) result) with
+    | value ->
+      worker.busy <- None;
+      (task, Result.map_error (fun message -> Crashed message) value)
+    (* End of file, or a torn payload ("input_value: truncated object"):
+       either way the pipe ended mid-object, and the worker's status
+       says why. *)
+    | exception (End_of_file | Failure _ | Sys_error _) ->
+      (task, Error (Crashed (death (retire worker))))
+  in
+  let conclude ({ index; attempt; _ }, outcome) =
+    resolve ~index ~attempt outcome
+  in
+  let busy () =
+    List.filter_map
+      (fun w -> Option.map (fun task -> (w, task)) w.busy)
+      !workers
+  in
+  let expire (worker, task) =
     (* If the result landed just as the deadline hit, prefer it. *)
-    if select_read [ fd ] 0.0 <> [] then collect fd
+    if select_read [ worker.results ] 0.0 <> [] then
+      conclude (receive worker task)
     else begin
-      Hashtbl.remove running fd;
-      kill_and_reap worker;
-      resolve worker
-        (Error (Timed_out (Option.value ~default:0.0 policy.timeout)))
+      ignore (retire worker);
+      let deadline = Option.value ~default:0.0 policy.timeout in
+      conclude (task, Error (Timed_out deadline))
     end
   in
-  let abort () =
-    let workers = Hashtbl.fold (fun _ w acc -> w :: acc) running [] in
-    Hashtbl.reset running;
-    List.iter kill_and_reap workers
+  (* Idle workers read end of file and leave; busy ones are killed. *)
+  let shutdown () =
+    let all = !workers in
+    workers := [];
+    List.iter
+      (fun w ->
+        (try Unix.close w.tasks with Unix.Unix_error _ -> ());
+        if w.busy <> None then
+          try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
+      all;
+    List.iter
+      (fun w ->
+        (try ignore (reap w.pid) with Unix.Unix_error _ -> ());
+        close_in_noerr w.channel)
+      all
   in
-  Fun.protect ~finally:abort (fun () ->
-      while (not (stop ())) && (!pending <> [] || Hashtbl.length running > 0) do
-        let now = Unix.gettimeofday () in
-        (* Start every mature pending attempt while capacity allows. *)
-        let rec start () =
-          if Hashtbl.length running < jobs then
-            match List.find_opt (fun p -> p.not_before <= now) !pending with
-            | Some next ->
-              pending := List.filter (fun p -> p != next) !pending;
-              spawn next;
-              start ()
-            | None -> ()
-        in
-        start ();
-        if !pending <> [] || Hashtbl.length running > 0 then begin
-          let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) running [] in
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      shutdown ();
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      while (not (stop ())) && (!pending <> [] || busy () <> []) do
+        start (Unix.gettimeofday ());
+        let running = busy () in
+        if !pending <> [] || running <> [] then begin
           (* Sleep until a worker reports, the nearest deadline expires,
              or the nearest backed-off retry matures. *)
           let horizon =
-            Hashtbl.fold
-              (fun _ worker acc ->
-                match worker.deadline with
+            List.fold_left
+              (fun acc (_, task) ->
+                match task.deadline with
                 | Some deadline -> Float.min deadline acc
                 | None -> acc)
-              running
               (List.fold_left
                  (fun acc p -> Float.min p.not_before acc)
                  infinity !pending)
+              running
           in
           let timeout =
-            if horizon = infinity then if fds = [] then 0.05 else -1.0
+            if horizon = infinity then if running = [] then 0.05 else -1.0
             else Float.max 0.0 (horizon -. Unix.gettimeofday ())
           in
-          List.iter collect (select_read fds timeout);
-          let now = Unix.gettimeofday () in
-          let expired =
-            Hashtbl.fold
-              (fun fd worker acc ->
-                match worker.deadline with
-                | Some deadline when deadline <= now -> (fd, worker) :: acc
-                | _ -> acc)
-              running []
+          let ready =
+            select_read (List.map (fun (w, _) -> w.results) running) timeout
           in
-          List.iter (fun (fd, worker) -> expire fd worker) expired
+          let received =
+            List.map
+              (fun (w, task) -> receive w task)
+              (List.filter (fun (w, _) -> List.mem w.results ready) running)
+          in
+          (* Freed workers take their next attempts before the
+             supervisor settles (stores, journals) what they sent. *)
+          start (Unix.gettimeofday ());
+          List.iter conclude received;
+          let now = Unix.gettimeofday () in
+          List.iter expire
+            (List.filter
+               (fun (_, task) ->
+                 match task.deadline with
+                 | Some deadline -> deadline <= now
+                 | None -> false)
+               (busy ()))
         end
       done);
-  Array.to_list
-    (Array.map (function Some status -> status | None -> Not_run) statuses)
+  outcomes ()
 
 (* -- the domain-sharded pool --
 
@@ -429,7 +568,6 @@ let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
   let plan = resolve_chaos () in
   let items = Array.of_list items in
   let total = Array.length items in
-  let statuses : 'b outcome option array = Array.make total None in
   let m = Mutex.create () in
   let work_cond = Condition.create () in
   let ready : (int * int) Queue.t = Queue.create () in
@@ -495,39 +633,13 @@ let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
   for _ = 1 to min jobs (max total 1) do
     spawn_worker ()
   done;
-  let pending =
-    ref
-      (List.init total (fun i ->
-           { p_index = i; p_attempt = 1; not_before = neg_infinity }))
+  let pending, resolve, outcomes =
+    ledger ~policy ~on_done ~on_retry ~on_settled total
   in
   (* (index, attempt) attempts in flight on some worker, and those
      abandoned at their deadline whose late results must be dropped. *)
   let inflight : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let abandoned : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let settled = ref 0 in
-  let settle index outcome =
-    statuses.(index) <-
-      Some (match outcome with Ok v -> Settled v | Error f -> Failed f);
-    incr settled;
-    on_settled ~index outcome;
-    on_done !settled
-  in
-  let resolve_failure ~index ~attempt failure =
-    if attempt <= policy.retries then begin
-      on_retry ~index ~attempt failure;
-      pending :=
-        !pending
-        @ [
-            {
-              p_index = index;
-              p_attempt = attempt + 1;
-              not_before = Unix.gettimeofday () +. backoff_delay policy attempt;
-            };
-          ]
-    end
-    else if attempt = 1 then settle index (Error failure)
-    else settle index (Error (Gave_up attempt))
-  in
   while (not (stop ())) && (!pending <> [] || Hashtbl.length inflight > 0) do
     let now = Unix.gettimeofday () in
     let mature, immature =
@@ -595,9 +707,8 @@ let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
         end
         else begin
           Hashtbl.remove inflight key;
-          match value with
-          | Ok v -> settle index (Ok v)
-          | Error message -> resolve_failure ~index ~attempt (Crashed message)
+          resolve ~index ~attempt
+            (Result.map_error (fun message -> Crashed message) value)
         end)
       fresh;
     (match policy.timeout with
@@ -624,7 +735,7 @@ let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
           (* The stuck worker cannot be reclaimed; keep the pool at
              strength for the remaining jobs. *)
           spawn_worker ();
-          resolve_failure ~index ~attempt (Timed_out timeout))
+          resolve ~index ~attempt (Error (Timed_out timeout)))
         expired)
   done;
   let stopped = stop () in
@@ -642,18 +753,12 @@ let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
     (try Unix.close notify_rd with Unix.Unix_error _ -> ());
     try Unix.close notify_wr with Unix.Unix_error _ -> ()
   end;
-  Array.to_list
-    (Array.map (function Some status -> status | None -> Not_run) statuses)
+  outcomes ()
 
 let run ~jobs ?backend ?(policy = default_policy) ?(stop = fun () -> false)
     ?(on_done = fun _ -> ()) ?(on_retry = fun ~index:_ ~attempt:_ _ -> ())
     ?(on_settled = fun ~index:_ _ -> ()) f items =
-  let backend =
-    match backend with
-    | Some backend -> backend
-    | None -> if jobs <= 1 then Serial else Forked
-  in
-  match backend with
+  match Option.value backend ~default:Forked with
   | Serial -> run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items
   | Forked ->
     run_forked ~jobs:(max 1 jobs) ~policy ~stop ~on_done ~on_retry ~on_settled

@@ -1,14 +1,21 @@
 (** Supervised worker pool with pluggable execution backends.
 
-    The {!Forked} backend runs each task in its own forked child — full
-    process isolation, so the simulator's global state (engine clocks,
-    RNGs, counters) never leaks between concurrently-running jobs — and
-    marshals the result value back to the parent over a pipe. The
-    {!Domains} backend shards the same tasks across a fixed team of
-    [Domain.spawn] workers instead: job specs sit in a shared read-only
-    array, results come back through a lock-protected queue, and both
-    fork and Marshal drop out of the picture. {!Serial} is the plain
-    in-process loop.
+    The {!Forked} backend, the default, runs the tasks on up to [jobs]
+    persistent worker processes, forked once per {!run} call: the
+    supervisor writes each attempt's (index, attempt) on an idle
+    worker's task pipe, and the worker marshals the result back on its
+    result pipe. Concurrent jobs never share a process, so the
+    simulator's global state (engine clocks, RNGs, counters) never
+    interleaves between them; consecutive jobs on one worker are as
+    independent as consecutive jobs of the serial loop. A worker that
+    dies, tears its payload or passes its deadline is SIGKILLed,
+    reaped and replaced by a fresh fork when the next attempt needs
+    one; when {!run} returns, every worker has left and been reaped.
+    The {!Domains} backend shards the same tasks across a fixed team
+    of [Domain.spawn] workers instead: job specs sit in a shared
+    read-only array, results come back through a lock-protected queue,
+    and both fork and Marshal drop out of the picture. {!Serial} is the
+    plain in-process loop.
 
     The calling domain is a supervisor, not a bystander: every attempt
     carries an optional wall-clock deadline, failed attempts are
@@ -17,10 +24,12 @@
     worker becomes a {!Failed} slot in the result list instead of
     aborting its siblings. [Unix.select] and [Unix.waitpid] are retried
     on [EINTR], so signal delivery (expected once the CLI installs
-    SIGINT/SIGTERM handlers) cannot abort a collect mid-flight.
+    SIGINT/SIGTERM handlers) cannot abort a collect mid-flight, and
+    SIGPIPE is ignored for the call, so a task written to a worker that
+    died while idle fails with [EPIPE] and goes to another worker.
 
     Deadline enforcement differs by backend, because a domain cannot
-    be SIGKILLed the way a forked child can. Fork kills and reaps an
+    be SIGKILLed the way a worker process can. Fork kills and reaps an
     expired worker. Domains {e abandon} the expired attempt: it is
     reported {!Timed_out} at the same moment fork would report it, a
     replacement worker is spawned so a genuinely hung job does not
@@ -50,7 +59,10 @@ val default_jobs : unit -> int
 
 type backend =
   | Serial  (** in-process loop; no parallelism, no deadlines, no chaos *)
-  | Forked  (** one forked child per attempt, results marshalled back *)
+  | Forked
+      (** up to [jobs] persistent worker processes, forked once per
+          {!run} call and fed attempts over pipes, results marshalled
+          back; a dead, torn or expired worker is replaced *)
   | Domains
       (** shared-memory [Domain.spawn] worker team; deadlines abandon
           rather than kill (see above) *)
@@ -106,16 +118,16 @@ val default_policy : policy
 (** {1 Deterministic chaos injection}
 
     For supervision tests and the [@chaos-smoke] alias: a chaos plan
-    makes selected workers misbehave on schedule, in the child, after
-    the fork — so the parent exercises its real recovery paths against
-    real process death, not mocks. *)
+    makes selected workers misbehave on schedule, in the worker process,
+    as it receives the attempt — so the supervisor exercises its real
+    recovery paths against real process death, not mocks. *)
 
 type chaos_action =
   | Crash  (** the worker SIGKILLs itself before running the job *)
   | Hang  (** the worker sleeps forever (reaped only by a deadline) *)
   | Truncate
-      (** the worker runs the job but writes the marshalled payload
-          short by one byte, tearing it *)
+      (** the worker runs the job, writes the marshalled payload short
+          by one byte, tearing it, and exits *)
 
 (** [plan ~index ~attempt] decides what (if anything) happens to the
     worker running input [index] on its [attempt]-th try (1-based). *)
@@ -123,8 +135,8 @@ type chaos_plan = index:int -> attempt:int -> chaos_action option
 
 (** Process-wide chaos hook consulted by {!run}; [None] (the default)
     falls back to parsing {!chaos_env}. Tests set it directly. The
-    serial path ignores chaos. Forked workers reproduce each action
-    literally; domain workers map [Hang] to a cooperative hang (the
+    serial path ignores chaos. Forked workers consult it as each
+    attempt arrives and reproduce the action literally; domain workers map [Hang] to a cooperative hang (the
     attempt never reports; only a deadline recovers it) and [Crash] /
     [Truncate] — process death and a torn Marshal payload, neither of
     which exists in-domain — to an immediately failed attempt with a
@@ -146,14 +158,15 @@ val chaos_of_string : string -> (chaos_plan, string) result
 (** [run ~jobs ?backend ?policy ?stop ?on_done ?on_retry ?on_settled f
     items] applies [f] to every item, running up to [jobs] workers
     concurrently under [policy], and returns one {!outcome} per item in
-    input order. [backend] defaults to {!Forked} when [jobs > 1] and
-    {!Serial} otherwise — the historical behaviour; passing it
-    explicitly pins the execution strategy regardless of [jobs].
+    input order. [backend] defaults to {!Forked} at every [jobs >= 1],
+    so deadlines, chaos and a stop request hold even for one worker;
+    {!Serial} runs only when asked for.
 
     [stop] is polled between collect rounds; once it returns [true],
-    running fork workers are SIGKILLed and reaped (domain workers are
-    told to exit at their next queue visit), and every job not yet
-    settled is reported {!Not_run} — already-settled work is kept.
+    busy fork workers are SIGKILLed and every worker reaped (domain
+    workers are told to exit at their next queue visit), and every job
+    not yet settled is reported {!Not_run} — already-settled work is
+    kept.
     [on_done] is called in the supervisor as each item settles (with
     the count settled so far), for progress display. [on_retry] fires
     on each non-final failed attempt, before the backoff; [on_settled]

@@ -103,7 +103,7 @@ type outcome = {
     collect rounds; once true, in-flight workers are SIGKILLed and the
     remaining jobs are skipped. [jobs] sets the pool width (default
     {!Pool.default_jobs}) and [backend] the execution strategy
-    ({!Pool.run}'s default when omitted: fork above one worker);
+    ({!Pool.run}'s default when omitted: fork, at every width);
     backends are interchangeable — the deterministic jobs make the
     report identical across serial, fork and domain pools.
     [on_progress] is called after every settled job with the completed

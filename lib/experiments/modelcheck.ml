@@ -68,6 +68,10 @@ let run_one ~params ~seed ~duration ~loss_rate variant =
 let run ?(variants = default_variants) ?(loss_rates = default_loss_rates)
     ?(seeds = [ 3L; 17L; 29L; 101L; 2048L ]) ?(duration = 100.0) ?(rwnd = 20)
     ?(rrr_level = 0.5) () =
+  if not (duration > warmup) then
+    invalid_arg
+      (Printf.sprintf "Modelcheck.run: duration %g must exceed the %g s warm-up"
+         duration warmup);
   let params = { Tcp.Params.default with rwnd; rrr_level } in
   let mss = params.Tcp.Params.mss in
   let rtt =

@@ -57,8 +57,15 @@ val model_window :
   rwnd:int ->
   string * float
 
+(** Seconds at the start of each run left out of the measurement
+    (5 s): windows are measured from [warmup] to [duration]. *)
+val warmup : float
+
 (** [run ()] measures every variant × loss rate, averaging windows
-    over [seeds]. *)
+    over [seeds].
+
+    @raise Invalid_argument if [duration] does not exceed {!warmup}
+    (the measured interval would be empty). *)
 val run :
   ?variants:Core.Variant.t list ->
   ?loss_rates:float list ->

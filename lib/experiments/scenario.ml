@@ -226,6 +226,40 @@ let slots = function
 let faults_fit topology (faults : Faults.Spec.t) =
   match topology with Dumbbell _ -> true | Graph _ -> faults.asym = None
 
+(* Fade and handover levels scale the rate of the links a timeline
+   targets, as [run] picks them: the dumbbell's forward trunk, or a
+   graph's [flap_links]. *)
+let rate_overflow topology (faults : Faults.Spec.t) =
+  let rates =
+    match topology with
+    | Dumbbell config -> [ config.Net.Dumbbell.bottleneck_bandwidth_bps ]
+    | Graph g ->
+      List.filter_map
+        (fun name ->
+          Option.map
+            (fun (l : Net.Topology.link_spec) -> l.bandwidth_bps)
+            (List.assoc_opt name g.graph.Net.Topology.links))
+        g.flap_links
+  in
+  let levels what = List.map (fun level -> (what, level)) in
+  List.find_map
+    (fun (what, level) ->
+      List.find_map
+        (fun rate ->
+          if Float.is_finite (rate *. level) then None
+          else
+            Some
+              (Printf.sprintf
+                 "faults: %s level %g takes a %g bps link to an infinite rate"
+                 what level rate))
+        rates)
+    (Option.fold ~none:[]
+       ~some:(fun f -> levels "fade" f.Faults.Spec.fade_levels)
+       faults.fade
+    @ Option.fold ~none:[]
+        ~some:(fun h -> levels "handover" h.Faults.Spec.ho_levels)
+        faults.handover)
+
 let run spec =
   if List.length spec.flows + List.length spec.cross <> slots spec.topology then
     invalid_arg

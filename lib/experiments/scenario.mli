@@ -132,6 +132,14 @@ val graph :
     reverse trunk. {!run} raises [Invalid_argument] on such a spec. *)
 val faults_fit : topology -> Faults.Spec.t -> bool
 
+(** [rate_overflow topology faults] describes the first fade or
+    handover level that would step a link [faults] varies on
+    [topology] to an infinite rate, e.g. ["faults: fade level 1e+308
+    takes a 800000 bps link to an infinite rate"], or is [None].
+    {!run} raises [Invalid_argument] on such a spec, from
+    {!Faults.Timeline.of_steps}. *)
+val rate_overflow : topology -> Faults.Spec.t -> string option
+
 type spec = {
   topology : topology;
   flows : flow_spec list;  (** one per flow id, in order *)

@@ -19,6 +19,8 @@ let of_steps steps =
       (match rate with
       | Some bps when not (bps > 0.0) ->
         invalid_arg "Timeline.of_steps: rate <= 0"
+      | Some bps when not (Float.is_finite bps) ->
+        invalid_arg "Timeline.of_steps: rate not finite"
       | _ -> ());
       (match delay with
       | Some d when not (d >= 0.0) ->

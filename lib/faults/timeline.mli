@@ -24,7 +24,9 @@ val is_empty : t -> bool
 
     @raise Invalid_argument unless times are non-negative and strictly
     increasing, every step changes at least one of rate/delay, rates
-    are positive and delays non-negative (NaN is none of these). *)
+    are positive and finite, and delays non-negative (NaN is none of
+    these). A fade or handover level large enough to overflow the
+    rate it scales is refused here. *)
 val of_steps : step list -> t
 
 (** [of_string s] parses the textual step form used by

@@ -233,12 +233,15 @@ let show_outcome = function
 let test_pool_order_and_results () =
   let inputs = List.init 17 Fun.id in
   let expected = List.map (fun x -> string_of_int (x * x)) inputs in
-  let run jobs =
-    List.map show_outcome (Campaign.Pool.run ~jobs (fun x -> x * x) inputs)
+  let run ?backend jobs =
+    List.map show_outcome
+      (Campaign.Pool.run ~jobs ?backend (fun x -> x * x) inputs)
   in
   Alcotest.(check (list string)) "parallel run preserves input order" expected
     (run 4);
-  Alcotest.(check (list string)) "serial fallback agrees" expected (run 1)
+  Alcotest.(check (list string)) "one worker agrees" expected (run 1);
+  Alcotest.(check (list string)) "the serial loop agrees" expected
+    (run ~backend:Campaign.Pool.Serial 1)
 
 let test_pool_propagates_failure () =
   Alcotest.(check (list string))
@@ -357,7 +360,7 @@ let test_pool_serial_retry () =
   let failures = ref 0 in
   let policy = { Campaign.Pool.default_policy with retries = 1; backoff = 0.001 } in
   let outcomes =
-    Campaign.Pool.run ~jobs:1 ~policy
+    Campaign.Pool.run ~jobs:1 ~backend:Campaign.Pool.Serial ~policy
       (fun x ->
         if x = 1 && !failures = 0 then begin
           incr failures;
@@ -369,6 +372,146 @@ let test_pool_serial_retry () =
   Alcotest.(check bool)
     "the serial path retries too" true
     (outcomes = [ Campaign.Pool.Settled 0; Settled 10 ])
+
+(* -- persistent workers: each is forked once per call and serves many
+   attempts; a failed one is replaced, and none outlives the call -- *)
+
+let settled outcomes =
+  List.filter_map
+    (function Campaign.Pool.Settled value -> Some value | _ -> None)
+    outcomes
+
+let pids outcomes = List.sort_uniq compare (settled outcomes)
+
+(* The descriptors this process holds, where the platform lists them. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let test_pool_workers_persist () =
+  let served =
+    settled
+      (Campaign.Pool.run ~jobs:2
+         (fun _ -> (Unix.getpid (), open_fds ()))
+         (List.init 20 Fun.id))
+  in
+  Alcotest.(check int) "every item settles" 20 (List.length served);
+  let workers = List.sort_uniq compare (List.map fst served) in
+  Alcotest.(check bool) "at most two workers serve twenty items" true
+    (List.length workers <= 2);
+  Alcotest.(check bool) "no item runs in the supervisor" false
+    (List.mem (Unix.getpid ()) workers);
+  (* A worker closes the pipe ends it inherits from the supervisor, its
+     siblings' included, so the later fork holds no more than the
+     first. *)
+  Alcotest.(check int) "every worker holds the same descriptors" 1
+    (List.length (List.sort_uniq compare (List.map snd served)))
+
+let test_pool_replaces_failed_workers () =
+  let plan =
+    match Campaign.Pool.chaos_of_string "crash:3;trunc:5" with
+    | Ok plan -> plan
+    | Error message -> Alcotest.failf "chaos spec: %s" message
+  in
+  with_chaos plan @@ fun () ->
+  let outcomes =
+    Campaign.Pool.run ~jobs:2 (fun _ -> Unix.getpid ()) (List.init 12 Fun.id)
+  in
+  List.iteri
+    (fun index outcome ->
+      match (index, outcome) with
+      | 3, Campaign.Pool.Failed failure ->
+        Alcotest.(check string) "item 3's worker died"
+          "crashed: killed by SIGKILL"
+          (Campaign.Pool.failure_to_string failure)
+      | 5, Campaign.Pool.Failed failure ->
+        Alcotest.(check string) "item 5's payload tore"
+          "crashed: truncated result payload"
+          (Campaign.Pool.failure_to_string failure)
+      | (3 | 5), _ -> Alcotest.failf "item %d should have failed" index
+      | _, Campaign.Pool.Settled _ -> ()
+      | _ -> Alcotest.failf "item %d should have settled" index)
+    outcomes;
+  Alcotest.(check bool) "two workers plus one replacement per fault" true
+    (List.length (pids outcomes) <= 4)
+
+let check_no_leftovers what before =
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.failf "%s: a worker is still running" what
+  | pid, _ -> Alcotest.failf "%s: worker %d was left unreaped" what pid);
+  Alcotest.(check (option int))
+    (what ^ ": no descriptor leaked") before (open_fds ())
+
+let test_pool_leaves_nothing_behind () =
+  let before = open_fds () in
+  ignore (Campaign.Pool.run ~jobs:2 (fun x -> x) (List.init 6 Fun.id));
+  check_no_leftovers "a clean run" before;
+  (with_chaos (fun ~index ~attempt:_ ->
+       if index = 1 then Some Campaign.Pool.Hang else None)
+   @@ fun () ->
+   let policy = { Campaign.Pool.default_policy with timeout = Some 0.3 } in
+   ignore
+     (Campaign.Pool.run ~jobs:2 ~policy (fun x -> x) (List.init 4 Fun.id)));
+  check_no_leftovers "a deadline kill" before;
+  let stop = ref false in
+  let outcomes =
+    Campaign.Pool.run ~jobs:2
+      ~stop:(fun () -> !stop)
+      ~on_done:(fun _ -> stop := true)
+      (fun x ->
+        Unix.sleepf 0.05;
+        x)
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check bool) "the stop skipped some items" true
+    (List.mem Campaign.Pool.Not_run outcomes);
+  check_no_leftovers "a stop" before
+
+(* Wait until [pid] has exited (a zombie, still unreaped). *)
+let await_exit pid =
+  let stat = Printf.sprintf "/proc/%d/stat" pid in
+  let exited () =
+    match In_channel.with_open_text stat In_channel.input_all with
+    | line -> (
+      match String.rindex_opt line ')' with
+      | Some close -> String.length line > close + 2 && line.[close + 2] = 'Z'
+      | None -> false)
+    | exception Sys_error _ -> false
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  if Sys.file_exists stat then
+    while (not (exited ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done
+  else Unix.sleepf 0.5
+
+let test_pool_idle_worker_death () =
+  (* The first attempt fails in the worker and reports its pid; while
+     the retry backs off, that worker sits idle and is killed. The
+     retry's write then meets a closed pipe: it must neither kill the
+     supervisor with SIGPIPE nor count against the job, which runs on a
+     replacement forked after [killed] was set. *)
+  let killed = ref false in
+  let policy = { Campaign.Pool.default_policy with retries = 1; backoff = 0.2 } in
+  let outcomes =
+    Campaign.Pool.run ~jobs:1 ~policy
+      ~on_retry:(fun ~index:_ ~attempt:_ failure ->
+        match failure with
+        | Campaign.Pool.Crashed message ->
+          let pid = Scanf.sscanf message "Failure(%S)" int_of_string in
+          if pid = Unix.getpid () then
+            Alcotest.fail "the attempt ran in the supervisor";
+          Unix.kill pid Sys.sigkill;
+          await_exit pid;
+          killed := true
+        | _ -> Alcotest.fail "expected the first attempt to raise")
+      (fun x -> if !killed then x else failwith (string_of_int (Unix.getpid ())))
+      [ 42 ]
+  in
+  Alcotest.(check bool) "the retry settles on a replacement worker" true
+    (outcomes = [ Campaign.Pool.Settled 42 ])
 
 (* -- JSON round-trips -- *)
 
@@ -445,7 +588,7 @@ let test_cache_ignores_corrupt_entries () =
 
 let test_parallel_matches_serial () =
   let grid = tiny_grid () in
-  let serial = Campaign.Sweep.run ~jobs:1 grid in
+  let serial = Campaign.Sweep.run ~jobs:1 ~backend:Campaign.Pool.Serial grid in
   let parallel = Campaign.Sweep.run ~jobs:2 grid in
   Alcotest.(check int) "4 seeded jobs" 4
     (List.length serial.Campaign.Sweep.results);
@@ -760,6 +903,14 @@ let suite =
         Alcotest.test_case "pool: retry budget exhausted" `Quick
           test_pool_gives_up_after_retry_budget;
         Alcotest.test_case "pool: serial retry" `Quick test_pool_serial_retry;
+        Alcotest.test_case "pool: workers persist" `Quick
+          test_pool_workers_persist;
+        Alcotest.test_case "pool: failed workers replaced" `Quick
+          test_pool_replaces_failed_workers;
+        Alcotest.test_case "pool: nothing left behind" `Quick
+          test_pool_leaves_nothing_behind;
+        Alcotest.test_case "pool: idle worker death" `Quick
+          test_pool_idle_worker_death;
         Alcotest.test_case "sweep quarantine" `Slow
           test_sweep_quarantines_failures;
         Alcotest.test_case "clean sweep report unchanged" `Slow

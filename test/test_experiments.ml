@@ -385,6 +385,23 @@ let test_nan_level_and_deviation () =
     [ "rrr at p=0.01: +nan%"; "rrr at p=0.01: -30.0%" ]
     (Experiments.Modelcheck.beyond outcome ~tolerance:0.2)
 
+(* Windows are measured from the warm-up on: a horizon inside it
+   would measure nothing and read as a -100% deviation. *)
+let test_modelcheck_refuses_warmup_horizon () =
+  List.iter
+    (fun duration ->
+      Alcotest.check_raises
+        (Printf.sprintf "duration %g is refused" duration)
+        (Invalid_argument
+           (Printf.sprintf
+              "Modelcheck.run: duration %g must exceed the 5 s warm-up"
+              duration))
+        (fun () ->
+          ignore
+            (Experiments.Modelcheck.run ~variants:[ Core.Variant.Rr ]
+               ~loss_rates:[ 0.01 ] ~seeds:[ 3L ] ~duration ())))
+    [ 3.0; Experiments.Modelcheck.warmup; Float.nan ]
+
 (* The asym clause needs the dumbbell's reverse trunk: one predicate
    decides, for the CLI's up-front check and for [Scenario.run]. *)
 let test_faults_fit () =
@@ -450,6 +467,8 @@ let suite =
           test_modelcheck_relentless_tolerance;
         Alcotest.test_case "NaN level and deviation" `Quick
           test_nan_level_and_deviation;
+        Alcotest.test_case "modelcheck refuses a warm-up horizon" `Quick
+          test_modelcheck_refuses_warmup_horizon;
         Alcotest.test_case "asym needs the dumbbell" `Quick test_faults_fit;
       ] );
   ]

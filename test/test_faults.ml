@@ -418,6 +418,39 @@ let test_non_finite_rejected () =
         (Faults.Timeline.of_steps
            [ { Faults.Timeline.at = 1.0; rate = Some Float.nan; delay = None } ]))
 
+(* A finite fade level can still overflow the rate it scales: the
+   timeline refuses the infinite step, and the scenario names the level
+   before any run starts. *)
+let test_fade_overflow_refused () =
+  let overflow = "Timeline.of_steps: rate not finite" in
+  Alcotest.check_raises "of_steps refuses an infinite rate"
+    (Invalid_argument overflow) (fun () ->
+      ignore
+        (Faults.Timeline.of_steps
+           [ { Faults.Timeline.at = 1.0; rate = Some Float.infinity; delay = None } ]));
+  Alcotest.check_raises "fading refuses a level that overflows the rate"
+    (Invalid_argument overflow) (fun () ->
+      ignore
+        (Faults.Timeline.fading ~period:1.0 ~base_bps:800_000.0
+           ~levels:[ 1.0; 1e308 ] ~until:5.0 ()));
+  let dumbbell =
+    Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1)
+  in
+  Alcotest.(check (option string))
+    "the scenario names the overflowing level"
+    (Some "faults: fade level 1e+308 takes a 800000 bps link to an infinite rate")
+    (Experiments.Scenario.rate_overflow dumbbell (spec_of "fade:1+1+1e308"));
+  Alcotest.(check (option string))
+    "a large finite product is a rate" None
+    (Experiments.Scenario.rate_overflow dumbbell (spec_of "fade:1+1e300"));
+  Alcotest.check_raises "the run refuses it too" (Invalid_argument overflow)
+    (fun () ->
+      ignore
+        (Experiments.Scenario.run
+           (Experiments.Scenario.make ~topology:dumbbell
+              ~flows:[ Experiments.Scenario.flow Core.Variant.Rr ]
+              ~duration:5.0 ~faults:(spec_of "fade:1+1e308") ())))
+
 (* -- properties over whole scenarios -- *)
 
 let run_faulted ?(variant = Core.Variant.Rr) ?(seed = 7L) ?(duration = 5.0)
@@ -631,6 +664,8 @@ let suite =
           test_spec_hostile_parse;
         Alcotest.test_case "non-finite numbers rejected" `Quick
           test_non_finite_rejected;
+        Alcotest.test_case "fade overflow refused" `Quick
+          test_fade_overflow_refused;
         Alcotest.test_case "timeline string form" `Quick
           test_timeline_string_form;
         Alcotest.test_case "faulted scenarios stay clean" `Slow
