@@ -96,17 +96,15 @@ let link_saturated () =
   Sim.Engine.run engine;
   assert (!delivered = 20_000)
 
-(* The same 12-job sweep under each supervised backend, one worker
-   each, so the fork/domains comparison isolates per-attempt dispatch
-   cost (one fork per sweep plus a pipe and Marshal round trip per job,
-   vs shared-memory hand-off) from machine-dependent parallel speedup.
-   A backend that quietly quarantined its jobs would "win" every
-   timing, so a clean sweep is asserted. (The GC counters are
-   per-process: the fork entry's words exclude allocation done in the
-   worker process, the domain entry's include every worker.) *)
-let campaign_sweep backend =
+(* A 12-job sweep on one persistent fork worker, so the timing is
+   per-job dispatch cost (one fork per sweep plus a pipe and Marshal
+   round trip per job) rather than machine-dependent parallel speedup.
+   A sweep that quietly quarantined its jobs would "win" every timing,
+   so a clean sweep is asserted. (The GC counters are per-process: the
+   words exclude allocation done in the worker process.) *)
+let campaign_sweep () =
   let outcome =
-    Campaign.Sweep.run ~jobs:1 ~backend
+    Campaign.Sweep.run ~jobs:1
       (Campaign.Sweep.grid
          ~variants:Core.Variant.[ Newreno; Rr ]
          ~uniform_losses:[ 0.01; 0.05 ] ~seed_count:3 ~duration:5.0 ())
@@ -160,14 +158,7 @@ let all_benchmarks : (string * (unit -> unit)) list =
         ignore
           (Experiments.Rtt_fairness.run ~variants:[ Core.Variant.Rr ]
              ~duration:40.0 ()) );
-    (* The same 12-job sweep under each supervised backend, one worker
-       each so the comparison isolates per-attempt dispatch cost (pipe
-       and Marshal vs shared-memory hand-off) from machine-dependent
-       parallel speedup. Registration order matters: the OCaml runtime
-       refuses [Unix.fork] forever once any domain has been spawned in
-       the process, so the fork entry must run first. *)
-    ("campaign/12-job-fork", fun () -> campaign_sweep Campaign.Pool.Forked);
-    ("campaign/12-job-domains", fun () -> campaign_sweep Campaign.Pool.Domains);
+    ("campaign/12-job-fork", campaign_sweep);
     ( "micro/engine-100k-events",
       fun () ->
         let engine = Sim.Engine.create () in

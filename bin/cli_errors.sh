@@ -110,8 +110,21 @@ expect '--duration nan: must be finite and >= 0' sweep --duration nan --no-cache
 expect '--cbr-share 1e+300: too high: the CBR packet interval does not advance the clock' sweep --cbr-share 1e300 --variants rr --seeds 1 --duration 1 --jobs 1 --no-cache
 expect '--cbr-share 0.1: needs a spare topology slot, which a fat tree lacks' sweep --topologies fat-tree --cbr-share 0.1 --no-cache
 
-# sweep: a deadline only a worker process can enforce.
-expect '--timeout 0.5: the serial pool cannot enforce deadlines' sweep --pool serial --timeout 0.5 --variants rr --seeds 1 --no-cache
+# sweep: the supervision flags and the chaos spec.
+sweep() {
+  want=$1
+  shift
+  expect "$want" sweep --variants rr --seeds 1 --duration 1 --no-cache "$@"
+}
+sweep '--timeout nan: must be finite and >= 0' --timeout nan
+sweep '--timeout -5: must be finite and >= 0' --timeout=-5
+sweep '--timeout inf: must be finite and >= 0' --timeout inf
+sweep '--retries -3: must be >= 0' --retries=-3
+sweep '--backoff nan: must be finite and >= 0' --backoff nan
+sweep '--jobs -2: must be >= 0' --jobs=-2
+export RR_SIM_POOL_CHAOS=bogus
+sweep 'RR_SIM_POOL_CHAOS: invalid chaos clause "bogus" (expected ACTION:JOB[,JOB...])'
+unset RR_SIM_POOL_CHAOS
 
 # modelcheck: the models' domain, the horizon and the RRR level.
 expect '--rrr-level nan: must be inside (0, 1)' modelcheck --rrr-level nan --variants rrr --loss 0.01 --seeds 1 --duration 10 --check 0.2

@@ -761,27 +761,6 @@ let sweep_term =
     in
     Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
-  let pool =
-    let pool_conv =
-      Arg.enum
-        [
-          ("serial", Campaign.Pool.Serial);
-          ("fork", Campaign.Pool.Forked);
-          ("domains", Campaign.Pool.Domains);
-        ]
-    in
-    let doc =
-      "Worker pool backend: $(b,fork) (persistent worker processes fed \
-       jobs over pipes; concurrent jobs never share a process, and a worker \
-       past its deadline is SIGKILLed and replaced), $(b,domains) \
-       (shared-memory OCaml domains; no marshalling, deadlines abandon \
-       rather than kill the worker) or $(b,serial) (in-process loop; no \
-       deadlines, so --timeout is refused). Default: fork, at every \
-       --jobs."
-    in
-    Arg.(
-      value & opt (some pool_conv) None & info [ "pool" ] ~docv:"BACKEND" ~doc)
-  in
   let cache_dir =
     let doc = "Result-cache directory (content-addressed JSON entries)." in
     Arg.(value & opt string "_campaign" & info [ "cache-dir" ] ~docv:"DIR" ~doc)
@@ -811,7 +790,10 @@ let sweep_term =
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let backoff =
-    let doc = "Base retry backoff in seconds: retry N waits backoff * 2^(N-1)." in
+    let doc =
+      "Base retry backoff in seconds: retry N waits backoff * 2^(N-1) (0 = \
+       retry at once)."
+    in
     Arg.(value & opt float 0.5 & info [ "backoff" ] ~docv:"SECONDS" ~doc)
   in
   let resume =
@@ -822,7 +804,7 @@ let sweep_term =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let run axes seed_count duration flows rwnd jobs pool cache_dir no_cache json
+  let run axes seed_count duration flows rwnd jobs cache_dir no_cache json
       timeout retries backoff resume seed =
     let bindings =
       List.map
@@ -833,9 +815,14 @@ let sweep_term =
             usage_error "--%s %s: %s" a.Campaign.Job.flag text message)
         axes
     in
-    if pool = Some Campaign.Pool.Serial && timeout > 0.0 then
-      usage_error "--timeout %g: the serial pool cannot enforce deadlines"
-        timeout;
+    let finite_nonnegative flag x =
+      if not (Float.is_finite x && x >= 0.0) then
+        usage_error "--%s %g: must be finite and >= 0" flag x
+    in
+    finite_nonnegative "timeout" timeout;
+    finite_nonnegative "backoff" backoff;
+    if retries < 0 then usage_error "--retries %d: must be >= 0" retries;
+    if jobs < 0 then usage_error "--jobs %d: must be >= 0" jobs;
     (* Fail fast on an unparseable chaos spec instead of aborting
        mid-sweep from inside the pool. *)
     (match Sys.getenv_opt Campaign.Pool.chaos_env with
@@ -881,13 +868,11 @@ let sweep_term =
     let policy =
       {
         Campaign.Pool.timeout = (if timeout > 0.0 then Some timeout else None);
-        retries = max 0 retries;
-        backoff =
-          (if backoff > 0.0 then backoff
-           else Campaign.Pool.default_policy.Campaign.Pool.backoff);
+        retries;
+        backoff;
       }
     in
-    let jobs = if jobs <= 0 then Campaign.Pool.default_jobs () else jobs in
+    let jobs = if jobs = 0 then Campaign.Pool.default_jobs () else jobs in
     let on_progress ~completed ~total =
       if not json then begin
         Printf.eprintf "\rsweep: %d/%d job(s)%s" completed total
@@ -914,7 +899,7 @@ let sweep_term =
         (fun () ->
           Campaign.Sweep.run ?cache ?journal ~policy
             ~stop:(fun () -> !interrupted_by <> None)
-            ~jobs ?backend:pool ~on_progress grid)
+            ~jobs ~on_progress grid)
     in
     if (not json) && outcome.Campaign.Sweep.interrupted then
       prerr_newline ();
@@ -927,8 +912,7 @@ let sweep_term =
       else if Campaign.Sweep.total_violations outcome > 0 then exit 1
   in
   Term.(
-    const run $ axes $ seed_count $ duration $ flows $ rwnd $ jobs $ pool
-    $ cache_dir
+    const run $ axes $ seed_count $ duration $ flows $ rwnd $ jobs $ cache_dir
     $ no_cache $ json $ timeout $ retries $ backoff $ resume $ seed_arg)
 
 let sweep_cmd =

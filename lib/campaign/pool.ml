@@ -2,19 +2,7 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* -- execution backends -- *)
 
-type backend = Serial | Forked | Domains
-
-let backend_name = function
-  | Serial -> "serial"
-  | Forked -> "fork"
-  | Domains -> "domains"
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "serial" -> Ok Serial
-  | "fork" | "forked" -> Ok Forked
-  | "domain" | "domains" -> Ok Domains
-  | other -> Error (Printf.sprintf "unknown pool backend %S" other)
+type backend = Serial | Forked
 
 (* -- failure taxonomy -- *)
 
@@ -158,7 +146,7 @@ let signal_name signal =
   else if signal = Sys.sigabrt then "SIGABRT"
   else Printf.sprintf "signal %d" signal
 
-(* -- supervision book-keeping, shared by the fork and domain pools --
+(* -- supervision book-keeping --
 
    The attempts waiting to start (each not before its backoff ends),
    every item's terminal state, and the policy's verdict on a finished
@@ -303,35 +291,28 @@ let death = function
   | Unix.WEXITED code -> Printf.sprintf "exited with status %d" code
   | Unix.WSTOPPED signal -> Printf.sprintf "stopped by %s" (signal_name signal)
 
+(* The tests' in-process reference: the fork pool's ledger drained in
+   input order in the calling process, each item's retries before the
+   next item starts. *)
 let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
-  let settled = ref 0 in
-  List.mapi
+  let pending, resolve, outcomes =
+    ledger ~policy ~on_done ~on_retry ~on_settled (List.length items)
+  in
+  List.iteri
     (fun index item ->
-      if stop () then Not_run
-      else begin
-        let rec attempt n =
-          match f item with
-          | value -> Settled value
-          | exception e ->
-            let failure = Crashed (Printexc.to_string e) in
-            if n <= policy.retries && not (stop ()) then begin
-              on_retry ~index ~attempt:n failure;
-              Unix.sleepf (backoff_delay policy n);
-              attempt (n + 1)
-            end
-            else if n = 1 then Failed failure
-            else Failed (Gave_up n)
-        in
-        let outcome = attempt 1 in
-        (match outcome with
-        | Settled value -> on_settled ~index (Ok value)
-        | Failed failure -> on_settled ~index (Error failure)
-        | Not_run -> ());
-        incr settled;
-        on_done !settled;
-        outcome
-      end)
-    items
+      let rec drain () =
+        match List.find_opt (fun p -> p.p_index = index) !pending with
+        | Some next when not (stop ()) ->
+          pending := List.filter (fun p -> p != next) !pending;
+          Unix.sleepf (Float.max 0.0 (next.not_before -. Unix.gettimeofday ()));
+          resolve ~index ~attempt:next.p_attempt
+            (try Ok (f item) with e -> Error (Crashed (Printexc.to_string e)));
+          drain ()
+        | _ -> ()
+      in
+      drain ())
+    items;
+  outcomes ()
 
 let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
   let plan = resolve_chaos () in
@@ -340,6 +321,7 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
     ledger ~policy ~on_done ~on_retry ~on_settled (Array.length items)
   in
   let workers = ref [] in
+  let width = ref jobs in
   let spawn () =
     (* Anything buffered in the supervisor would otherwise be flushed a
        second time by the worker's channels. *)
@@ -407,29 +389,45 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
     in
     worker.busy <- Some { index; attempt; deadline }
   in
+  (* With SIGPIPE ignored, a worker that died while idle fails the write
+     with EPIPE; the attempt never started, so it goes back to the front
+     of the queue. *)
+  let hand worker next =
+    pending := List.filter (fun p -> p != next) !pending;
+    try dispatch worker next
+    with Unix.Unix_error (Unix.EPIPE, _, _) ->
+      ignore (retire worker);
+      pending := next :: !pending
+  in
   (* Hand every mature pending attempt to an idle worker, forking one
-     while the pool is below strength. *)
+     while the pool is below strength. A refused fork (out of descriptors
+     or processes) lowers the strength to the workers alive, which keeps
+     the two descriptors the last good fork freed for cache and journal
+     writes; with no worker alive, the attempt fails. *)
   let rec start now =
     match List.find_opt (fun p -> p.not_before <= now) !pending with
     | None -> ()
     | Some next -> (
-      let worker =
-        match List.find_opt (fun w -> w.busy = None) !workers with
-        | Some idle -> Some idle
-        | None -> if List.length !workers < jobs then Some (spawn ()) else None
-      in
-      match worker with
-      | None -> ()
-      | Some worker ->
-        pending := List.filter (fun p -> p != next) !pending;
-        (* With SIGPIPE ignored, a worker that died while idle fails
-           the write with EPIPE; the attempt never started, so it goes
-           back to the front of the queue. *)
-        (try dispatch worker next
-         with Unix.Unix_error (Unix.EPIPE, _, _) ->
-           ignore (retire worker);
-           pending := next :: !pending);
-        start now)
+      let alive = List.length !workers in
+      match List.find_opt (fun w -> w.busy = None) !workers with
+      | Some idle ->
+        hand idle next;
+        start now
+      | None when alive < !width -> (
+        match spawn () with
+        | worker ->
+          hand worker next;
+          start now
+        | exception Unix.Unix_error _ when alive > 0 -> width := alive
+        | exception Unix.Unix_error (error, call, _) ->
+          pending := List.filter (fun p -> p != next) !pending;
+          resolve ~index:next.p_index ~attempt:next.p_attempt
+            (Error
+               (Crashed
+                  (Printf.sprintf "cannot start a worker: %s: %s" call
+                     (Unix.error_message error))));
+          start now)
+      | None -> ())
   in
   let receive worker task =
     match (Marshal.from_channel worker.channel : ('b, string) result) with
@@ -527,234 +525,6 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
       done);
   outcomes ()
 
-(* -- the domain-sharded pool --
-
-   A fixed team of [jobs] worker domains takes (index, attempt) tasks
-   from a shared ready queue and pushes results onto a shared result
-   queue, both guarded by one mutex; job specs live in a shared array
-   the workers read in place — no fork, no Marshal. The supervisor
-   (the calling domain) still owns all policy: it matures backed-off
-   retries into the ready queue, starts each attempt's deadline when a
-   worker stamps the task as picked up, and settles outcomes in input
-   order. A byte over a pipe accompanies every pushed result so the
-   supervisor can block in [select] with the same deadline horizon the
-   fork backend uses ([Condition] has no timed wait).
-
-   The semantic difference from fork: a domain cannot be SIGKILLed.
-   An attempt that outlives its deadline is {e abandoned} — reported
-   [Timed_out] exactly like fork — but its worker keeps running inside
-   [f]. The supervisor spawns a replacement domain so pool capacity
-   survives a genuinely hung job; if the abandoned attempt later
-   finishes after all, its result is discarded and one surplus worker
-   retires at its next queue visit. Chaos actions map accordingly:
-   [Hang] hangs the worker cooperatively (recoverable only via a
-   deadline, as with fork), while [Crash] and [Truncate] — process
-   death and a torn Marshal payload, neither of which exists in-domain
-   — degrade to an immediately failed attempt with a distinguishing
-   message. *)
-
-type 'b domain_result = {
-  r_index : int;
-  r_attempt : int;
-  r_value : ('b, string) result;
-}
-
-let rec notify_byte fd =
-  match Unix.write_substring fd "!" 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> notify_byte fd
-
-let run_domains ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
-  let plan = resolve_chaos () in
-  let items = Array.of_list items in
-  let total = Array.length items in
-  let m = Mutex.create () in
-  let work_cond = Condition.create () in
-  let ready : (int * int) Queue.t = Queue.create () in
-  let results : 'b domain_result Queue.t = Queue.create () in
-  let started : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
-  let shutdown = ref false in
-  let retire = ref 0 in
-  let notify_rd, notify_wr = Unix.pipe ~cloexec:true () in
-  let worker () =
-    let rec loop () =
-      Mutex.lock m;
-      let rec await () =
-        if !shutdown then None
-        else if !retire > 0 then begin
-          decr retire;
-          None
-        end
-        else if Queue.is_empty ready then begin
-          Condition.wait work_cond m;
-          await ()
-        end
-        else begin
-          let task = Queue.pop ready in
-          (* The attempt's deadline starts now, not when it was queued
-             behind other work — same basis as fork, which forks (and
-             stamps) only when capacity frees up. *)
-          Hashtbl.replace started task (Unix.gettimeofday ());
-          Some task
-        end
-      in
-      let task = await () in
-      Mutex.unlock m;
-      match task with
-      | None -> ()
-      | Some (index, attempt) ->
-        let action =
-          match plan with None -> None | Some plan -> plan ~index ~attempt
-        in
-        let value =
-          match action with
-          | Some Crash -> Error "chaos crash (in-domain: no process to kill)"
-          | Some Truncate ->
-            Error "chaos truncate (in-domain: no payload to tear)"
-          | Some Hang ->
-            while true do
-              Unix.sleepf 3600.0
-            done;
-            assert false
-          | None -> (
-            try Ok (f items.(index)) with e -> Error (Printexc.to_string e))
-        in
-        Mutex.lock m;
-        Queue.push { r_index = index; r_attempt = attempt; r_value = value }
-          results;
-        Mutex.unlock m;
-        (try notify_byte notify_wr with Unix.Unix_error _ -> ());
-        loop ()
-    in
-    loop ()
-  in
-  let domains = ref [] in
-  let spawn_worker () = domains := Domain.spawn worker :: !domains in
-  for _ = 1 to min jobs (max total 1) do
-    spawn_worker ()
-  done;
-  let pending, resolve, outcomes =
-    ledger ~policy ~on_done ~on_retry ~on_settled total
-  in
-  (* (index, attempt) attempts in flight on some worker, and those
-     abandoned at their deadline whose late results must be dropped. *)
-  let inflight : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let abandoned : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  while (not (stop ())) && (!pending <> [] || Hashtbl.length inflight > 0) do
-    let now = Unix.gettimeofday () in
-    let mature, immature =
-      List.partition (fun p -> p.not_before <= now) !pending
-    in
-    pending := immature;
-    if mature <> [] then begin
-      Mutex.lock m;
-      List.iter
-        (fun p ->
-          Hashtbl.replace inflight (p.p_index, p.p_attempt) ();
-          Queue.push (p.p_index, p.p_attempt) ready;
-          Condition.signal work_cond)
-        mature;
-      Mutex.unlock m
-    end;
-    (* Sleep until a worker reports, the nearest running attempt's
-       deadline expires, or the nearest backed-off retry matures. *)
-    let horizon =
-      Mutex.lock m;
-      let h =
-        match policy.timeout with
-        | None -> infinity
-        | Some timeout ->
-          Hashtbl.fold
-            (fun key () acc ->
-              match Hashtbl.find_opt started key with
-              | Some t0 -> Float.min (t0 +. timeout) acc
-              | None -> acc)
-            inflight infinity
-      in
-      Mutex.unlock m;
-      List.fold_left (fun acc p -> Float.min p.not_before acc) h !pending
-    in
-    let timeout =
-      if horizon = infinity then -1.0
-      else Float.max 0.0 (horizon -. Unix.gettimeofday ())
-    in
-    (match select_read [ notify_rd ] timeout with
-    | [] -> ()
-    | _ :: _ -> (
-      let scratch = Bytes.create 256 in
-      match Unix.read notify_rd scratch 0 256 with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    let fresh =
-      Mutex.lock m;
-      let batch = List.of_seq (Queue.to_seq results) in
-      Queue.clear results;
-      List.iter (fun r -> Hashtbl.remove started (r.r_index, r.r_attempt)) batch;
-      Mutex.unlock m;
-      batch
-    in
-    List.iter
-      (fun { r_index = index; r_attempt = attempt; r_value = value } ->
-        let key = (index, attempt) in
-        if Hashtbl.mem abandoned key then begin
-          (* The attempt was already reported Timed_out and replaced;
-             drop the late result and shrink the pool back. *)
-          Hashtbl.remove abandoned key;
-          Mutex.lock m;
-          incr retire;
-          Condition.signal work_cond;
-          Mutex.unlock m
-        end
-        else begin
-          Hashtbl.remove inflight key;
-          resolve ~index ~attempt
-            (Result.map_error (fun message -> Crashed message) value)
-        end)
-      fresh;
-    (match policy.timeout with
-    | None -> ()
-    | Some timeout ->
-      let now = Unix.gettimeofday () in
-      let expired =
-        Mutex.lock m;
-        let e =
-          Hashtbl.fold
-            (fun key () acc ->
-              match Hashtbl.find_opt started key with
-              | Some t0 when t0 +. timeout <= now -> key :: acc
-              | _ -> acc)
-            inflight []
-        in
-        Mutex.unlock m;
-        e
-      in
-      List.iter
-        (fun ((index, attempt) as key) ->
-          Hashtbl.remove inflight key;
-          Hashtbl.replace abandoned key ();
-          (* The stuck worker cannot be reclaimed; keep the pool at
-             strength for the remaining jobs. *)
-          spawn_worker ();
-          resolve ~index ~attempt (Error (Timed_out timeout)))
-        expired)
-  done;
-  let stopped = stop () in
-  Mutex.lock m;
-  shutdown := true;
-  Condition.broadcast work_cond;
-  Mutex.unlock m;
-  (* Workers exit at their next queue visit. Joining is safe only when
-     none is (possibly forever) inside [f]: skip it after a stop
-     request or with abandoned attempts outstanding — those domains
-     (and the notify pipe they may still poke) are left to process
-     exit. *)
-  if (not stopped) && Hashtbl.length abandoned = 0 then begin
-    List.iter Domain.join !domains;
-    (try Unix.close notify_rd with Unix.Unix_error _ -> ());
-    try Unix.close notify_wr with Unix.Unix_error _ -> ()
-  end;
-  outcomes ()
-
 let run ~jobs ?backend ?(policy = default_policy) ?(stop = fun () -> false)
     ?(on_done = fun _ -> ()) ?(on_retry = fun ~index:_ ~attempt:_ _ -> ())
     ?(on_settled = fun ~index:_ _ -> ()) f items =
@@ -763,6 +533,3 @@ let run ~jobs ?backend ?(policy = default_policy) ?(stop = fun () -> false)
   | Forked ->
     run_forked ~jobs:(max 1 jobs) ~policy ~stop ~on_done ~on_retry ~on_settled
       f items
-  | Domains ->
-    run_domains ~jobs:(max 1 jobs) ~policy ~stop ~on_done ~on_retry
-      ~on_settled f items

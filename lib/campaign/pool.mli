@@ -1,55 +1,33 @@
-(** Supervised worker pool with pluggable execution backends.
+(** Supervised worker pool.
 
-    The {!Forked} backend, the default, runs the tasks on up to [jobs]
-    persistent worker processes, forked once per {!run} call: the
-    supervisor writes each attempt's (index, attempt) on an idle
-    worker's task pipe, and the worker marshals the result back on its
-    result pipe. Concurrent jobs never share a process, so the
-    simulator's global state (engine clocks, RNGs, counters) never
-    interleaves between them; consecutive jobs on one worker are as
-    independent as consecutive jobs of the serial loop. A worker that
-    dies, tears its payload or passes its deadline is SIGKILLed,
-    reaped and replaced by a fresh fork when the next attempt needs
-    one; when {!run} returns, every worker has left and been reaped.
-    The {!Domains} backend shards the same tasks across a fixed team
-    of [Domain.spawn] workers instead: job specs sit in a shared
-    read-only array, results come back through a lock-protected queue,
-    and both fork and Marshal drop out of the picture. {!Serial} is the
-    plain in-process loop.
+    {!run} runs the tasks on up to [jobs] persistent worker processes,
+    forked once per call: the supervisor writes each attempt's (index,
+    attempt) on an idle worker's task pipe, and the worker marshals the
+    result back on its result pipe. Concurrent jobs never share a
+    process, so the simulator's global state (engine clocks, RNGs,
+    counters) never interleaves between them; consecutive jobs on one
+    worker are as independent as consecutive jobs of the serial loop. A
+    worker that dies, tears its payload or passes its deadline is
+    SIGKILLed, reaped and replaced by a fresh fork when the next attempt
+    needs one; when {!run} returns, every worker has left and been
+    reaped. If the system refuses a fork (out of descriptors or
+    processes), the pool narrows to the workers alive, and with none
+    alive the attempt fails.
 
-    The calling domain is a supervisor, not a bystander: every attempt
-    carries an optional wall-clock deadline, failed attempts are
-    retried up to a bounded budget with deterministic exponential
-    backoff, and a batch {e always} settles — a crashed, hung or torn
-    worker becomes a {!Failed} slot in the result list instead of
-    aborting its siblings. [Unix.select] and [Unix.waitpid] are retried
-    on [EINTR], so signal delivery (expected once the CLI installs
-    SIGINT/SIGTERM handlers) cannot abort a collect mid-flight, and
-    SIGPIPE is ignored for the call, so a task written to a worker that
-    died while idle fails with [EPIPE] and goes to another worker.
-
-    Deadline enforcement differs by backend, because a domain cannot
-    be SIGKILLed the way a worker process can. Fork kills and reaps an
-    expired worker. Domains {e abandon} the expired attempt: it is
-    reported {!Timed_out} at the same moment fork would report it, a
-    replacement worker is spawned so a genuinely hung job does not
-    shrink the pool, and if the abandoned attempt finishes after all
-    its late result is discarded and one surplus worker retires. A
-    worker hung forever (e.g. chaos [Hang]) therefore still occupies a
-    domain until the process exits — the supervisor just stops waiting
-    for it.
+    The caller is a supervisor, not a bystander: every attempt carries
+    an optional wall-clock deadline, failed attempts are retried up to a
+    bounded budget with deterministic exponential backoff, and a batch
+    {e always} settles — a crashed, hung or torn worker becomes a
+    {!Failed} slot in the result list instead of aborting its siblings.
+    [Unix.select] and [Unix.waitpid] are retried on [EINTR], so signal
+    delivery (expected once the CLI installs SIGINT/SIGTERM handlers)
+    cannot abort a collect mid-flight, and SIGPIPE is ignored for the
+    call, so a task written to a worker that died while idle fails with
+    [EPIPE] and goes to another worker.
 
     Simulation jobs are deterministic and allocate all run state per
-    job (engines, RNG states), so every backend returns exactly what
-    the serial run would, only sooner.
-
-    One-way door: the OCaml runtime permanently refuses [Unix.fork]
-    once any domain has been spawned in the process — even after every
-    domain has been joined — so a process that has used the {!Domains}
-    backend can never run {!Forked} afterwards ({!run} then raises
-    [Failure]). Anything exercising both backends in one process must
-    order the fork-backed work first; the bench harness and the
-    backend test suite do. *)
+    job (engines, RNG states), so the pool returns exactly what the
+    serial reference loop would, only sooner. *)
 
 (** [default_jobs ()] is the host's recommended parallelism (core
     count as reported by the runtime). *)
@@ -58,21 +36,13 @@ val default_jobs : unit -> int
 (** {1 Execution backends} *)
 
 type backend =
-  | Serial  (** in-process loop; no parallelism, no deadlines, no chaos *)
+  | Serial
+      (** the in-process reference loop that tests compare against; no
+          parallelism, no deadlines, no chaos *)
   | Forked
       (** up to [jobs] persistent worker processes, forked once per
           {!run} call and fed attempts over pipes, results marshalled
           back; a dead, torn or expired worker is replaced *)
-  | Domains
-      (** shared-memory [Domain.spawn] worker team; deadlines abandon
-          rather than kill (see above) *)
-
-(** [backend_name backend] is ["serial"], ["fork"] or ["domains"]. *)
-val backend_name : backend -> string
-
-(** [backend_of_string s] parses {!backend_name} spellings (plus
-    ["forked"]/["domain"]), case-insensitively. *)
-val backend_of_string : string -> (backend, string) result
 
 (** {1 Failure taxonomy} *)
 
@@ -135,12 +105,8 @@ type chaos_plan = index:int -> attempt:int -> chaos_action option
 
 (** Process-wide chaos hook consulted by {!run}; [None] (the default)
     falls back to parsing {!chaos_env}. Tests set it directly. The
-    serial path ignores chaos. Forked workers consult it as each
-    attempt arrives and reproduce the action literally; domain workers map [Hang] to a cooperative hang (the
-    attempt never reports; only a deadline recovers it) and [Crash] /
-    [Truncate] — process death and a torn Marshal payload, neither of
-    which exists in-domain — to an immediately failed attempt with a
-    distinguishing message. *)
+    serial path ignores chaos; forked workers consult it as each
+    attempt arrives and reproduce the action literally. *)
 val chaos : chaos_plan option ref
 
 (** Name of the environment variable ["RR_SIM_POOL_CHAOS"] holding a
@@ -160,11 +126,10 @@ val chaos_of_string : string -> (chaos_plan, string) result
     concurrently under [policy], and returns one {!outcome} per item in
     input order. [backend] defaults to {!Forked} at every [jobs >= 1],
     so deadlines, chaos and a stop request hold even for one worker;
-    {!Serial} runs only when asked for.
+    {!Serial} runs only when a test asks for it.
 
     [stop] is polled between collect rounds; once it returns [true],
-    busy fork workers are SIGKILLed and every worker reaped (domain
-    workers are told to exit at their next queue visit), and every job
+    busy workers are SIGKILLed and every worker reaped, and every job
     not yet settled is reported {!Not_run} — already-settled work is
     kept.
     [on_done] is called in the supervisor as each item settles (with
@@ -172,7 +137,7 @@ val chaos_of_string : string -> (chaos_plan, string) result
     on each non-final failed attempt, before the backoff; [on_settled]
     fires on each terminal outcome — success or final failure — as it
     happens, so callers can persist results incrementally (eager cache
-    stores, run journals). All callbacks run in the calling domain.
+    stores, run journals). All callbacks run in the supervisor.
 
     @raise Invalid_argument if {!chaos_env} holds an unparseable spec. *)
 val run :

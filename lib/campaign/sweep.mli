@@ -102,10 +102,9 @@ type outcome = {
     the legacy wait-forever behaviour). [stop] is polled between
     collect rounds; once true, in-flight workers are SIGKILLed and the
     remaining jobs are skipped. [jobs] sets the pool width (default
-    {!Pool.default_jobs}) and [backend] the execution strategy
-    ({!Pool.run}'s default when omitted: fork, at every width);
-    backends are interchangeable — the deterministic jobs make the
-    report identical across serial, fork and domain pools.
+    {!Pool.default_jobs}). [backend] is {!Pool.run}'s: the fork pool at
+    every width when omitted, or the serial reference loop that tests
+    compare against — the deterministic jobs make the report identical.
     [on_progress] is called after every settled job with the completed
     count and the total. *)
 val run :

@@ -586,10 +586,34 @@ let test_cache_ignores_corrupt_entries () =
 
 (* -- parallel vs serial equivalence -- *)
 
+(* Journal lines of two sweeps differ only in their wall-clock stamps
+   and settle order; zero the stamp and sort to compare. *)
+let canonical_journal path =
+  let zero line =
+    match String.index_opt line ',' with
+    | Some comma when String.starts_with ~prefix:{|{"t":|} line ->
+      {|{"t":0|} ^ String.sub line comma (String.length line - comma)
+    | _ -> line
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n' |> List.map zero |> List.sort compare
+
 let test_parallel_matches_serial () =
   let grid = tiny_grid () in
-  let serial = Campaign.Sweep.run ~jobs:1 ~backend:Campaign.Pool.Serial grid in
-  let parallel = Campaign.Sweep.run ~jobs:2 grid in
+  let sweep = Campaign.Sweep.sweep_digest grid in
+  let total = List.length (Campaign.Sweep.jobs_of_grid grid) in
+  let run ?backend () =
+    let path = Filename.temp_file "rr-campaign" ".journal.jsonl" in
+    let journal = Campaign.Journal.start ~path ~sweep ~total in
+    let outcome = Campaign.Sweep.run ~journal ~jobs:2 ?backend grid in
+    Campaign.Journal.close journal;
+    let canon = canonical_journal path in
+    Sys.remove path;
+    (* Only the wall-clock "in N s" differs between the pools. *)
+    ({ outcome with Campaign.Sweep.elapsed_seconds = 0.0 }, canon)
+  in
+  let serial, serial_journal = run ~backend:Campaign.Pool.Serial () in
+  let parallel, parallel_journal = run () in
   Alcotest.(check int) "4 seeded jobs" 4
     (List.length serial.Campaign.Sweep.results);
   Alcotest.(check string)
@@ -597,10 +621,15 @@ let test_parallel_matches_serial () =
     (Campaign.Json.to_string (Campaign.Sweep.results_json serial))
     (Campaign.Json.to_string (Campaign.Sweep.results_json parallel));
   Alcotest.(check string)
+    "text reports agree" (Campaign.Sweep.report serial)
+    (Campaign.Sweep.report parallel);
+  Alcotest.(check string)
     "aggregates agree"
-    (Campaign.Sweep.report_json { serial with elapsed_seconds = 0.0; workers = 0 })
-    (Campaign.Sweep.report_json
-       { parallel with elapsed_seconds = 0.0; workers = 0 })
+    (Campaign.Sweep.report_json serial)
+    (Campaign.Sweep.report_json parallel);
+  Alcotest.(check (list string))
+    "journals record the same terminal states" serial_journal
+    parallel_journal
 
 let test_sweep_is_audited () =
   let outcome = Campaign.Sweep.run ~jobs:2 (tiny_grid ()) in

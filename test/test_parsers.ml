@@ -1,8 +1,8 @@
 (* Fuzzing the string parsers behind `rr-sim run` and `rr-sim sweep`:
-   the fault DSL, --link-schedule, gateway and topology strings and
-   --cross-traffic. Cases are built from each grammar's own tokens
-   mixed with numeric edge tokens, so most of them are near misses of
-   valid input. Every case must end in [Ok] or [Error], never in an
+   the fault DSL, --link-schedule, gateway and topology strings,
+   --cross-traffic and the pool's chaos spec. Cases are built from each
+   grammar's own tokens mixed with numeric edge tokens, so most of them
+   are near misses of valid input. Every case must end in [Ok] or [Error], never in an
    exception; an [Ok] value holds only finite numbers and survives a
    round trip through the printer, where the parser has one. *)
 
@@ -77,6 +77,79 @@ let cross =
     (list_size (int_range 1 3)
        (oneof [ number; oneofl [ "reverse"; "1000"; "40"; "0"; "-8" ] ]))
 
+(* Chaos specs: near misses built from the grammar's tokens and the
+   edge numbers, and specs rendered from known clauses, each an action
+   over (job, filter) targets, whose plan the first matching target
+   decides. *)
+let chaos_noise =
+  let open QCheck2.Gen in
+  let target =
+    map2 ( ^ ) number (oneof [ return ""; return "*"; map (( ^ ) "@") number ])
+  in
+  let action =
+    oneofl [ "crash"; "hang"; "trunc"; "truncate"; " HANG "; "bogus"; "" ]
+  in
+  let clause =
+    map2 (fun action targets -> action ^ ":" ^ targets) action
+      (joined "," (list_size (int_range 1 3) target))
+  in
+  joined ";" (list_size (int_range 0 4) (oneof [ clause; number ]))
+
+let chaos_clauses =
+  let open QCheck2.Gen in
+  let action =
+    oneofl
+      Campaign.Pool.[ ("crash", Crash); ("hang", Hang); ("trunc", Truncate) ]
+  in
+  let filter = oneofl [ ""; "*"; "@1"; "@2"; "@3"; "@4" ] in
+  list_size (int_range 1 4)
+    (pair action (list_size (int_range 1 3) (pair (int_range 0 7) filter)))
+
+let render_chaos clauses =
+  String.concat ";"
+    (List.map
+       (fun ((name, _), targets) ->
+         name ^ ":"
+         ^ String.concat ","
+             (List.map (fun (job, filter) -> string_of_int job ^ filter) targets))
+       clauses)
+
+let chaos_expected clauses ~index ~attempt =
+  let hit (job, filter) =
+    job = index
+    && (filter = "*"
+       || filter = "@" ^ string_of_int attempt
+       || (filter = "" && attempt = 1))
+  in
+  List.find_map
+    (fun ((_, action), targets) ->
+      if List.exists hit targets then Some action else None)
+    clauses
+
+let chaos_spec =
+  let open QCheck2 in
+  Test.make ~name:"chaos spec" ~count:10_000
+    ~print:(fun (text, _) -> Printf.sprintf "%S" text)
+    Gen.(
+      oneof
+        [
+          map (fun text -> (text, None)) chaos_noise;
+          map (fun clauses -> (render_chaos clauses, Some clauses)) chaos_clauses;
+        ])
+    (fun (text, clauses) ->
+      match (Campaign.Pool.chaos_of_string text, clauses) with
+      | exception e ->
+        Test.fail_reportf "%S raised %s" text (Printexc.to_string e)
+      | _, None -> true
+      | Error message, Some _ -> Test.fail_reportf "%S refused: %s" text message
+      | Ok plan, Some clauses ->
+        List.for_all
+          (fun (index, attempt) ->
+            plan ~index ~attempt = chaos_expected clauses ~index ~attempt)
+          (List.concat_map
+             (fun index -> List.map (fun attempt -> (index, attempt)) [ 1; 2; 3 ])
+             [ 0; 1; 2; 3; 4; 5 ]))
+
 let finite = List.for_all Float.is_finite
 
 let spec_floats (spec : Faults.Spec.t) =
@@ -136,6 +209,7 @@ let properties =
       ~ok:(fun (c : Experiments.Scenario.cross) ->
         Workload.Cbr.advances ~rate_bps:c.rate_bps ~packet_bytes:c.packet_bytes
           ~until:20.0);
+    chaos_spec;
   ]
 
 let suite =
