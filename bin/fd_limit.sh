@@ -4,7 +4,8 @@
 # report (worker count and wall clock aside), with the cache off and
 # with a fresh cache. Under `ulimit -n 5`, where not even the first
 # worker's pipes fit beside stdio, every job must be quarantined as a
-# worker that could not start, and the sweep must exit 3.
+# worker that could not start, the summary must count 0 workers, and
+# the sweep must exit 3.
 #
 # Usage: fd_limit.sh RR_SIM_EXE
 
@@ -15,7 +16,8 @@ failed=0
 
 # limited N NAME WANT ARGS...: a 16-job sweep with only stdio open,
 # under `ulimit -n N` and `timeout` (so a hang fails the check), that
-# must exit WANT; its normalised report goes to $tmp/NAME.
+# must exit WANT; its normalised report goes to $tmp/NAME, and its raw
+# report stays in $tmp/raw until the next call.
 limited() {
   limit=$1 name=$2 want=$3
   shift 3
@@ -52,6 +54,11 @@ limited 5 starved 3 --jobs 2 --no-cache
 if [ "$(grep -c 'cannot start a worker: pipe: ' "$tmp/starved")" -ne 16 ]; then
   echo "fd-limit: not all 16 jobs were quarantined as unable to start a worker"
   cat "$tmp/starved"
+  failed=1
+fi
+if ! grep -q '16 executed on 0 worker(s)' "$tmp/raw"; then
+  echo "fd-limit: the starved sweep does not report 0 workers"
+  cat "$tmp/raw"
   failed=1
 fi
 exit $failed

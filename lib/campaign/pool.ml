@@ -130,6 +130,10 @@ let rec reap pid =
   | _, status -> status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
 
+(* The longest the supervisor blocks, so that a stop request set
+   without a signal, and so without EINTR, is still seen. *)
+let stop_poll = 0.5
+
 (* On EINTR, return no ready descriptors and let the caller's loop
    recompute deadlines (and notice a stop request) before blocking
    again. *)
@@ -294,7 +298,7 @@ let death = function
 (* The tests' in-process reference: the fork pool's ledger drained in
    input order in the calling process, each item's retries before the
    next item starts. *)
-let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
+let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled ~on_worker f items =
   let pending, resolve, outcomes =
     ledger ~policy ~on_done ~on_retry ~on_settled (List.length items)
   in
@@ -304,6 +308,8 @@ let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
         match List.find_opt (fun p -> p.p_index = index) !pending with
         | Some next when not (stop ()) ->
           pending := List.filter (fun p -> p != next) !pending;
+          (* In input order, the first attempt to run is item 0's. *)
+          if index = 0 && next.p_attempt = 1 then on_worker 1;
           Unix.sleepf (Float.max 0.0 (next.not_before -. Unix.gettimeofday ()));
           resolve ~index ~attempt:next.p_attempt
             (try Ok (f item) with e -> Error (Crashed (Printexc.to_string e)));
@@ -314,7 +320,8 @@ let run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items =
     items;
   outcomes ()
 
-let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
+let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled ~on_worker f
+    items =
   let plan = resolve_chaos () in
   let items = Array.of_list items in
   let pending, resolve, outcomes =
@@ -368,6 +375,7 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
         }
       in
       workers := worker :: !workers;
+      on_worker (List.length !workers);
       worker
     | exception e ->
       List.iter Unix.close [ task_r; task_w; result_r; result_w ];
@@ -485,21 +493,29 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
         let running = busy () in
         if !pending <> [] || running <> [] then begin
           (* Sleep until a worker reports, the nearest deadline expires,
-             or the nearest backed-off retry matures. *)
+             a backed-off retry matures while a worker could take it, or
+             [stop_poll] passes. An attempt that waits for a busy worker
+             wakes no one: the result that frees the worker will. *)
+          let can_start =
+            List.length !workers < !width
+            || List.exists (fun w -> w.busy = None) !workers
+          in
           let horizon =
             List.fold_left
               (fun acc (_, task) ->
                 match task.deadline with
                 | Some deadline -> Float.min deadline acc
                 | None -> acc)
-              (List.fold_left
-                 (fun acc p -> Float.min p.not_before acc)
-                 infinity !pending)
+              (if can_start then
+                 List.fold_left
+                   (fun acc p -> Float.min p.not_before acc)
+                   infinity !pending
+               else infinity)
               running
           in
           let timeout =
-            if horizon = infinity then if running = [] then 0.05 else -1.0
-            else Float.max 0.0 (horizon -. Unix.gettimeofday ())
+            Float.max 0.0
+              (Float.min stop_poll (horizon -. Unix.gettimeofday ()))
           in
           let ready =
             select_read (List.map (fun (w, _) -> w.results) running) timeout
@@ -527,9 +543,10 @@ let run_forked ~jobs ~policy ~stop ~on_done ~on_retry ~on_settled f items =
 
 let run ~jobs ?backend ?(policy = default_policy) ?(stop = fun () -> false)
     ?(on_done = fun _ -> ()) ?(on_retry = fun ~index:_ ~attempt:_ _ -> ())
-    ?(on_settled = fun ~index:_ _ -> ()) f items =
+    ?(on_settled = fun ~index:_ _ -> ()) ?(on_worker = fun _ -> ()) f items =
   match Option.value backend ~default:Forked with
-  | Serial -> run_serial ~policy ~stop ~on_done ~on_retry ~on_settled f items
+  | Serial ->
+    run_serial ~policy ~stop ~on_done ~on_retry ~on_settled ~on_worker f items
   | Forked ->
     run_forked ~jobs:(max 1 jobs) ~policy ~stop ~on_done ~on_retry ~on_settled
-      f items
+      ~on_worker f items

@@ -14,6 +14,15 @@
     processes), the pool narrows to the workers alive, and with none
     alive the attempt fails.
 
+    Between events the supervisor sleeps in [Unix.select] until the
+    first of: a result on a busy worker's pipe, the nearest attempt
+    deadline, the earliest backed-off retry (counted only while a
+    worker is idle or the pool is below [jobs]), or a fixed half-second
+    cap. An attempt waiting for a busy worker sets no wake-up of its
+    own, since the result that frees the worker is one, so a batch
+    wider than the pool costs the supervisor next to no CPU while it
+    waits.
+
     The caller is a supervisor, not a bystander: every attempt carries
     an optional wall-clock deadline, failed attempts are retried up to a
     bounded budget with deterministic exponential backoff, and a batch
@@ -121,23 +130,30 @@ val chaos_of_string : string -> (chaos_plan, string) result
 
 (** {1 Running} *)
 
-(** [run ~jobs ?backend ?policy ?stop ?on_done ?on_retry ?on_settled f
-    items] applies [f] to every item, running up to [jobs] workers
-    concurrently under [policy], and returns one {!outcome} per item in
-    input order. [backend] defaults to {!Forked} at every [jobs >= 1],
-    so deadlines, chaos and a stop request hold even for one worker;
-    {!Serial} runs only when a test asks for it.
+(** [run ~jobs ?backend ?policy ?stop ?on_done ?on_retry ?on_settled
+    ?on_worker f items] applies [f] to every item, running up to [jobs]
+    workers concurrently under [policy], and returns one {!outcome} per
+    item in input order. [backend] defaults to {!Forked} at every
+    [jobs >= 1], so deadlines, chaos and a stop request hold even for
+    one worker; {!Serial} runs only when a test asks for it.
 
-    [stop] is polled between collect rounds; once it returns [true],
-    busy workers are SIGKILLed and every worker reaped, and every job
-    not yet settled is reported {!Not_run} — already-settled work is
-    kept.
+    [stop] is polled before each of the supervisor's waits. A wait ends
+    on a result, a deadline, a retry coming due, a signal ([EINTR]) or
+    the half-second cap, so a stop set without a signal is seen within
+    about half a second. Once it returns [true], busy workers are
+    SIGKILLed and every worker reaped, and every job not yet settled is
+    reported {!Not_run} — already-settled work is kept.
     [on_done] is called in the supervisor as each item settles (with
     the count settled so far), for progress display. [on_retry] fires
     on each non-final failed attempt, before the backoff; [on_settled]
     fires on each terminal outcome — success or final failure — as it
     happens, so callers can persist results incrementally (eager cache
-    stores, run journals). All callbacks run in the supervisor.
+    stores, run journals). [on_worker] fires as each worker starts,
+    with the number of workers then alive, so its largest argument is
+    the most workers the call had at once; it never fires if no worker
+    started (no items, or every fork refused). The serial reference
+    fires it once, with 1, before its first attempt. All callbacks run
+    in the supervisor.
 
     @raise Invalid_argument if {!chaos_env} holds an unparseable spec. *)
 val run :
@@ -148,6 +164,7 @@ val run :
   ?on_done:(int -> unit) ->
   ?on_retry:(index:int -> attempt:int -> failure -> unit) ->
   ?on_settled:(index:int -> ('b, failure) result -> unit) ->
+  ?on_worker:(int -> unit) ->
   ('a -> 'b) ->
   'a list ->
   'b outcome list

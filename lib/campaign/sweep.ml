@@ -141,7 +141,7 @@ let run ?cache ?journal ?(policy = Pool.default_policy)
     ?(stop = fun () -> false) ?jobs ?backend
     ?(on_progress = fun ~completed:_ ~total:_ -> ()) grid =
   let started = Unix.gettimeofday () in
-  let workers = match jobs with Some n -> max 1 n | None -> Pool.default_jobs () in
+  let width = match jobs with Some n -> max 1 n | None -> Pool.default_jobs () in
   let all_jobs = jobs_of_grid grid in
   let total = List.length all_jobs in
   let lookup job =
@@ -180,10 +180,13 @@ let run ?cache ?journal ?(policy = Pool.default_policy)
           ~failure:(Pool.failure_to_string failure))
       journal
   in
+  let workers = ref 0 in
   let outcomes =
-    Pool.run ~jobs:workers ?backend ~policy ~stop
+    Pool.run ~jobs:width ?backend ~policy ~stop
       ~on_done:(fun settled -> on_progress ~completed:(cache_hits + settled) ~total)
-      ~on_retry ~on_settled Job.run misses
+      ~on_retry ~on_settled
+      ~on_worker:(fun alive -> workers := max !workers alive)
+      Job.run misses
   in
   (* Stitch cached and fresh outcomes back into expansion order:
      successes stay results, failures become quarantined rows, and
@@ -225,7 +228,7 @@ let run ?cache ?journal ?(policy = Pool.default_policy)
     interrupted;
     cache_hits;
     jobs_executed = List.length misses - !skipped;
-    workers;
+    workers = !workers;
     elapsed_seconds = Unix.gettimeofday () -. started;
   }
 

@@ -88,7 +88,10 @@ type outcome = {
   cache_hits : int;
   jobs_executed : int;
       (** misses that reached a terminal state (settled or failed) *)
-  workers : int;  (** pool width used *)
+  workers : int;
+      (** the most workers the pool had alive at once: at most the
+          width, and 0 when none started (every job came from the
+          cache, or no worker could be started) *)
   elapsed_seconds : float;  (** wall clock for the whole sweep *)
 }
 
@@ -99,14 +102,15 @@ type outcome = {
     records each job's terminal state incrementally (see {!Journal});
     the caller owns the handle and closes it. [policy] supervises the
     workers (deadlines, retries, backoff — {!Pool.default_policy} keeps
-    the legacy wait-forever behaviour). [stop] is polled between
-    collect rounds; once true, in-flight workers are SIGKILLed and the
-    remaining jobs are skipped. [jobs] sets the pool width (default
-    {!Pool.default_jobs}). [backend] is {!Pool.run}'s: the fork pool at
-    every width when omitted, or the serial reference loop that tests
-    compare against — the deterministic jobs make the report identical.
-    [on_progress] is called after every settled job with the completed
-    count and the total. *)
+    the legacy wait-forever behaviour). [stop] is polled as {!Pool.run}
+    polls it, at least every half second; once true, in-flight workers
+    are SIGKILLed and the remaining jobs are skipped. [jobs] sets the
+    pool width (default {!Pool.default_jobs}). [backend] is
+    {!Pool.run}'s: the fork pool at every width when omitted, or the
+    serial reference loop that tests compare against — the
+    deterministic jobs make the report identical but for its worker
+    count. [on_progress] is called after every settled job with the
+    completed count and the total. *)
 val run :
   ?cache:Cache.t ->
   ?journal:Journal.t ->

@@ -513,6 +513,62 @@ let test_pool_idle_worker_death () =
   Alcotest.(check bool) "the retry settles on a replacement worker" true
     (outcomes = [ Campaign.Pool.Settled 42 ])
 
+(* -- the supervisor's wait: it blocks until a worker reports, a deadline
+   or a retry comes due, or a short cap passes; it never polls -- *)
+
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let test_pool_supervisor_sleeps () =
+  (* Three items wait for the one busy worker the whole time. Waiting
+     must cost the supervisor neither allocation nor CPU: the workers'
+     own CPU is not in [Unix.times]'s self fields. *)
+  let words = Gc.minor_words () and cpu = cpu_seconds () in
+  let outcomes =
+    Campaign.Pool.run ~jobs:1
+      (fun x ->
+        Unix.sleepf 0.05;
+        x)
+      (List.init 4 Fun.id)
+  in
+  let words = Gc.minor_words () -. words and cpu = cpu_seconds () -. cpu in
+  Alcotest.(check (list string)) "every item settles" [ "0"; "1"; "2"; "3" ]
+    (List.map show_outcome outcomes);
+  if words >= 50_000.0 || cpu >= 0.05 then
+    Alcotest.failf "supervisor allocated %.0f words and spent %.3f s of CPU"
+      words cpu
+
+let test_pool_stop_without_signal () =
+  (* The one worker hangs, so no result ends a wait, and the stop comes
+     without a signal, so no EINTR does. The cap must: the hung
+     attempt's deadline is far past the bound, so a wait without the cap
+     fails on time instead of hanging the suite. *)
+  with_chaos
+    (fun ~index ~attempt:_ -> if index = 0 then Some Campaign.Pool.Hang else None)
+  @@ fun () ->
+  let policy = { Campaign.Pool.default_policy with timeout = Some 10.0 } in
+  List.iter
+    (fun count ->
+      let what = Printf.sprintf "%d item(s)" count in
+      let before = open_fds () in
+      let t0 = Unix.gettimeofday () in
+      let outcomes =
+        Campaign.Pool.run ~jobs:1 ~policy
+          ~stop:(fun () -> Unix.gettimeofday () > t0 +. 0.2)
+          (fun x -> x)
+          (List.init count Fun.id)
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed >= 2.0 then
+        Alcotest.failf "%s: the stop was seen after %.1f s" what elapsed;
+      Alcotest.(check (list string))
+        (what ^ ": every item is not run")
+        (List.init count (fun _ -> "not run"))
+        (List.map show_outcome outcomes);
+      check_no_leftovers what before)
+    [ 1; 2 ]
+
 (* -- JSON round-trips -- *)
 
 let test_json_roundtrip () =
@@ -609,8 +665,9 @@ let test_parallel_matches_serial () =
     Campaign.Journal.close journal;
     let canon = canonical_journal path in
     Sys.remove path;
-    (* Only the wall-clock "in N s" differs between the pools. *)
-    ({ outcome with Campaign.Sweep.elapsed_seconds = 0.0 }, canon)
+    (* Only the wall-clock "in N s" and the worker count (the serial
+       reference counts as one) differ between the pools. *)
+    ({ outcome with Campaign.Sweep.elapsed_seconds = 0.0; workers = 0 }, canon)
   in
   let serial, serial_journal = run ~backend:Campaign.Pool.Serial () in
   let parallel, parallel_journal = run () in
@@ -699,6 +756,30 @@ let test_clean_sweep_report_is_unchanged () =
     (contains ~needle:"quarantined" text);
   Alcotest.(check bool) "no interruption note on a clean sweep" false
     (contains ~needle:"interrupted" text)
+
+let test_sweep_counts_workers () =
+  (* The summary gives the most workers alive at once, not the width
+     asked for. *)
+  let cache = temp_cache_dir () in
+  let grid =
+    Campaign.Sweep.grid ~variants:Core.Variant.[ Rr ] ~uniform_losses:[ 0.01 ]
+      ~seed:11L ~seed_count:1 ~duration:3.0 ()
+  in
+  let cold = Campaign.Sweep.run ~cache ~jobs:2 grid in
+  Alcotest.(check int) "one job starts one of two workers" 1
+    cold.Campaign.Sweep.workers;
+  check_contains "the summary line counts it" "1 executed on 1 worker(s)"
+    (Campaign.Sweep.report cold);
+  let warm = Campaign.Sweep.run ~cache ~jobs:2 grid in
+  Alcotest.(check int) "a warm re-run starts none" 0 warm.Campaign.Sweep.workers;
+  check_contains "the summary line counts none" "0 executed on 0 worker(s)"
+    (Campaign.Sweep.report warm);
+  let serial = Campaign.Sweep.run ~jobs:2 ~backend:Campaign.Pool.Serial grid in
+  Alcotest.(check int) "the serial reference counts as one" 1
+    serial.Campaign.Sweep.workers;
+  let wide = Campaign.Sweep.run ~jobs:2 (tiny_grid ()) in
+  Alcotest.(check int) "four jobs start both workers" 2
+    wide.Campaign.Sweep.workers
 
 let test_interrupted_sweep_keeps_finished_work () =
   let cache = temp_cache_dir () in
@@ -940,10 +1021,15 @@ let suite =
           test_pool_leaves_nothing_behind;
         Alcotest.test_case "pool: idle worker death" `Quick
           test_pool_idle_worker_death;
+        Alcotest.test_case "pool: supervisor sleeps" `Quick
+          test_pool_supervisor_sleeps;
+        Alcotest.test_case "pool: stop without a signal" `Quick
+          test_pool_stop_without_signal;
         Alcotest.test_case "sweep quarantine" `Slow
           test_sweep_quarantines_failures;
         Alcotest.test_case "clean sweep report unchanged" `Slow
           test_clean_sweep_report_is_unchanged;
+        Alcotest.test_case "sweep worker count" `Slow test_sweep_counts_workers;
         Alcotest.test_case "interrupted sweep keeps work" `Slow
           test_interrupted_sweep_keeps_finished_work;
         Alcotest.test_case "journal resume roundtrip" `Slow
