@@ -74,6 +74,8 @@ run '--audit-sample -1: must be >= 0' --audit-sample=-1
 run '--variant foo: unknown TCP variant "foo"' --variant foo
 run '--rto foo: unknown RTO estimator "foo" (expected jacobson, fixed, rfc793, agile)' --rto foo
 run '--topology ring: invalid topology "ring" (expected dumbbell, parking-lot[:HOPS] or fat-tree[:PODS])' --topology ring
+run '--topology parking-lot:65: topology "parking-lot:65" has 65 hops (at most 64)' --topology parking-lot:65
+run '--topology fat-tree:1000000: topology "fat-tree:1000000" has 1000000 pods (at most 64)' --topology fat-tree:1000000
 run '--faults bogus: faults: unknown clause "bogus"' --faults bogus
 run "--link-schedule xyz: invalid timeline \"xyz\" (expected @T+RATE[+DELAY] steps, '-' = keep)" --link-schedule xyz
 run '--cross-traffic abc: invalid cross-traffic "abc" (expected BPS[:BYTES][:reverse])' --cross-traffic abc
@@ -109,6 +111,8 @@ expect 'grid point rr/droptail:8/loss 1%/ack 0%, seed 7, appears twice: an axis 
 expect '--duration nan: must be finite and >= 0' sweep --duration nan --no-cache
 expect '--cbr-share 1e+300: too high: the CBR packet interval does not advance the clock' sweep --cbr-share 1e300 --variants rr --seeds 1 --duration 1 --jobs 1 --no-cache
 expect '--cbr-share 0.1: needs a spare topology slot, which a fat tree lacks' sweep --topologies fat-tree --cbr-share 0.1 --no-cache
+expect '--topologies dumbbell,parking-lot:65: topology "parking-lot:65" has 65 hops (at most 64)' sweep --topologies dumbbell,parking-lot:65 --no-cache
+expect '--topologies fat-tree:65: topology "fat-tree:65" has 65 pods (at most 64)' sweep --topologies fat-tree:65 --no-cache
 
 # sweep: the supervision flags and the chaos spec.
 sweep() {

@@ -401,8 +401,9 @@ let run_term =
     let doc =
       "Network topology: dumbbell (the paper's Figure 4, default), \
        parking-lot[:HOPS] (--flows flows end to end across HOPS chained \
-       bottlenecks, as in sweep --topologies), fat-tree[:PODS] (--flows \
-       hosts per pod, one flow per host, striped across pods), or many-flow \
+       bottlenecks, as in sweep --topologies; HOPS <= 64), fat-tree[:PODS] \
+       (--flows hosts per pod, one flow per host, striped across pods; \
+       PODS <= 64), or many-flow \
        (the flat-array flock scale path; honours --flows, --duration, \
        --rwnd, --buffer and --seed only)."
     in

@@ -263,10 +263,12 @@ let attach_sender t ?rr ~label agent =
 
 (* -- queue-discipline packet conservation -- *)
 
+(* [find] rather than [find_opt]: a hit, the per-event case, then
+   allocates no option. *)
 let flow_fifo q flow =
-  match Hashtbl.find_opt q.per_flow flow with
-  | Some fifo -> fifo
-  | None ->
+  match Hashtbl.find q.per_flow flow with
+  | fifo -> fifo
+  | exception Not_found ->
     let fifo = Queue.create () in
     Hashtbl.add q.per_flow flow fifo;
     fifo
@@ -306,17 +308,18 @@ let attach_queue t ~name disc =
      [sample = 1]; sampled audits keep the exact occupancy counters and
      the sampled conservation check. *)
   let full_stream = t.sample = 1 in
-  Net.Queue_disc.subscribe disc (function
-    | Net.Queue_disc.Enqueued packet ->
+  Net.Queue_disc.subscribe disc (fun event packet ->
+    match event with
+    | Net.Queue_disc.Enqueued ->
       q.enq <- q.enq + 1;
       q.inside <- q.inside + 1;
       if full_stream then
         Queue.push packet.Net.Packet.uid (flow_fifo q packet.Net.Packet.flow);
       if due t then occupancy_consistent ()
-    | Net.Queue_disc.Dropped _ ->
+    | Net.Queue_disc.Dropped ->
       q.drop <- q.drop + 1;
       if due t then occupancy_consistent ()
-    | Net.Queue_disc.Dequeued packet ->
+    | Net.Queue_disc.Dequeued ->
       q.deq <- q.deq + 1;
       q.inside <- q.inside - 1;
       let sampled = due t in
@@ -330,13 +333,13 @@ let attach_queue t ~name disc =
       end;
       if full_stream then begin
         let fifo = flow_fifo q packet.Net.Packet.flow in
-        match Queue.take_opt fifo with
-        | None ->
+        if Queue.is_empty fifo then
           report_violation t ~subject ~rule:"queue-conservation"
             ~detail:
               (Printf.sprintf "dequeued uid %d (flow %d) never enqueued"
                  packet.Net.Packet.uid packet.Net.Packet.flow)
-        | Some expected ->
+        else begin
+          let expected = Queue.pop fifo in
           tally t;
           if not (expected = packet.Net.Packet.uid) then
             report_violation t ~subject ~rule:"queue-fifo"
@@ -345,6 +348,7 @@ let attach_queue t ~name disc =
                    "flow %d reordered: dequeued uid %d while uid %d was in \
                     front"
                    packet.Net.Packet.flow packet.Net.Packet.uid expected)
+        end
       end;
       if sampled then occupancy_consistent ())
 

@@ -32,9 +32,9 @@ let default_flush_at = 1 lsl 16
    encodes non-negative ints; signed fields go through zigzag first.
    [i63le] is an OCaml 63-bit int written as 8 little-endian bytes
    (two's complement; bit 63 of the wire word duplicates the sign) —
-   used for times, which travel in {!Sim.Timebits} encoding so the
-   exporter recovers the exact float the JSONL writer would have
-   printed. Record payloads by tag:
+   used for times, which travel in {!Sim.Engine.bits_of_time}
+   encoding so the exporter recovers the exact float the JSONL writer
+   would have printed. Record payloads by tag:
 
      0  send            varint flow, zigzag seq, retx:u8
      1  ack             varint flow, zigzag ackno
@@ -160,7 +160,7 @@ let intern t b name =
 let bin_begin b tag ~time =
   Buffer.clear b.scratch;
   Buffer.add_char b.scratch (Char.unsafe_chr tag);
-  add_i63_le b.scratch (Sim.Timebits.of_time time)
+  add_i63_le b.scratch (Sim.Engine.bits_of_time time)
 
 let bin_end t b =
   add_varint t.buf (Buffer.length b.scratch);
@@ -279,7 +279,7 @@ let emit_delay_change t ~time ~link ~delay =
     let id = intern t b link in
     bin_begin b 15 ~time;
     add_varint b.scratch id;
-    add_i63_le b.scratch (Sim.Timebits.of_time delay);
+    add_i63_le b.scratch (Sim.Engine.bits_of_time delay);
     bin_end t b
 
 let emit_reorder t ~time ~path ~extra packet =
@@ -291,7 +291,7 @@ let emit_reorder t ~time ~path ~extra packet =
     let id = intern t b path in
     bin_begin b 11 ~time;
     add_varint b.scratch id;
-    add_i63_le b.scratch (Sim.Timebits.of_time extra);
+    add_i63_le b.scratch (Sim.Engine.bits_of_time extra);
     add_packet b.scratch packet;
     bin_end t b
 
@@ -312,14 +312,14 @@ let attach_sender t agent =
       emit_flow_marker t ~tag:4 ~ev:"timeout" ~time ~flow)
 
 let attach_queue t ~engine ~name disc =
-  Net.Queue_disc.subscribe disc (fun event ->
+  Net.Queue_disc.subscribe disc (fun event p ->
       let time = Sim.Engine.now engine in
       match event with
-      | Net.Queue_disc.Enqueued p ->
+      | Net.Queue_disc.Enqueued ->
         emit_queue_event t ~tag:5 ~ev:"enqueue" ~time ~name p
-      | Net.Queue_disc.Dropped p ->
+      | Net.Queue_disc.Dropped ->
         emit_queue_event t ~tag:6 ~ev:"drop" ~time ~name p
-      | Net.Queue_disc.Dequeued p ->
+      | Net.Queue_disc.Dequeued ->
         emit_queue_event t ~tag:7 ~ev:"dequeue" ~time ~name p)
 
 let attach_injector t injector =
@@ -461,7 +461,7 @@ let cur_i63 cur =
      63-bit int; bit 62 still carries it. *)
   !n
 
-let cur_time cur = Sim.Timebits.to_time (cur_i63 cur)
+let cur_time cur = Sim.Engine.time_of_bits (cur_i63 cur)
 
 let cur_str cur =
   let len = cur_varint cur in

@@ -26,8 +26,8 @@
     the same events as a compact length-prefixed binary stream instead
     of formatting JSON in the event hooks: a ["RRTB"] magic + version
     header, then one LEB128-length-prefixed record per event — tag
-    byte, timestamp as the {!Sim.Timebits} int in 8 little-endian
-    bytes, then varint/zigzag fields; queue and link names are
+    byte, timestamp as the {!Sim.Engine.bits_of_time} int in 8
+    little-endian bytes, then varint/zigzag fields; queue and link names are
     interned and referenced by id after their first occurrence (the
     full layout is documented in [trace.ml] and DESIGN.md). {!export}
     converts such a stream back offline into exactly the JSONL the

@@ -53,15 +53,28 @@ let gateway_of_string s =
       (Printf.sprintf
          "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s)
 
+(* A graph's size and its route rows (routed nodes x nodes words) grow
+   with these counts; the caps keep a typo from building a huge one. *)
+let max_hops = 64
+
+let max_pods = 64
+
 let topology_of_string s =
+  let too_many ~count ~what ~most =
+    Error (Printf.sprintf "topology %S has %d %s (at most %d)" s count what most)
+  in
   if String.lowercase_ascii (String.trim s) = "dumbbell" then Ok Dumbbell
   else
     match
       ( sized ~kind:"parking-lot" ~default:2 s,
         sized ~kind:"fat-tree" ~default:2 ~least:2 s )
     with
-    | Some hops, _ -> Ok (Parking_lot hops)
-    | _, Some pods -> Ok (Fat_tree pods)
+    | Some hops, _ ->
+      if hops > max_hops then too_many ~count:hops ~what:"hops" ~most:max_hops
+      else Ok (Parking_lot hops)
+    | _, Some pods ->
+      if pods > max_pods then too_many ~count:pods ~what:"pods" ~most:max_pods
+      else Ok (Fat_tree pods)
     | None, None ->
       Error
         (Printf.sprintf
@@ -181,7 +194,8 @@ module Axes = struct
       ~doc:
         "Comma-separated topologies to sweep, each dumbbell, \
          parking-lot[:HOPS] (flows run end to end over HOPS chained \
-         bottlenecks) or fat-tree[:PODS] (--flows hosts per pod)."
+         bottlenecks, HOPS <= 64) or fat-tree[:PODS] (--flows hosts per \
+         pod, PODS <= 64)."
       ~default:"dumbbell" ~parse:topology_of_string ~name:topology_name
       (fun j -> j.topology) (fun topology j -> { j with topology })
 

@@ -93,9 +93,16 @@ val topology_name : topology -> string
 val gateway_of_string : string -> (gateway, string) Stdlib.result
 
 (** [topology_of_string s] parses [dumbbell], [parking-lot[:HOPS]]
-    (2 hops when omitted, HOPS >= 1) or [fat-tree[:PODS]] (2 pods when
-    omitted, PODS >= 2). *)
+    (2 hops when omitted, 1 <= HOPS <= {!max_hops}) or
+    [fat-tree[:PODS]] (2 pods when omitted, 2 <= PODS <= {!max_pods}).
+    A count past its cap is an [Error] naming the cap. *)
 val topology_of_string : string -> (topology, string) Stdlib.result
+
+(** The largest parking lot a topology string may ask for: 64 hops. *)
+val max_hops : int
+
+(** The largest fat tree a topology string may ask for: 64 pods. *)
+val max_pods : int
 
 (** [default] is the first job of the default grid: Reno over the
     paper's drop-tail:8 dumbbell at 2% data loss, every other axis at

@@ -54,13 +54,13 @@ let flap_link t ~name ~policy ?(on_drop = fun _ -> ()) link schedule =
     | `Drop_queued ->
       let queue = Net.Link.queue link in
       let rec drop () =
-        match queue.Net.Queue_disc.dequeue () with
-        | None -> ()
-        | Some packet ->
+        let packet = queue.Net.Queue_disc.dequeue () in
+        if not (Net.Packet.is_none packet) then begin
           t.fault_drops <- t.fault_drops + 1;
           on_drop packet;
           emit t (Fault_drop { link = name; packet });
           drop ()
+        end
       in
       drop ()
   in

@@ -13,7 +13,8 @@ type t
 (** [create ~engine ~bandwidth_bps ~delay ~queue ~dst ()] builds a link
     that serves [queue] and delivers to [dst].
 
-    @raise Invalid_argument if [bandwidth_bps <= 0] or [delay < 0]. *)
+    @raise Invalid_argument if [bandwidth_bps] is not positive and
+    finite, or [delay] is not non-negative and finite (NaN included). *)
 val create :
   engine:Sim.Engine.t ->
   bandwidth_bps:float ->
@@ -78,11 +79,11 @@ val delay : t -> float
 (** [set_rate t bps] changes the serialization rate for packets whose
     transmission starts after this call.
 
-    @raise Invalid_argument if [bps <= 0]. *)
+    @raise Invalid_argument if [bps] is not positive and finite. *)
 val set_rate : t -> float -> unit
 
 (** [set_delay t d] changes the propagation delay for packets entering
     the wire after this call.
 
-    @raise Invalid_argument if [d < 0]. *)
+    @raise Invalid_argument if [d] is not non-negative and finite. *)
 val set_delay : t -> float -> unit

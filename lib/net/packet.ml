@@ -10,9 +10,10 @@ type kind =
      bits 1..62   seqno (data) or ackno (ack), biased by +1 so the
                   pre-handshake cumulative point -1 encodes as 0
 
-   [born_bits] is the order-preserving Timebits encoding of the
-   creation timestamp, kept as an int so the record stays float-free
-   (a [float] field in a mixed record is a pointer to a 2-word box). *)
+   [born_bits] is the engine's order-preserving encoding of the
+   creation timestamp ({!Sim.Engine.bits_of_time}), kept as an int so
+   the record stays float-free (a [float] field in a mixed record is a
+   pointer to a 2-word box). *)
 type t = {
   uid : int;
   flow : int;
@@ -22,29 +23,29 @@ type t = {
   born_bits : int;
 }
 
-let[@inline] data ~uid ~flow ~seq ~size_bytes ~born =
-  {
-    uid;
-    flow;
-    info = ((seq + 1) lsl 1) lor 1;
-    sack = [];
-    size_bytes;
-    born_bits = Sim.Timebits.of_time born;
-  }
+let data_bits ~uid ~flow ~seq ~size_bytes ~born_bits =
+  { uid; flow; info = ((seq + 1) lsl 1) lor 1; sack = []; size_bytes; born_bits }
 
-let[@inline] ack ~uid ~flow ~ackno ?(sack = []) ~size_bytes ~born () =
-  {
-    uid;
-    flow;
-    info = (ackno + 1) lsl 1;
-    sack;
-    size_bytes;
-    born_bits = Sim.Timebits.of_time born;
-  }
+let ack_bits ~uid ~flow ~ackno ~sack ~size_bytes ~born_bits =
+  { uid; flow; info = (ackno + 1) lsl 1; sack; size_bytes; born_bits }
+
+let data ~uid ~flow ~seq ~size_bytes ~born =
+  data_bits ~uid ~flow ~seq ~size_bytes
+    ~born_bits:(Sim.Engine.bits_of_time born)
+
+let ack ~uid ~flow ~ackno ?(sack = []) ~size_bytes ~born () =
+  ack_bits ~uid ~flow ~ackno ~sack ~size_bytes
+    ~born_bits:(Sim.Engine.bits_of_time born)
+
+let none =
+  ack_bits ~uid:(-1) ~flow:(-1) ~ackno:(-1) ~sack:[] ~size_bytes:0
+    ~born_bits:(Sim.Engine.bits_of_time 0.0)
+
+let[@inline] is_none t = t == none
 
 let[@inline] is_data t = t.info land 1 = 1
 let[@inline] seqno t = (t.info lsr 1) - 1
-let[@inline] born t = Sim.Timebits.to_time t.born_bits
+let[@inline] born t = Sim.Engine.time_of_bits t.born_bits
 
 let seq_exn t =
   if is_data t then seqno t else invalid_arg "Packet.seq_exn: ACK packet"

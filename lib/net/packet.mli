@@ -11,8 +11,9 @@
 
     Packets are represented as a single all-immediate record: the
     direction tag and sequence number share one packed [info] word and
-    the creation timestamp is stored in {!Sim.Timebits} encoding, so
-    building a packet costs one allocation and per-packet hot paths
+    the creation timestamp is stored in the engine's int encoding
+    ({!Sim.Engine.bits_of_time}), so building a packet costs one
+    allocation and per-packet hot paths
     ({!is_data}, {!seq_exn}, {!ackno_exn}) never allocate. {!kind}
     materializes the pattern-matchable view for cold paths. *)
 
@@ -32,7 +33,8 @@ type t = private {
   sack : (int * int) list;  (** SACK ranges; [[]] for data packets *)
   size_bytes : int;  (** on-the-wire size, drives transmission delay *)
   born_bits : int;
-      (** creation time in {!Sim.Timebits} encoding — {!born} decodes *)
+      (** creation time in {!Sim.Engine.bits_of_time} encoding —
+          {!born} decodes *)
 }
 
 (** [data ~uid ~flow ~seq ~size_bytes ~born] builds a data segment. *)
@@ -48,6 +50,33 @@ val ack :
   born:float ->
   unit ->
   t
+
+(** [data_bits] is {!data} stamped with an already-encoded creation
+    time, such as {!Sim.Engine.now_bits}: no float crosses the call, so
+    under the dev profile's [-opaque] the packet is the only
+    allocation. *)
+val data_bits :
+  uid:int -> flow:int -> seq:int -> size_bytes:int -> born_bits:int -> t
+
+(** [ack_bits] is {!ack} stamped with an already-encoded creation time
+    and a required SACK list (an optional argument allocates its
+    [Some] at every call). *)
+val ack_bits :
+  uid:int ->
+  flow:int ->
+  ackno:int ->
+  sack:(int * int) list ->
+  size_bytes:int ->
+  born_bits:int ->
+  t
+
+(** [none] is the sentinel a queue discipline's [dequeue] returns when
+    it is empty (see {!Queue_disc.t}), and what a ring's free slots
+    hold. It belongs to no flow and is never sent. *)
+val none : t
+
+(** [is_none p] is [p == none]. *)
+val is_none : t -> bool
 
 (** [is_data t] reports whether [t] carries data. Allocation-free. *)
 val is_data : t -> bool

@@ -17,21 +17,25 @@ type stats = {
   mutable bytes_dropped : int;
 }
 
-(** One queue transition. [Dropped] packets were refused at enqueue and
-    never entered the queue. *)
-type event = Enqueued of Packet.t | Dropped of Packet.t | Dequeued of Packet.t
+(** One queue transition, delivered to observers beside its packet.
+    [Dropped] packets were refused at enqueue and never entered the
+    queue. *)
+type event = Enqueued | Dropped | Dequeued
 
 type t = {
   name : string;
   enqueue : Packet.t -> bool;
       (** [enqueue p] accepts [p] into the queue, returning [false] when
           the discipline drops it instead. *)
-  dequeue : unit -> Packet.t option;
-      (** next packet to transmit, [None] when empty *)
+  dequeue : unit -> Packet.t;
+      (** next packet to transmit, {!Packet.none} when empty — a
+          sentinel rather than an option, so taking a packet allocates
+          nothing *)
   length : unit -> int;  (** packets currently queued *)
   byte_length : unit -> int;  (** bytes currently queued *)
   stats : stats;
-  observers : (event -> unit) list ref;  (** managed via {!subscribe} *)
+  observers : (event -> Packet.t -> unit) list ref;
+      (** managed via {!subscribe} *)
 }
 
 (** [fresh_stats ()] is an all-zero counter record. *)
@@ -40,18 +44,20 @@ val fresh_stats : unit -> stats
 (** [make ~name ~enqueue ~dequeue ~length ~byte_length ~stats ()] wraps
     a discipline implementation so every enqueue outcome and dequeue is
     broadcast to subscribers. Concrete disciplines must build their
-    record through this. *)
+    record through this. [dequeue] returns {!Packet.none} when the
+    discipline is empty. The wrappers allocate nothing, observed or
+    not. *)
 val make :
   name:string ->
   enqueue:(Packet.t -> bool) ->
-  dequeue:(unit -> Packet.t option) ->
+  dequeue:(unit -> Packet.t) ->
   length:(unit -> int) ->
   byte_length:(unit -> int) ->
   stats:stats ->
   unit ->
   t
 
-(** [subscribe t f] adds [f] to the observer list; events are delivered
-    in subscription order, after the discipline's own state and [stats]
-    are updated. Subscriptions cannot be removed. *)
-val subscribe : t -> (event -> unit) -> unit
+(** [subscribe t f] adds [f] to the observer list; [f event packet] is
+    called in subscription order, after the discipline's own state and
+    [stats] are updated. Subscriptions cannot be removed. *)
+val subscribe : t -> (event -> Packet.t -> unit) -> unit

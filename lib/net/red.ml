@@ -20,7 +20,7 @@ type state = {
   capacity : int;
   params : params;
   rng : Sim.Rng.t;
-  fifo : Packet.t Queue.t;
+  fifo : Fifo.t;
   mutable bytes : int;
   mutable avg : float;
   (* Inter-drop packet count since the last early/forced drop; -1 outside
@@ -53,7 +53,7 @@ let drop t packet ~cause =
   false
 
 let accept t packet =
-  Queue.push packet t.fifo;
+  Fifo.push t.fifo packet;
   t.bytes <- t.bytes + packet.Packet.size_bytes;
   t.queue_stats.enqueued <- t.queue_stats.enqueued + 1;
   true
@@ -68,7 +68,7 @@ let update_average t =
     if m > 0.0 then t.avg <- t.avg *. ((1.0 -. t.params.wq) ** m);
     t.idle_since <- None
   | None -> ());
-  let q = float_of_int (Queue.length t.fifo) in
+  let q = float_of_int (Fifo.length t.fifo) in
   t.avg <- ((1.0 -. t.params.wq) *. t.avg) +. (t.params.wq *. q)
 
 let enqueue t packet =
@@ -87,7 +87,7 @@ let enqueue t packet =
       t.count <- 0;
       drop t packet ~cause:`Early
     end
-    else if Queue.length t.fifo >= t.capacity then begin
+    else if Fifo.length t.fifo >= t.capacity then begin
       t.count <- 0;
       drop t packet ~cause:`Buffer_full
     end
@@ -95,20 +95,20 @@ let enqueue t packet =
   end
   else begin
     t.count <- -1;
-    if Queue.length t.fifo >= t.capacity then
+    if Fifo.length t.fifo >= t.capacity then
       drop t packet ~cause:`Buffer_full
     else accept t packet
   end
 
 let dequeue t () =
-  match Queue.take_opt t.fifo with
-  | None -> None
-  | Some packet ->
+  let packet = Fifo.take t.fifo in
+  if not (Packet.is_none packet) then begin
     t.bytes <- t.bytes - packet.Packet.size_bytes;
     t.queue_stats.dequeued <- t.queue_stats.dequeued + 1;
-    if Queue.is_empty t.fifo then
-      t.idle_since <- Some (Sim.Engine.now t.engine);
-    Some packet
+    if Fifo.is_empty t.fifo then
+      t.idle_since <- Some (Sim.Engine.now t.engine)
+  end;
+  packet
 
 let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
     ?(on_drop = fun _ -> ()) () =
@@ -125,7 +125,7 @@ let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
       capacity;
       params;
       rng;
-      fifo = Queue.create ();
+      fifo = Fifo.create ();
       bytes = 0;
       avg = 0.0;
       count = -1;
@@ -140,7 +140,7 @@ let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
     Queue_disc.make ~name:"red"
       ~enqueue:(fun packet -> enqueue t packet)
       ~dequeue:(dequeue t)
-      ~length:(fun () -> Queue.length t.fifo)
+      ~length:(fun () -> Fifo.length t.fifo)
       ~byte_length:(fun () -> t.bytes)
       ~stats:t.queue_stats ()
   in

@@ -27,14 +27,17 @@ type endpoint = { src : string; dst : string }
 
 type wrap = (Packet.t -> unit) -> Packet.t -> unit
 
-(* Compiled per-node forwarding state: explicit entries in [exceptions]
-   (destination node id -> link id), everything else on [default_link]
-   (-1 = no default). Defaults-plus-exceptions keeps a gateway's table
-   O(attached hosts) rather than O(nodes^2). *)
+(* Compiled per-node forwarding state. A node with explicit routes gets
+   a dense [row] indexed by destination node id, holding the link id
+   to take ([default_link] where no explicit route applies, -1 = no
+   route); a node without (every host) keeps [row] empty and sends
+   everything on [default_link]. The lookup is one array read: no
+   hash, no compare, no option. Rows cost (routed nodes x nodes)
+   words, which is why the topology strings cap their sizes. *)
 type node_state = {
   name : string;
   default_link : int;
-  exceptions : (int, int) Hashtbl.t;
+  row : int array;
 }
 
 type t = {
@@ -90,8 +93,12 @@ let compile_spec (spec : spec) =
     (fun (name, l) ->
       ignore (node_id l.from_node);
       ignore (node_id l.to_node);
+      if Float.is_nan l.bandwidth_bps || l.bandwidth_bps = infinity then
+        invalid "Topology: link %S bandwidth not finite" name;
       if l.bandwidth_bps <= 0.0 then
         invalid "Topology: link %S bandwidth <= 0" name;
+      if Float.is_nan l.delay || l.delay = infinity then
+        invalid "Topology: link %S delay not finite" name;
       if l.delay < 0.0 then invalid "Topology: link %S negative delay" name;
       match l.queue with
       | Droptail { capacity } | Red { capacity; _ } ->
@@ -103,12 +110,14 @@ let compile_spec (spec : spec) =
       attached.(node_id l.from_node) <- true;
       attached.(node_id l.to_node) <- true)
     links;
+  let n_nodes = List.length spec.nodes in
+  let unset = -2 in
   let nodes =
     Array.of_list
       (List.map
          (fun n ->
            let here = node_id n.node in
-           let exceptions = Hashtbl.create (max 4 (List.length n.routes)) in
+           let row = if n.routes = [] then [||] else Array.make n_nodes unset in
            List.iter
              (fun { target; via } ->
                let target = node_id target in
@@ -117,9 +126,9 @@ let compile_spec (spec : spec) =
                if node_id l.from_node <> here then
                  invalid "Topology: route at %S via %S does not leave %S"
                    n.node (fst links.(via)) n.node;
-               if Hashtbl.mem exceptions target then
+               if row.(target) <> unset then
                  invalid "Topology: duplicate route at %S" n.node;
-               Hashtbl.add exceptions target via)
+               row.(target) <- via)
              n.routes;
            let default_link =
              match n.default_route with
@@ -132,7 +141,8 @@ let compile_spec (spec : spec) =
                    n.node (fst links.(via)) n.node;
                via
            in
-           { name = n.node; default_link; exceptions })
+           Array.iteri (fun i via -> if via = unset then row.(i) <- default_link) row;
+           { name = n.node; default_link; row })
          spec.nodes)
   in
   Array.iteri
@@ -140,11 +150,11 @@ let compile_spec (spec : spec) =
     attached;
   (node_of_name, link_of_name, links, nodes)
 
+(* The link out of [node] toward [dst], or -1 when there is none. *)
 let next_hop nodes ~node ~dst =
-  let state = nodes.(node) in
-  match Hashtbl.find_opt state.exceptions dst with
-  | Some link -> Some link
-  | None -> if state.default_link >= 0 then Some state.default_link else None
+  let state = Array.unsafe_get nodes node in
+  let row = state.row in
+  if Array.length row = 0 then state.default_link else row.(dst)
   [@@inline]
 
 let validate spec ~flows =
@@ -168,11 +178,11 @@ let validate spec ~flows =
             invalid "Topology: route from %S to %S loops" nodes.(src).name
               nodes.(dst).name
           else
-            match next_hop nodes ~node ~dst with
-            | None ->
+            let link = next_hop nodes ~node ~dst in
+            if link < 0 then
               invalid "Topology: no route toward %S at %S" nodes.(dst).name
                 nodes.(node).name
-            | Some link ->
+            else
               let _, l = links.(link) in
               step (Hashtbl.find node_of_name l.to_node) (hops + 1)
       in
@@ -211,9 +221,9 @@ let destination t packet =
   [@@inline]
 
 let forward t ~node ~dst packet =
-  match next_hop t.nodes ~node ~dst with
-  | Some link -> t.entries.(link) packet
-  | None ->
+  let link = next_hop t.nodes ~node ~dst in
+  if link >= 0 then t.entries.(link) packet
+  else
     invalid "Topology: no route toward %S at %S" t.nodes.(dst).name
       t.nodes.(node).name
 

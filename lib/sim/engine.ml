@@ -39,8 +39,35 @@ let cancelled_tag = 2
 
 let nop () = ()
 
-let[@inline always] bits_of_time (t : float) = Timebits.of_time t
-let[@inline always] time_of_bits (bits : int) = Timebits.to_time bits
+(* -- the time encoding --
+
+   For a non-negative IEEE-754 double, the bit pattern read as an
+   unsigned 64-bit integer is a monotone function of the value (sign
+   bit clear, biased exponent then mantissa in descending
+   significance). Subtracting 2^62 recentres the unsigned range
+   [0, 2^63) onto the signed native-int range [-2^62, 2^62), which
+   [Int64.to_int]'s 63-bit truncation then preserves exactly — without
+   the recentring, any time >= 2.0 sets bit 62 and truncation flips
+   the sign, breaking the ordering. The [Int64] chains compile
+   allocation-free (unboxed externals). The truncation also drops the
+   sign bit, so [-x] encodes like [x], and every NaN lands above
+   [+infinity]: the float entry points validate before encoding, and
+   the bits entry point refuses anything past [infinity_bits].
+
+   The engine owns this encoding, and its hot paths call it only
+   in-module: the dev profile compiles every module [-opaque], so a
+   float passed to or returned from another module's function is
+   boxed and cross-module [@inline] does nothing. *)
+
+let bias = 0x4000_0000_0000_0000L
+
+let[@inline always] bits_of_time (t : float) =
+  Int64.to_int (Int64.sub (Int64.bits_of_float t) bias)
+
+let[@inline always] time_of_bits (bits : int) =
+  Int64.float_of_bits (Int64.add (Int64.of_int bits) bias)
+
+let infinity_bits = bits_of_time infinity
 
 type cal = {
   mutable buckets : int array;
@@ -485,6 +512,8 @@ let create () =
 
 let now t = time_of_bits t.clock_bits
 
+let now_bits t = t.clock_bits
+
 (* Claim a slot, arm it as pending (generation preserved) at the time
    whose encoding is [bits], and enqueue it. Taking the already-encoded
    time keeps the whole schedule path free of float values that would
@@ -522,6 +551,21 @@ let schedule_after t ~delay fire =
 
 let schedule_unit_at t ~time fire =
   ignore (arm t (checked_bits t time) fire : int)
+
+(* An encoding past [infinity_bits] is a NaN; one below the clock is in
+   the past. Callers encode [now + d] themselves, so this test is all
+   that stands between a NaN delay and the queue. *)
+let schedule_unit_at_bits t ~bits fire =
+  if bits < t.clock_bits || bits > infinity_bits then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule_unit_at_bits: time %g is NaN or before now %g"
+         (time_of_bits bits) (now t));
+  ignore (arm t bits fire : int)
+
+let bits_after t ~delay =
+  if not (delay >= 0.0) then
+    invalid_arg "Engine.bits_after: delay is negative or NaN";
+  bits_of_time (now t +. delay)
 
 let schedule_unit t ~delay fire =
   if delay < 0.0 then invalid_arg "Engine.schedule_unit: negative delay";
@@ -575,7 +619,7 @@ let drain t ~limit_bits =
 
 let run t =
   t.stopped <- false;
-  drain t ~limit_bits:(bits_of_time infinity)
+  drain t ~limit_bits:infinity_bits
 
 (* The bit encoding is monotone only for non-negative times: NaN would
    never bound the drain, and -T would stand for +T. *)

@@ -18,6 +18,34 @@ val create : unit -> t
 (** [now t] is the current virtual time in seconds. *)
 val now : t -> float
 
+(** {1 Times as ints}
+
+    The engine stores every time as an int: [bits_of_time] maps each
+    non-negative double (including [+infinity]) onto a native 63-bit
+    int such that [t1 <= t2] iff [bits_of_time t1 <= bits_of_time t2],
+    and [time_of_bits] inverts it exactly. Negative inputs and NaN are
+    not meaningful under this encoding; callers validate first.
+
+    The dev profile compiles every module [-opaque], so a float passed
+    to or returned from another module's function is boxed. Per-packet
+    code therefore reads the clock with {!now_bits} and schedules with
+    {!schedule_unit_at_bits}: ints cross the module boundary for free. *)
+
+(** [bits_of_time t] encodes a non-negative timestamp. *)
+val bits_of_time : float -> int
+
+(** [time_of_bits bits] decodes; exact inverse of {!bits_of_time} on
+    non-negative inputs. *)
+val time_of_bits : int -> float
+
+(** [now_bits t] is [bits_of_time (now t)]. *)
+val now_bits : t -> int
+
+(** [bits_after t ~delay] is [bits_of_time (now t +. delay)].
+
+    @raise Invalid_argument if [delay] is negative or NaN. *)
+val bits_after : t -> delay:float -> int
+
 (** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
     [time] must not be in the past.
 
@@ -40,6 +68,13 @@ val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_unit t ~delay f] is {!schedule_after} without a handle;
     see {!schedule_unit_at}. *)
 val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
+
+(** [schedule_unit_at_bits t ~bits f] is {!schedule_unit_at} at
+    [time_of_bits bits], without a float crossing the call.
+
+    @raise Invalid_argument if [bits] encodes NaN or a time before
+    [now t]. *)
+val schedule_unit_at_bits : t -> bits:int -> (unit -> unit) -> unit
 
 (** [cancel t handle] prevents the event from firing. Cancelling an
     event that already fired or was already cancelled is a no-op (and

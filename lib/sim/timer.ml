@@ -16,10 +16,13 @@
    from a previous life of the timer wakes up, sees a stale epoch and
    does nothing. *)
 
-(* Deadlines are stored in {!Timebits} encoding: the record mixes
-   pointers and numbers, so [float] fields would box on every store —
-   and [restart] runs once per ACK. Timebits ints compare like the
-   times they encode, so the lazy-restart test needs no decoding. *)
+(* Deadlines are stored in the engine's time encoding
+   ({!Engine.bits_of_time}): the record mixes pointers and numbers, so
+   [float] fields would box on every store — and [restart] runs once
+   per ACK. Encoded ints compare like the times they encode, so the
+   lazy-restart and expiry tests need no decoding, and the engine
+   computes [now + after] itself, so no fresh float crosses a module
+   boundary. *)
 type t = {
   engine : Engine.t;
   callback : unit -> unit;
@@ -37,18 +40,18 @@ let create engine ~callback =
 
 let is_armed t = t.armed
 
-let expiry t = if t.armed then Some (Timebits.to_time t.expiry_bits) else None
+let expiry t =
+  if t.armed then Some (Engine.time_of_bits t.expiry_bits) else None
 
 let rec enqueue t =
   let epoch = t.epoch in
   t.queued_bits <- t.expiry_bits;
-  Engine.schedule_unit_at t.engine
-    ~time:(Timebits.to_time t.expiry_bits)
-    (fun () -> fired t epoch)
+  Engine.schedule_unit_at_bits t.engine ~bits:t.expiry_bits (fun () ->
+      fired t epoch)
 
 and fired t epoch =
   if epoch = t.epoch && t.armed then
-    if Timebits.to_time t.expiry_bits <= Engine.now t.engine then begin
+    if t.expiry_bits <= Engine.now_bits t.engine then begin
       t.armed <- false;
       t.epoch <- t.epoch + 1;
       t.callback ()
@@ -69,14 +72,14 @@ let cancel t =
 let start t ~after =
   if t.armed then invalid_arg "Timer.start: already armed";
   t.armed <- true;
-  t.expiry_bits <- Timebits.of_time (Engine.now t.engine +. after);
+  t.expiry_bits <- Engine.bits_after t.engine ~delay:after;
   t.epoch <- t.epoch + 1;
   enqueue t
 
 let restart t ~after =
   if not t.armed then start t ~after
   else begin
-    let expiry_bits = Timebits.of_time (Engine.now t.engine +. after) in
+    let expiry_bits = Engine.bits_after t.engine ~delay:after in
     if expiry_bits >= t.queued_bits then
       (* Lazy path: the outstanding entry fires no later than the new
          deadline and will re-queue itself. *)

@@ -11,11 +11,14 @@ val create : Engine.t -> callback:(unit -> unit) -> t
 
 (** [start t ~after] arms the timer to fire in [after] seconds.
 
-    @raise Invalid_argument if the timer is already armed. *)
+    @raise Invalid_argument if the timer is already armed, or if
+    [after] is negative or NaN. *)
 val start : t -> after:float -> unit
 
 (** [restart t ~after] cancels any pending expiry and arms the timer to
-    fire in [after] seconds. *)
+    fire in [after] seconds.
+
+    @raise Invalid_argument if [after] is negative or NaN. *)
 val restart : t -> after:float -> unit
 
 (** [cancel t] disarms the timer if armed; otherwise does nothing. *)

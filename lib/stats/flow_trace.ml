@@ -1,6 +1,5 @@
 type t = {
   sends : Series.t;
-  retransmissions : Series.t;
   acks : Series.t;
   una : Series.t;
   cwnd : Series.t;
@@ -17,7 +16,6 @@ let attach agent =
   let t =
     {
       sends = Series.create ();
-      retransmissions = Series.create ();
       acks = Series.create ();
       una = Series.create ();
       cwnd = Series.create ();
@@ -28,15 +26,14 @@ let attach agent =
     }
   in
   let base = agent.Tcp.Agent.base in
-  Tcp.Sender_common.on_send base (fun ~time ~seq ~retx ->
-      Series.add t.sends ~time ~value:(float_of_int seq);
-      if retx then Series.add t.retransmissions ~time ~value:(float_of_int seq));
+  Tcp.Sender_common.on_send base (fun ~time ~seq ~retx:_ ->
+      Series.add_int t.sends ~time ~value:seq);
   Tcp.Sender_common.on_ack base (fun ~time ~ackno ->
-      Series.add t.acks ~time ~value:(float_of_int ackno);
+      Series.add_int t.acks ~time ~value:ackno;
       Series.add t.cwnd ~time ~value:(Tcp.Sender_common.cwnd base);
       if ackno > t.last_una then begin
         t.last_una <- ackno;
-        Series.add t.una ~time ~value:(float_of_int ackno)
+        Series.add_int t.una ~time ~value:ackno
       end);
   Tcp.Sender_common.on_recovery_enter base (fun ~time ->
       t.recovery_entries <- time :: t.recovery_entries);

@@ -6,7 +6,6 @@
 
 type t = {
   sends : Series.t;  (** (time, seq) of every transmission *)
-  retransmissions : Series.t;  (** (time, seq) of retransmissions only *)
   acks : Series.t;  (** (time, ackno), duplicates included *)
   una : Series.t;  (** (time, ackno) of cumulative progress only *)
   cwnd : Series.t;

@@ -19,13 +19,15 @@ let grow t =
   t.times <- times;
   t.values <- values
 
-let add t ~time ~value =
+let[@inline] add t ~time ~value =
   if t.size > 0 && time < t.times.(t.size - 1) then
     invalid_arg "Series.add: time going backwards";
   if t.size = Array.length t.times then grow t;
   t.times.(t.size) <- time;
   t.values.(t.size) <- value;
   t.size <- t.size + 1
+
+let add_int t ~time ~value = add t ~time ~value:(float_of_int value)
 
 let to_list t =
   List.init t.size (fun i -> (t.times.(i), t.values.(i)))

@@ -15,6 +15,11 @@ val create : unit -> t
     @raise Invalid_argument if [time] precedes the last sample. *)
 val add : t -> time:float -> value:float -> unit
 
+(** [add_int t ~time ~value] is [add t ~time ~value:(float_of_int value)].
+    The conversion happens inside this module, so no float is boxed to
+    make the call: the per-packet recorders ({!Flow_trace}) use it. *)
+val add_int : t -> time:float -> value:int -> unit
+
 (** [length t] is the sample count. *)
 val length : t -> int
 

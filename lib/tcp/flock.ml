@@ -22,8 +22,9 @@ type t = {
   n_timeouts : int array;
   (* receiver slots *)
   rcv_next : int array;
-  (* bit i (1-based) set <=> segment [rcv_next + i] held out of order *)
-  window : int64 array;
+  (* bit i set <=> segment [rcv_next + 1 + i] held out of order, in a
+     native int: an [int64 array] boxes every element it stores *)
+  window : int array;
 }
 
 (* The reorder bitmap holds 63 segments past the cumulative point, so
@@ -55,7 +56,7 @@ let create ~engine ~params ~flows ~inject_data ~inject_ack () =
     retrans = Array.make flows 0;
     n_timeouts = Array.make flows 0;
     rcv_next = Array.make flows 0;
-    window = Array.make flows 0L;
+    window = Array.make flows 0;
   }
 
 let flows t = t.n
@@ -65,10 +66,10 @@ let fresh_uid t =
   t.uid_counter
 
 let send_segment t flow seq =
-  let now = Sim.Engine.now t.engine in
   let packet =
-    Net.Packet.data ~uid:(fresh_uid t) ~flow ~seq
-      ~size_bytes:t.params.Params.mss ~born:now
+    Net.Packet.data_bits ~uid:(fresh_uid t) ~flow ~seq
+      ~size_bytes:t.params.Params.mss
+      ~born_bits:(Sim.Engine.now_bits t.engine)
   in
   t.inject_data ~flow packet
 
@@ -193,10 +194,10 @@ let deliver_ack t packet =
   end
 
 let send_ack t flow =
-  let now = Sim.Engine.now t.engine in
   let packet =
-    Net.Packet.ack ~uid:(fresh_uid t) ~flow ~ackno:(t.rcv_next.(flow) - 1)
-      ~size_bytes:t.params.Params.ack_size ~born:now ()
+    Net.Packet.ack_bits ~uid:(fresh_uid t) ~flow ~ackno:(t.rcv_next.(flow) - 1)
+      ~sack:[] ~size_bytes:t.params.Params.ack_size
+      ~born_bits:(Sim.Engine.now_bits t.engine)
   in
   t.inject_ack ~flow packet
 
@@ -206,16 +207,17 @@ let deliver_data t packet =
     let seq = Net.Packet.seq_exn packet in
     let expected = t.rcv_next.(flow) in
     if seq = expected then begin
-      t.rcv_next.(flow) <- expected + 1;
-      t.window.(flow) <- Int64.shift_right_logical t.window.(flow) 1;
-      while Int64.logand t.window.(flow) 1L = 1L do
-        t.rcv_next.(flow) <- t.rcv_next.(flow) + 1;
-        t.window.(flow) <- Int64.shift_right_logical t.window.(flow) 1
-      done
+      (* Advance over the held segments that now follow in order. *)
+      let next = ref (expected + 1) and held = ref t.window.(flow) in
+      while !held land 1 = 1 do
+        incr next;
+        held := !held lsr 1
+      done;
+      t.rcv_next.(flow) <- !next;
+      t.window.(flow) <- !held lsr 1
     end
     else if seq > expected && seq - expected <= window_cap then
-      t.window.(flow) <-
-        Int64.logor t.window.(flow) (Int64.shift_left 1L (seq - expected));
+      t.window.(flow) <- t.window.(flow) lor (1 lsl (seq - expected - 1));
     (* below-window and far-future segments still trigger the
        (duplicate) cumulative ACK, as a real receiver would *)
     send_ack t flow

@@ -55,9 +55,9 @@ let send_ack t =
   t.delack_pending <- false;
   Option.iter Sim.Timer.cancel t.delack_timer;
   let packet =
-    Net.Packet.ack ~uid:t.uid_counter ~flow:t.flow ~ackno:(t.next_expected - 1)
-      ~sack:(sack_blocks t) ~size_bytes:t.ack_size
-      ~born:(Sim.Engine.now t.engine) ()
+    Net.Packet.ack_bits ~uid:t.uid_counter ~flow:t.flow
+      ~ackno:(t.next_expected - 1) ~sack:(sack_blocks t) ~size_bytes:t.ack_size
+      ~born_bits:(Sim.Engine.now_bits t.engine)
   in
   t.emit packet
 

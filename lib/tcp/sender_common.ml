@@ -186,40 +186,38 @@ let send_segment t ~seq ~retx =
   t.emit packet;
   if not (Sim.Timer.is_armed (timer_exn t)) then restart_rtx_timer t
 
-let send_new_data t ~count =
-  let rec loop sent =
-    if sent >= count then sent
-    else begin
-      let seq = t.t_seqno in
-      if app_has_data t ~seq then begin
-        send_segment t ~seq ~retx:(seq <= t.maxseq);
-        t.t_seqno <- seq + 1;
-        loop (sent + 1)
-      end
-      else sent
+(* The send loops are top-level functions rather than local recursive
+   ones: the non-flambda backend heap-allocates a closure for a local
+   function that captures [t], and these run on every ACK. *)
+let rec send_new_data_from t ~count sent =
+  if sent >= count then sent
+  else begin
+    let seq = t.t_seqno in
+    if app_has_data t ~seq then begin
+      send_segment t ~seq ~retx:(seq <= t.maxseq);
+      t.t_seqno <- seq + 1;
+      send_new_data_from t ~count (sent + 1)
     end
-  in
-  loop 0
+    else sent
+  end
+
+let send_new_data t ~count = send_new_data_from t ~count 0
+
+let rec send_much_from t ~budget sent =
+  if sent < budget then begin
+    let seq = t.t_seqno in
+    if float_of_int (outstanding t) < window t && app_has_data t ~seq then begin
+      send_segment t ~seq ~retx:(seq <= t.maxseq);
+      t.t_seqno <- seq + 1;
+      send_much_from t ~budget (sent + 1)
+    end
+  end
 
 let send_much t =
   let budget =
     if t.params.Params.max_burst = 0 then max_int else t.params.Params.max_burst
   in
-  let rec loop sent =
-    if sent >= budget then ()
-    else begin
-      let seq = t.t_seqno in
-      if
-        float_of_int (outstanding t) < window t
-        && app_has_data t ~seq
-      then begin
-        send_segment t ~seq ~retx:(seq <= t.maxseq);
-        t.t_seqno <- seq + 1;
-        loop (sent + 1)
-      end
-    end
-  in
-  loop 0
+  send_much_from t ~budget 0
 
 let open_cwnd t =
   match t.phase with

@@ -10,8 +10,14 @@ let is_empty t = t.intervals = []
 let cardinal t =
   List.fold_left (fun acc (first, last) -> acc + last - first + 1) 0 t.intervals
 
-let mem t seq =
-  List.exists (fun (first, last) -> first <= seq && seq <= last) t.intervals
+(* [mem] and [remove_below] walk with top-level functions: a local one
+   capturing [seq] or [bound] would be a closure allocated per call,
+   and the receiver calls both for every segment. *)
+let rec mem_in seq = function
+  | [] -> false
+  | (first, last) :: rest -> (first <= seq && seq <= last) || mem_in seq rest
+
+let mem t seq = mem_in seq t.intervals
 
 let add_range t ~first ~last =
   if first > last then invalid_arg "Seqset.add_range: first > last";
@@ -33,15 +39,14 @@ let add t seq =
     true
   end
 
-let remove_below t bound =
-  let rec prune = function
-    | [] -> []
-    | (first, last) :: rest ->
-      if last < bound then prune rest
-      else if first < bound then (bound, last) :: rest
-      else (first, last) :: rest
-  in
-  t.intervals <- prune t.intervals
+let rec prune bound = function
+  | [] -> []
+  | ((first, last) :: rest) as intervals ->
+    if last < bound then prune bound rest
+    else if first < bound then (bound, last) :: rest
+    else intervals
+
+let remove_below t bound = t.intervals <- prune bound t.intervals
 
 let max_elt t =
   let rec last = function

@@ -9,4 +9,4 @@ let () =
    @ Test_workload.suite @ Test_faults.suite @ Test_variant_registry.suite
    @ Test_integration.suite @ Test_two_way.suite @ Test_experiments.suite
    @ Test_audit.suite @ Test_campaign.suite @ Test_topology.suite
-   @ Test_flock.suite @ Test_parsers.suite)
+   @ Test_flock.suite @ Test_parsers.suite @ Test_alloc.suite)

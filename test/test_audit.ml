@@ -26,11 +26,11 @@ let test_detects_reordering () =
         true)
       ~dequeue:(fun () ->
         match !stack with
-        | [] -> None
+        | [] -> Net.Packet.none
         | p :: rest ->
           stack := rest;
           stats.Net.Queue_disc.dequeued <- stats.Net.Queue_disc.dequeued + 1;
-          Some p)
+          p)
       ~length:(fun () -> List.length !stack)
       ~byte_length:(fun () -> 1000 * List.length !stack)
       ~stats ()
@@ -38,7 +38,7 @@ let test_detects_reordering () =
   Audit.Auditor.attach_queue auditor ~name:"lifo" disc;
   ignore (disc.Net.Queue_disc.enqueue (packet ~uid:1 ~seq:0) : bool);
   ignore (disc.Net.Queue_disc.enqueue (packet ~uid:2 ~seq:1) : bool);
-  ignore (disc.Net.Queue_disc.dequeue () : Net.Packet.t option);
+  ignore (disc.Net.Queue_disc.dequeue () : Net.Packet.t);
   Alcotest.(check bool) "caught" false (Audit.Auditor.ok auditor);
   Alcotest.(check bool) "as a fifo violation" true
     (List.mem "queue-fifo" (rules auditor))
@@ -58,7 +58,8 @@ let test_detects_occupancy_leak () =
         if !counter mod 2 = 0 then Queue.push p fifo;
         stats.Net.Queue_disc.enqueued <- stats.Net.Queue_disc.enqueued + 1;
         true)
-      ~dequeue:(fun () -> Queue.take_opt fifo)
+      ~dequeue:(fun () ->
+        if Queue.is_empty fifo then Net.Packet.none else Queue.pop fifo)
       ~length:(fun () -> Queue.length fifo)
       ~byte_length:(fun () -> 1000 * Queue.length fifo)
       ~stats ()
@@ -97,7 +98,8 @@ let test_finalize_flags_stats_drift () =
         (* Double-counts accepted packets. *)
         stats.Net.Queue_disc.enqueued <- stats.Net.Queue_disc.enqueued + 2;
         true)
-      ~dequeue:(fun () -> Queue.take_opt fifo)
+      ~dequeue:(fun () ->
+        if Queue.is_empty fifo then Net.Packet.none else Queue.pop fifo)
       ~length:(fun () -> Queue.length fifo)
       ~byte_length:(fun () -> 1000 * Queue.length fifo)
       ~stats ()

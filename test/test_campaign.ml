@@ -168,6 +168,23 @@ let test_job_validation () =
            ~topologies:[ Campaign.Job.Fat_tree 2 ]
            ~cbr_shares:[ 0.1 ] ()))
 
+(* Route rows grow with routed nodes x nodes, so the topology strings
+   cap their counts. *)
+let test_topology_caps () =
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (result string string))
+        text expected
+        (Result.map Campaign.Job.topology_name
+           (Campaign.Job.topology_of_string text)))
+    [
+      ("parking-lot:64", Ok "parking-lot:64");
+      ("fat-tree:64", Ok "fat-tree:64");
+      ( "parking-lot:65",
+        Error "topology \"parking-lot:65\" has 65 hops (at most 64)" );
+      ("fat-tree:65", Error "topology \"fat-tree:65\" has 65 pods (at most 64)");
+    ]
+
 (* One topology vocabulary: sweep takes what run takes, and a fat-tree
    job runs pods x flows flows. *)
 let test_fat_tree_jobs () =
@@ -988,6 +1005,7 @@ let suite =
         Alcotest.test_case "grid validation" `Quick test_grid_validation;
         Alcotest.test_case "job validation" `Quick test_job_validation;
         Alcotest.test_case "fat-tree jobs" `Quick test_fat_tree_jobs;
+        Alcotest.test_case "topology sizes capped" `Quick test_topology_caps;
         Alcotest.test_case "duplicate points rejected" `Quick
           test_duplicate_points_rejected;
         Alcotest.test_case "pool order" `Quick test_pool_order_and_results;

@@ -165,6 +165,50 @@ let test_schedule_unit_rejects_past () =
     (Invalid_argument "Engine.schedule_unit: negative delay") (fun () ->
       Sim.Engine.schedule_unit engine ~delay:(-1.0) (fun () -> ()))
 
+(* The int time path: the encoding orders like the times and inverts
+   exactly, scheduling by bits fires at the decoded time, and the bits
+   entry points refuse what the float ones refuse — NaN (which encodes
+   above +infinity) and times before now. *)
+let test_schedule_by_bits () =
+  let times = [ 0.0; 1e-300; 0.008; 1.0; 2.0; 3.5; 1e300; infinity ] in
+  List.iter
+    (fun time ->
+      Alcotest.(check (float 0.0)) "round trip" time
+        (Sim.Engine.time_of_bits (Sim.Engine.bits_of_time time)))
+    times;
+  let bits = List.map Sim.Engine.bits_of_time times in
+  Alcotest.(check bool) "order kept" true (List.sort compare bits = bits);
+  let engine = Sim.Engine.create () in
+  let fired = ref [] in
+  let at time =
+    Sim.Engine.schedule_unit_at_bits engine ~bits:(Sim.Engine.bits_of_time time)
+      (fun () -> fired := Sim.Engine.now engine :: !fired)
+  in
+  at 2.0;
+  at 0.5;
+  Sim.Engine.run_until engine ~time:1.0;
+  Alcotest.(check int) "clock bits" (Sim.Engine.bits_of_time 1.0)
+    (Sim.Engine.now_bits engine);
+  Alcotest.(check int) "after" (Sim.Engine.bits_of_time 1.25)
+    (Sim.Engine.bits_after engine ~delay:0.25);
+  let refused label bits =
+    match Sim.Engine.schedule_unit_at_bits engine ~bits ignore with
+    | () -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "NaN" (Sim.Engine.bits_of_time nan);
+  refused "-NaN" (Sim.Engine.bits_of_time (-.nan));
+  refused "past" (Sim.Engine.bits_of_time 0.75);
+  List.iter
+    (fun delay ->
+      Alcotest.check_raises "bits_after"
+        (Invalid_argument "Engine.bits_after: delay is negative or NaN")
+        (fun () -> ignore (Sim.Engine.bits_after engine ~delay : int)))
+    [ -0.5; nan ];
+  Sim.Engine.run engine;
+  Alcotest.(check (list (float 0.0))) "fired at the decoded times" [ 2.0; 0.5 ]
+    !fired
+
 (* Differential property: the engine fires exactly what the test-only
    [Reference_queue] fires — same (time, id) sequence, same [pending]
    at every [run_until] boundary, same final clock — over random
@@ -389,6 +433,7 @@ let suite =
         Alcotest.test_case "schedule_unit" `Quick test_schedule_unit;
         Alcotest.test_case "schedule_unit rejects past" `Quick
           test_schedule_unit_rejects_past;
+        Alcotest.test_case "schedule by time bits" `Quick test_schedule_by_bits;
         QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         QCheck_alcotest.to_alcotest prop_random_schedule_fires_in_order;
       ] );

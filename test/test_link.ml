@@ -125,6 +125,39 @@ let test_invalid_args () =
            ~dst:(fun _ -> ())
            ()))
 
+(* NaN fails every comparison, so a [<= 0] test lets it through: it
+   used to surface as an assertion or a scheduling error far from the
+   call. Infinity is refused too: an infinite rate serializes in zero
+   time and an infinite delay never delivers. *)
+let test_non_finite_refused () =
+  let engine = Sim.Engine.create () in
+  let create ~bandwidth_bps ~delay () =
+    Net.Link.create ~engine ~bandwidth_bps ~delay
+      ~queue:(Net.Droptail.create ~capacity:1 ())
+      ~dst:(fun _ -> ())
+      ()
+  in
+  let raises message f =
+    Alcotest.check_raises message (Invalid_argument message) (fun () ->
+        ignore (f ()))
+  in
+  List.iter
+    (fun bad ->
+      raises "Link.create: bandwidth not finite"
+        (create ~bandwidth_bps:bad ~delay:0.1);
+      raises "Link.create: delay not finite" (create ~bandwidth_bps:1e6 ~delay:bad))
+    [ nan; -.nan; infinity ];
+  raises "Link.create: bandwidth <= 0" (create ~bandwidth_bps:neg_infinity ~delay:0.1);
+  raises "Link.create: negative delay" (create ~bandwidth_bps:1e6 ~delay:neg_infinity);
+  let link = create ~bandwidth_bps:1e6 ~delay:0.1 () in
+  List.iter
+    (fun bad ->
+      raises "Link.set_rate: bandwidth not finite" (fun () -> Net.Link.set_rate link bad);
+      raises "Link.set_delay: delay not finite" (fun () -> Net.Link.set_delay link bad))
+    [ nan; infinity ];
+  Alcotest.(check (float 0.0)) "rate kept" 1e6 (Net.Link.rate_bps link);
+  Alcotest.(check (float 0.0)) "delay kept" 0.1 (Net.Link.delay link)
+
 let suite =
   [
     ( "link",
@@ -136,6 +169,8 @@ let suite =
         Alcotest.test_case "overload drops" `Quick test_overload_drops;
         Alcotest.test_case "work conserving" `Quick test_work_conserving_after_idle;
         Alcotest.test_case "invalid args" `Quick test_invalid_args;
+        Alcotest.test_case "non-finite rate and delay refused" `Quick
+          test_non_finite_refused;
         QCheck_alcotest.to_alcotest prop_conservation;
       ] );
   ]

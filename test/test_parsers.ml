@@ -68,8 +68,20 @@ let sized kinds =
 
 let gateway = sized [ "droptail"; "red"; "RED"; " droptail "; "fifo"; "" ]
 
+(* Plus the edges of the HOPS and PODS caps, and a count far past them. *)
 let topology =
-  sized [ "dumbbell"; "parking-lot"; "fat-tree"; "Fat-Tree"; "ring"; "" ]
+  let near_misses =
+    sized [ "dumbbell"; "parking-lot"; "fat-tree"; "Fat-Tree"; "ring"; "" ]
+  in
+  QCheck2.Gen.(
+    oneof
+      [
+        near_misses;
+        map2
+          (fun kind n -> kind ^ ":" ^ n)
+          (oneofl [ "parking-lot"; "fat-tree" ])
+          (oneofl [ "63"; "64"; "65"; "4096" ]);
+      ])
 
 let cross =
   let open QCheck2.Gen in

@@ -8,12 +8,30 @@ let test_droptail_fifo () =
   List.iter (fun s -> ignore (q.Net.Queue_disc.enqueue (packet s) : bool)) [ 1; 2; 3 ];
   let seqs =
     List.init 3 (fun _ ->
-        match q.Net.Queue_disc.dequeue () with
-        | Some p -> Net.Packet.seq_exn p
-        | None -> -1)
+        let p = q.Net.Queue_disc.dequeue () in
+        if Net.Packet.is_none p then -1 else Net.Packet.seq_exn p)
   in
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] seqs;
-  Alcotest.(check bool) "drained" true (q.Net.Queue_disc.dequeue () = None)
+  Alcotest.(check bool) "drained" true
+    (Net.Packet.is_none (q.Net.Queue_disc.dequeue ()))
+
+(* The ring under Droptail and RED: FIFO order across wrap-around and
+   growth, and the sentinel when empty. *)
+let test_fifo_ring () =
+  let fifo = Net.Fifo.create () in
+  let taken = ref [] in
+  let take () =
+    let p = Net.Fifo.take fifo in
+    if not (Net.Packet.is_none p) then taken := Net.Packet.seq_exn p :: !taken
+  in
+  for seq = 0 to 9 do Net.Fifo.push fifo (packet seq) done;
+  for _ = 1 to 5 do take () done;
+  for seq = 10 to 49 do Net.Fifo.push fifo (packet seq) done;
+  Alcotest.(check int) "length" 45 (Net.Fifo.length fifo);
+  while not (Net.Fifo.is_empty fifo) do take () done;
+  Alcotest.(check (list int)) "fifo order" (List.init 50 Fun.id) (List.rev !taken);
+  Alcotest.(check bool) "empty take is the sentinel" true
+    (Net.Packet.is_none (Net.Fifo.take fifo))
 
 let test_droptail_capacity () =
   let dropped = ref [] in
@@ -110,7 +128,7 @@ let test_red_idle_decay () =
   done;
   (* Drain completely, idle for a long time, then enqueue once: the
      average must have decayed toward zero. *)
-  while q.Net.Queue_disc.dequeue () <> None do () done;
+  while not (Net.Packet.is_none (q.Net.Queue_disc.dequeue ())) do () done;
   let before = probe () in
   Sim.Engine.run_until engine ~time:60.0;
   ignore (q.Net.Queue_disc.enqueue (packet 999) : bool);
@@ -136,6 +154,7 @@ let suite =
     ( "droptail",
       [
         Alcotest.test_case "fifo" `Quick test_droptail_fifo;
+        Alcotest.test_case "ring wraps and grows" `Quick test_fifo_ring;
         Alcotest.test_case "capacity" `Quick test_droptail_capacity;
         Alcotest.test_case "byte length" `Quick test_droptail_byte_length;
         Alcotest.test_case "invalid" `Quick test_droptail_invalid;

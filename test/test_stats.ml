@@ -113,7 +113,6 @@ let test_recovery_episodes_pairing () =
   let t =
     {
       Stats.Flow_trace.sends = Stats.Series.create ();
-      retransmissions = Stats.Series.create ();
       acks = Stats.Series.create ();
       una = Stats.Series.create ();
       cwnd = Stats.Series.create ();

@@ -52,6 +52,23 @@ let test_validation_rejects () =
       Net.Topology.validate (pair_spec ())
         ~flows:[| { Net.Topology.src = "a"; dst = "a" } |])
 
+(* NaN passes a [<= 0] test; before the compiler refused it, a NaN
+   rate failed an assertion at the first send. *)
+let test_validation_rejects_non_finite () =
+  let validate spec = Net.Topology.validate spec ~flows:endpoints_ab in
+  List.iter
+    (fun bad ->
+      check_invalid "Topology: link \"ab\" bandwidth not finite" (fun () ->
+          validate (pair_spec ~ab:(link ~bandwidth_bps:bad "a" "b") ()));
+      check_invalid "Topology: link \"ab\" delay not finite" (fun () ->
+          validate (pair_spec ~ab:(link ~delay:bad "a" "b") ())))
+    [ nan; -.nan; infinity ];
+  let engine = Sim.Engine.create () in
+  check_invalid "Topology: link \"ba\" bandwidth not finite" (fun () ->
+      Net.Topology.create ~engine
+        ~spec:(pair_spec ~ba:(link ~bandwidth_bps:nan "b" "a") ())
+        ~rng:(Sim.Rng.create 1L) ~flows:endpoints_ab ())
+
 let test_validation_rejects_bad_routes () =
   (* c is attached but a's data for c bounces between a and b forever *)
   let looping =
@@ -274,6 +291,8 @@ let suite =
       [
         Alcotest.test_case "validation rejects malformed specs" `Quick
           test_validation_rejects;
+        Alcotest.test_case "validation rejects non-finite links" `Quick
+          test_validation_rejects_non_finite;
         Alcotest.test_case "validation rejects bad routes" `Quick
           test_validation_rejects_bad_routes;
         Alcotest.test_case "delivery and introspection" `Quick
