@@ -579,13 +579,22 @@ let field name coerce json =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
 
+(* Counts and goodputs are never negative: such a field was edited or
+   torn, and the entry is a miss. *)
+let non_negative zero coerce name json =
+  let* v = field name coerce json in
+  if v >= zero then Ok v else Error (Printf.sprintf "negative field %S" name)
+
+let count = non_negative 0 Json.to_int
+let goodput = non_negative 0.0 Json.to_float
+
 let flow_metrics_of_json json =
-  let* flow = field "flow" Json.to_int json in
-  let* goodput_bps = field "goodput_bps" Json.to_float json in
-  let* drops = field "drops" Json.to_int json in
-  let* timeouts = field "timeouts" Json.to_int json in
-  let* retransmits = field "retransmits" Json.to_int json in
-  let* fast_retransmits = field "fast_retransmits" Json.to_int json in
+  let* flow = count "flow" json in
+  let* goodput_bps = goodput "goodput_bps" json in
+  let* drops = count "drops" json in
+  let* timeouts = count "timeouts" json in
+  let* retransmits = count "retransmits" json in
+  let* fast_retransmits = count "fast_retransmits" json in
   Ok { flow; goodput_bps; drops; timeouts; retransmits; fast_retransmits }
 
 let result_of_json job json =
@@ -602,10 +611,10 @@ let result_of_json job json =
           Ok (m :: acc))
         (Ok []) flows
     in
-    let* aggregate_goodput_bps = field "aggregate_goodput_bps" Json.to_float json in
+    let* aggregate_goodput_bps = goodput "aggregate_goodput_bps" json in
     let* jain = field "jain" Json.to_float json in
-    let* audit_checks = field "audit_checks" Json.to_int json in
-    let* audit_violations = field "audit_violations" Json.to_int json in
+    let* audit_checks = count "audit_checks" json in
+    let* audit_violations = count "audit_violations" json in
     Ok
       {
         job;

@@ -249,5 +249,6 @@ val result_to_json : result -> Json.t
 
 (** [result_of_json job json] decodes a cached result. The stored
     job is ignored in favour of [job] (the cache key already proved
-    they match). *)
+    they match). A negative count or goodput is an [Error], as is any
+    number {!Json.to_int} or {!Json.to_float} refuses. *)
 val result_of_json : t -> Json.t -> (result, string) Stdlib.result

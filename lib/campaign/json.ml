@@ -241,10 +241,14 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
+(* A literal such as 1e999 parses to infinity; it is no measurement. *)
+let to_float = function Num f when Float.is_finite f -> Some f | _ -> None
 
+(* Past 2^53 a double no longer holds every integer, and [int_of_float]
+   wraps once past [max_int]. *)
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -30,8 +30,9 @@ val of_string : string -> (t, string) result
 (** [member key v] is the field [key] of object [v]. *)
 val member : string -> t -> t option
 
-(** Coercions; [None] on a mismatched constructor. [to_int] accepts
-    only integral numbers. *)
+(** Coercions; [None] on a mismatched constructor. [to_float] accepts
+    only finite numbers, [to_int] only integral ones within ±2{^53},
+    where every integer is exact. *)
 
 val to_float : t -> float option
 val to_int : t -> int option

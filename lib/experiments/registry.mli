@@ -3,9 +3,9 @@
     Every reproduction artifact (figures, tables, ablations,
     extensions) registers here exactly once as a record with a name, a
     one-line synopsis and a [run] thunk producing the printed report.
-    The CLI's [all] and [list] commands and the benchmark harness's
-    reproduction pass iterate this list instead of hand-wiring the
-    per-figure modules. *)
+    The CLI's [all] and [list] commands and [verify_repro]'s report
+    digests iterate this list instead of hand-wiring the per-figure
+    modules. *)
 
 type t = {
   name : string;  (** stable CLI identifier, e.g. ["fig5"] *)

@@ -590,6 +590,8 @@ let cancel t handle =
 
 let pending t = t.live
 
+let scheduled t = t.next_seq
+
 (* Fire (or silently drain, if cancelled) a slot popped from the
    queue. The slot is released before the callback runs so the
    callback's own scheduling reuses it immediately. *)

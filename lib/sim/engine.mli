@@ -85,6 +85,12 @@ val cancel : t -> handle -> unit
     (cancelled and already-fired events are not counted). *)
 val pending : t -> int
 
+(** [scheduled t] is the number of events scheduled on [t] since
+    {!create}, by every entry point, whether they fired, were cancelled
+    or are still pending. It reads the insertion counter that orders
+    same-time events, so counting costs nothing. *)
+val scheduled : t -> int
+
 (** [run t] processes events until the queue is empty. *)
 val run : t -> unit
 

@@ -85,13 +85,22 @@ let predict t e =
   | Rfc793 -> 2.0 *. e.srtt
   | Jacobson | Agile -> e.srtt +. (4.0 *. e.rttvar)
 
-let base_value t =
-  match t.estimate with None -> t.initial_rto | Some e -> predict t e
-
 let value t =
+  (* [predict] restated inline: a float returned from a function is
+     boxed, and this runs at every RTO-timer restart, so only the
+     result may allocate. *)
+  let predicted =
+    match t.estimate with
+    | None -> t.initial_rto
+    | Some e -> (
+      match t.algorithm with
+      | Fixed -> t.initial_rto
+      | Rfc793 -> 2.0 *. e.srtt
+      | Jacobson | Agile -> e.srtt +. (4.0 *. e.rttvar))
+  in
   (* Backoff doubles the effective (already clamped) timeout, so a
      1-second floor backs off 1, 2, 4, ... as classic TCP does. *)
-  let base = Float.max t.min_rto (base_value t) in
+  let base = Float.max t.min_rto predicted in
   let v = Float.min t.max_rto (base *. t.backoff_factor) in
   if t.tick <= 0.0 then v
   else

@@ -639,15 +639,30 @@ let test_cache_hit_is_byte_identical () =
     (Campaign.Json.to_string (Campaign.Sweep.results_json cold))
     (Campaign.Json.to_string (Campaign.Sweep.results_json warm))
 
+(* [with_field text key raw] is the pretty-printed entry [text] with the
+   value of its first [key] field replaced by the literal [raw]. *)
+let with_field text key raw =
+  let prefix = Printf.sprintf "\"%s\": " key in
+  let rec find i =
+    if String.sub text i (String.length prefix) = prefix then
+      i + String.length prefix
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop i = if String.contains ",\n}" text.[i] then i else stop (i + 1) in
+  let stop = stop start in
+  String.sub text 0 start ^ raw ^ String.sub text stop (String.length text - stop)
+
 let test_cache_ignores_corrupt_entries () =
   let cache = temp_cache_dir () in
   let job = List.hd (Campaign.Sweep.jobs_of_grid (tiny_grid ())) in
   let path =
     Filename.concat (Campaign.Cache.dir cache) (Campaign.Job.digest job ^ ".json")
   in
-  let oc = open_out path in
-  output_string oc "{ truncated";
-  close_out oc;
+  let write text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  write "{ truncated";
   Alcotest.(check bool)
     "corrupt entry is a miss, not an error" true
     (Campaign.Cache.find cache job = None);
@@ -655,7 +670,33 @@ let test_cache_ignores_corrupt_entries () =
   Campaign.Cache.store cache result;
   Alcotest.(check bool)
     "store repairs the entry" true
-    (Campaign.Cache.find cache job = Some result)
+    (Campaign.Cache.find cache job = Some result);
+  (* Entries that parse but hold what no run measures: a count past
+     2^53 (past max_int, int_of_float wraps it negative), a negative
+     count, an infinite or negative goodput. Each must be a miss. *)
+  let stored = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun (key, raw) ->
+      let text = with_field stored key raw in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s parses" key raw)
+        true
+        (Result.is_ok (Campaign.Json.of_string text));
+      write text;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s is a miss" key raw)
+        true
+        (Campaign.Cache.find cache job = None))
+    [
+      ("drops", "4.7e18");
+      ("timeouts", "9007199254740994");
+      ("retransmits", "-1");
+      ("audit_checks", "-4140");
+      ("goodput_bps", "1e999");
+      ("goodput_bps", "-236000");
+      ("aggregate_goodput_bps", "-1");
+      ("jain", "1e999");
+    ]
 
 (* -- parallel vs serial equivalence -- *)
 

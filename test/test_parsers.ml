@@ -1,6 +1,7 @@
 (* Fuzzing the string parsers behind `rr-sim run` and `rr-sim sweep`:
    the fault DSL, --link-schedule, gateway and topology strings,
-   --cross-traffic and the pool's chaos spec. Cases are built from each
+   --cross-traffic, the pool's chaos spec and the campaign cache's JSON
+   reader. Cases are built from each
    grammar's own tokens mixed with numeric edge tokens, so most of them
    are near misses of valid input. Every case must end in [Ok] or [Error], never in an
    exception; an [Ok] value holds only finite numbers and survives a
@@ -162,6 +163,150 @@ let chaos_spec =
              (fun index -> List.map (fun attempt -> (index, attempt)) [ 1; 2; 3 ])
              [ 0; 1; 2; 3; 4; 5 ]))
 
+(* Cache JSON: trees of finite values, and cache entries rendered from
+   random results, printed and then mutated: cut short, a byte dropped,
+   a token spliced in or a number replaced. *)
+let json_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; 0.1; -1.0; 1e15; 1e15 -. 1.0; 0x1p53; 4.7e18; 1e300;
+            5e-324; Float.max_float;
+          ];
+        float_range (-1e6) 1e6;
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.0) float;
+      ])
+
+let json_string =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ ""; "\""; "\\"; "\n\t\r"; "\000\031"; "\xe2\x82\xac"; "drops" ];
+        string_size ~gen:char (int_range 0 8);
+      ])
+
+let json_tree =
+  let open QCheck2.Gen in
+  let open Campaign.Json in
+  let leaf =
+    oneof
+      [
+        return Null;
+        map (fun b -> Bool b) bool;
+        map (fun f -> Num f) json_float;
+        map (fun s -> Str s) json_string;
+      ]
+  in
+  sized_size (int_range 0 24)
+  @@ fix (fun tree size ->
+         if size = 0 then leaf
+         else
+           let some gen = list_size (int_range 0 4) gen in
+           oneof
+             [
+               leaf;
+               map (fun items -> List items) (some (tree (size / 4)));
+               map
+                 (fun fields -> Obj fields)
+                 (some (pair json_string (tree (size / 4))));
+             ])
+
+let cache_entry =
+  let open QCheck2.Gen in
+  let count = int_range 0 1_000_000 and rate = float_range 0.0 1e7 in
+  let flow =
+    map3
+      (fun flow goodput_bps (drops, timeouts, (retransmits, fast_retransmits)) ->
+        {
+          Campaign.Job.flow;
+          goodput_bps;
+          drops;
+          timeouts;
+          retransmits;
+          fast_retransmits;
+        })
+      (int_range 0 3) rate
+      (triple count count (pair count count))
+  in
+  map3
+    (fun flow_metrics (aggregate_goodput_bps, jain)
+         (audit_checks, audit_violations) ->
+      Campaign.Job.result_to_json
+        {
+          Campaign.Job.job = Campaign.Job.default;
+          flow_metrics;
+          aggregate_goodput_bps;
+          jain;
+          audit_checks;
+          audit_violations;
+        })
+    (list_size (int_range 0 3) flow)
+    (pair rate (float_range 0.0 1.0))
+    (pair count count)
+
+let mutated text =
+  let open QCheck2.Gen in
+  let token =
+    oneofl
+      [
+        "1e999"; "-1"; "4.7e18"; "9007199254740993"; "nan"; "-0"; "0x10"; "1e";
+        "-"; "\""; "\\u12"; "{"; "}"; "["; "]"; ","; ":"; "null"; "tru";
+      ]
+  in
+  let n = String.length text in
+  let before at = String.sub text 0 at
+  and after at = String.sub text at (n - at) in
+  let number_char c = String.contains "0123456789-+.eE" c in
+  let rec number_at i =
+    if i >= n || number_char text.[i] then i else number_at (i + 1)
+  in
+  let rec number_end i =
+    if i < n && number_char text.[i] then number_end (i + 1) else i
+  in
+  int_range 0 n >>= fun at ->
+  oneof
+    [
+      return (before at);
+      return (if at < n then before at ^ after (at + 1) else text);
+      map (fun t -> before at ^ t ^ after at) token;
+      (let start = number_at at in
+       map (fun t -> before start ^ t ^ after (number_end start)) token);
+    ]
+
+let cache_document =
+  let open QCheck2.Gen in
+  let printed = oneofl Campaign.Json.[ to_string; pretty ] in
+  let document tree = map2 (fun print v -> print v) printed tree in
+  oneof
+    [
+      document json_tree;
+      document cache_entry;
+      document json_tree >>= mutated;
+      document cache_entry >>= mutated;
+    ]
+
+(* What a decoded cache entry holds is a measurement: finite, and no
+   count or goodput below zero. *)
+let sane_result (r : Campaign.Job.result) =
+  let count n = n >= 0 and rate g = Float.is_finite g && g >= 0.0 in
+  List.for_all
+    (fun (m : Campaign.Job.flow_metrics) ->
+      count m.flow && rate m.goodput_bps && count m.drops && count m.timeouts
+      && count m.retransmits && count m.fast_retransmits)
+    r.flow_metrics
+  && rate r.aggregate_goodput_bps && Float.is_finite r.jain
+  && count r.audit_checks && count r.audit_violations
+
+let json_round_trip =
+  QCheck2.Test.make ~name:"json round trip" ~count:10_000
+    ~print:Campaign.Json.to_string json_tree (fun v ->
+      List.for_all
+        (fun print -> Campaign.Json.of_string (print v) = Ok v)
+        Campaign.Json.[ to_string; pretty ])
+
 let finite = List.for_all Float.is_finite
 
 let spec_floats (spec : Faults.Spec.t) =
@@ -222,6 +367,12 @@ let properties =
         Workload.Cbr.advances ~rate_bps:c.rate_bps ~packet_bytes:c.packet_bytes
           ~until:20.0);
     chaos_spec;
+    never_raises ~name:"cache json" cache_document
+      ~parse:(fun text ->
+        Result.bind (Campaign.Json.of_string text)
+          (Campaign.Job.result_of_json Campaign.Job.default))
+      ~ok:sane_result;
+    json_round_trip;
   ]
 
 let suite =
