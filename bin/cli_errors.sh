@@ -130,6 +130,9 @@ export RR_SIM_POOL_CHAOS=bogus
 sweep 'RR_SIM_POOL_CHAOS: invalid chaos clause "bogus" (expected ACTION:JOB[,JOB...])'
 unset RR_SIM_POOL_CHAOS
 
+# all: a name the registry does not hold.
+expect '--only bogus: unknown experiment; try rr-sim list' all --only bogus
+
 # modelcheck: the models' domain, the horizon and the RRR level.
 expect '--rrr-level nan: must be inside (0, 1)' modelcheck --rrr-level nan --variants rrr --loss 0.01 --seeds 1 --duration 10 --check 0.2
 expect '--loss 2: must be within (0, 1]' modelcheck --loss 2

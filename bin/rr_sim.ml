@@ -1,14 +1,17 @@
 (* rr-sim — command-line front end for the Robust-Recovery reproduction.
 
    One sub-command per paper artifact (fig5, fig6, fig7, table5), plus
-   the RR design ablations, a free-form [run] command for ad-hoc
-   dumbbell scenarios, and [all] to regenerate everything. *)
+   the RR design ablations, option-less commands generated from the
+   experiment registry, a free-form [run] command for ad-hoc dumbbell
+   scenarios, and [all] to regenerate everything. *)
 
 open Cmdliner
 
+let default_seed = 7L
+
 let seed_arg =
   let doc = "Random seed for stochastic components (RED, loss injection)." in
-  Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int64 default_seed & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let variant_conv =
   let parse s =
@@ -232,70 +235,18 @@ let ablation_cmd =
     (Cmd.info "ablation" ~doc:"RR design-decision ablation benchmarks.")
     ablation_term
 
-(* extension experiments *)
+(* The option-less artifacts: each prints its registry entry at the
+   default seed, exactly what [all --only NAME] prints below its
+   banner. *)
 
-let ack_loss_cmd =
-  Cmd.v
-    (Cmd.info "ackloss"
-       ~doc:
-         "ACK-loss robustness of recovery (paper section 2.3): burst recovery \
-          under reverse-path drops.")
-    (report_term (fun () ->
-         Experiments.Ack_loss.report (Experiments.Ack_loss.run ())))
-
-let sync_cmd =
-  Cmd.v
-    (Cmd.info "sync"
-       ~doc:
-         "Global synchronization and fairness: drop-tail vs RED gateways \
-          (paper section 3.3 motivation).")
-    (report_term (fun () ->
-         Experiments.Sync.report (Experiments.Sync.run ())))
-
-let smooth_cmd =
-  Cmd.v
-    (Cmd.info "smooth"
-       ~doc:
-         "Smooth-Start extension (paper reference [21]): slow-start overshoot \
-          control.")
-    (report_term (fun () ->
-         Experiments.Smooth.report (Experiments.Smooth.run ())))
-
-let rtt_cmd =
-  Cmd.v
-    (Cmd.info "rtt"
-       ~doc:
-         "RTT fairness: AIMD convergence with equal RTTs (paper section 5) \
-          and the short-RTT bias with unequal ones.")
-    (report_term (fun () ->
-         Experiments.Rtt_fairness.report (Experiments.Rtt_fairness.run ())))
-
-let sensitivity_cmd =
-  Cmd.v
-    (Cmd.info "sensitivity"
-       ~doc:
-         "Robustness sweep: the Figure 5 ordering across gateway buffer sizes \
-          and propagation delays.")
-    (report_term (fun () ->
-         Experiments.Sensitivity.report (Experiments.Sensitivity.run ())))
-
-let two_way_cmd =
-  Cmd.v
-    (Cmd.info "twoway"
-       ~doc:
-         "Two-way traffic (paper reference [22]): ACK compression and loss \
-          when data flows in both directions.")
-    (report_term (fun () ->
-         Experiments.Two_way.report (Experiments.Two_way.run ())))
-
-let vegas_cmd =
-  Cmd.v
-    (Cmd.info "vegas"
-       ~doc:
-         "Vegas decomposition (paper reference [8]): does Vegas' gain come \
-          from recovery or congestion avoidance?")
-    (report_term (fun () ->
-         Experiments.Vegas_claim.report (Experiments.Vegas_claim.run ())))
+let registry_cmds =
+  List.map
+    (fun name ->
+      let e = Option.get (Experiments.Registry.find name) in
+      Cmd.v
+        (Cmd.info name ~doc:e.Experiments.Registry.synopsis)
+        (report_term (fun () -> e.Experiments.Registry.run ~seed:default_seed)))
+    [ "ackloss"; "sync"; "smooth"; "rtt"; "sensitivity"; "twoway"; "vegas" ]
 
 (* audit: invariant sweep over every variant and scenario shape *)
 
@@ -960,8 +911,7 @@ let all_term =
             match Experiments.Registry.find name with
             | Some e -> e
             | None ->
-              Printf.eprintf "unknown experiment %S; try: rr-sim list\n" name;
-              exit 2)
+              usage_error "--only %s: unknown experiment; try rr-sim list" name)
           names
     in
     List.iteri
@@ -1135,19 +1085,12 @@ let main_cmd =
   in
   Cmd.group ~default
     (Cmd.info "rr-sim" ~version:"1.0.0" ~doc)
-    [
+    ([
       fig5_cmd;
       fig6_cmd;
       fig7_cmd;
       table5_cmd;
       ablation_cmd;
-      ack_loss_cmd;
-      sync_cmd;
-      smooth_cmd;
-      vegas_cmd;
-      rtt_cmd;
-      two_way_cmd;
-      sensitivity_cmd;
       audit_cmd;
       run_cmd;
       sweep_cmd;
@@ -1156,5 +1099,6 @@ let main_cmd =
       list_cmd;
       all_cmd;
     ]
+    @ registry_cmds)
 
 let () = exit (Cmd.eval main_cmd)

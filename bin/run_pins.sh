@@ -1,5 +1,6 @@
 #!/bin/sh
-# Byte pins for `rr-sim run` and `rr-sim --audit`.
+# Byte pins for `rr-sim run`, `rr-sim --audit` and two of the commands
+# generated from the experiment registry, `list` and `sync`.
 #
 # Usage: run_pins.sh RR_SIM_EXE
 #
@@ -74,3 +75,8 @@ pin run --topology many-flow --flows 500 --rwnd 16 --buffer 64 --seed 3 --durati
 
 # The invariant sweep.
 pin --audit
+
+# The registry's listing, and one option-less artifact command, which
+# prints its registry report at the default seed.
+pin list
+pin sync

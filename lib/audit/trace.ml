@@ -416,6 +416,14 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
+(* The ninth byte of a varint lands at bit 56, six bits below OCaml's
+   sign bit: a larger byte, or one with a continuation, would make the
+   value negative. No writer emits such a varint, so the reader
+   refuses it. *)
+let varint_byte ~shift acc b =
+  if shift = 56 && b > 0x3f then corrupt "varint overflow";
+  acc lor ((b land 0x7f) lsl shift)
+
 (* Read the next record's length prefix; [None] on a clean EOF at a
    record boundary. EOF anywhere inside the varint is corruption. *)
 let read_record_len input =
@@ -427,7 +435,7 @@ let read_record_len input =
         try Char.code (input_char input)
         with End_of_file -> corrupt "truncated varint"
       in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
+      let acc = varint_byte ~shift acc b in
       if b land 0x80 <> 0 then go (shift + 7) acc else acc
     in
     let b = Char.code first in
@@ -445,7 +453,7 @@ let byte cur =
 let cur_varint cur =
   let rec go shift acc =
     let b = byte cur in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
+    let acc = varint_byte ~shift acc b in
     if b land 0x80 <> 0 then go (shift + 7) acc else acc
   in
   go 0 0
@@ -465,7 +473,7 @@ let cur_time cur = Sim.Engine.time_of_bits (cur_i63 cur)
 
 let cur_str cur =
   let len = cur_varint cur in
-  if cur.pos + len > String.length cur.payload then corrupt "truncated string";
+  if len > String.length cur.payload - cur.pos then corrupt "truncated string";
   let s = String.sub cur.payload cur.pos len in
   cur.pos <- cur.pos + len;
   s
@@ -493,6 +501,24 @@ let export ~input ~output =
   | magic when magic = binary_magic -> ()
   | _ -> corrupt "bad magic (not an rr-sim binary trace)"
   | exception End_of_file -> corrupt "bad magic (not an rr-sim binary trace)");
+  (* A payload past 64 KiB is read a chunk at a time, so a corrupt
+     length allocates only what actually arrives before End_of_file;
+     a file and a pipe are read alike. *)
+  let payload len =
+    if len <= 65536 then really_input_string input len
+    else begin
+      let buf = Buffer.create 65536 in
+      let rec fill left =
+        if left > 0 then begin
+          let n = min left 65536 in
+          Buffer.add_channel buf input n;
+          fill (left - n)
+        end
+      in
+      fill len;
+      Buffer.contents buf
+    end
+  in
   let jt = create ~out:output () in
   let strings = Hashtbl.create 16 in
   let strref cur =
@@ -506,8 +532,7 @@ let export ~input ~output =
     | None -> ()
     | Some len ->
       let payload =
-        try really_input_string input len
-        with End_of_file -> corrupt "truncated record"
+        try payload len with End_of_file -> corrupt "truncated record"
       in
       let cur = { payload; pos = 0 } in
       (match byte cur with

@@ -524,20 +524,17 @@ let scenario ?(cross = []) job =
 
 let measure job (t : Experiments.Scenario.t) =
   let flow_metrics =
-    List.mapi
-      (fun flow (result : Experiments.Scenario.flow_result) ->
-        let counters = result.agent.Tcp.Agent.base.Tcp.Sender_common.counters in
+    List.init (Array.length t.results) (fun flow ->
+        let counters = Experiments.Scenario.counters t ~flow in
         {
           flow;
           goodput_bps =
-            Stats.Metrics.effective_throughput_bps result.trace
-              ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:0.0 ~t1:job.duration;
+            Experiments.Scenario.goodput_bps t ~flow ~t0:0.0 ~t1:job.duration;
           drops = Experiments.Scenario.drops t ~flow;
           timeouts = counters.Tcp.Counters.timeouts;
           retransmits = counters.Tcp.Counters.retransmits;
           fast_retransmits = counters.Tcp.Counters.fast_retransmits;
         })
-      (Array.to_list t.results)
   in
   let goodputs = List.map (fun m -> m.goodput_bps) flow_metrics in
   {

@@ -47,8 +47,7 @@ let run ?(drops = 6) ?(measure_window = 3.0) () =
                     direction = Net.Dumbbell.Forward } ]
                ~params ~forced_drops:rules ())
         in
-        let result = t.Scenario.results.(0) in
-        let trace = result.Scenario.trace in
+        let trace = t.Scenario.results.(0).Scenario.trace in
         let t0 =
           match Scenario.first_drop_time t ~flow:0 with
           | Some time -> time
@@ -58,16 +57,13 @@ let run ?(drops = 6) ?(measure_window = 3.0) () =
           label;
           ablation;
           throughput_bps =
-            Stats.Metrics.effective_throughput_bps trace
-              ~mss:params.Tcp.Params.mss ~t0 ~t1:(t0 +. measure_window);
+            Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. measure_window);
           recovery_seconds =
             Option.map
               (fun finish -> finish -. t0)
               (Stats.Metrics.recovery_completion_time trace
                  ~target_seq:last_drop);
-          timeouts =
-            result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-              .Tcp.Counters.timeouts;
+          timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
         })
       designs
   in

@@ -1,12 +1,4 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  timeouts : float;
-}
-
-type point = { ack_loss_rate : float; cells : cell list }
-
-type outcome = { points : point list }
+type outcome = float Variant_table.t
 
 let params = { Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
 
@@ -14,15 +6,13 @@ let burst = List.init 4 (fun i -> { Net.Loss.flow = 0; seq = 33 + i; occurrence 
 
 let measure_window = 4.0
 
-let run_one ~seed ~ack_loss variant =
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-         ~flows:[ Scenario.flow variant ] ~params ~seed ~forced_drops:burst
-         ~ack_loss ())
-  in
-  let result = t.Scenario.results.(0) in
+let scenario ack_loss variant ~seed =
+  Scenario.make
+    ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
+    ~flows:[ Scenario.flow variant ] ~params ~seed ~forced_drops:burst
+    ~ack_loss ()
+
+let measure _ t =
   let t0 =
     (* The first *data* drop (ACK drops also land in the log). *)
     let rec scan = function
@@ -32,76 +22,27 @@ let run_one ~seed ~ack_loss variant =
     in
     scan t.Scenario.drop_log
   in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:params.Tcp.Params.mss ~t0 ~t1:(t0 +. measure_window)
-  in
-  let timeouts =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
-  (throughput, timeouts)
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. measure_window);
+    float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+  |]
 
 let run ?(rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ])
     ?(variants = Core.Variant.[ Newreno; Sack; Rr ])
     ?(seeds = [ 2L; 19L; 47L; 83L; 151L ]) () =
-  let points =
-    List.map
-      (fun ack_loss_rate ->
-        let cells =
-          List.map
-            (fun variant ->
-              let runs =
-                List.map
-                  (fun seed -> run_one ~seed ~ack_loss:ack_loss_rate variant)
-                  seeds
-              in
-              {
-                variant;
-                throughput_bps = Stats.Metrics.mean (List.map fst runs);
-                timeouts =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, t) -> float_of_int t) runs);
-              })
-            variants
-        in
-        { ack_loss_rate; cells })
-      rates
-  in
-  { points }
+  Variant_table.run ~rows:rates ~variants ~seeds ~scenario ~measure
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "ACK loss rate"
-    :: List.concat_map
-         (fun v ->
-           [
-             Core.Variant.name v ^ " goodput (Kbps)";
-             Core.Variant.name v ^ " timeouts";
-           ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%.0f%%" (100.0 *. point.ack_loss_rate)
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.1f" cell.timeouts;
-               ])
-             point.cells)
-      outcome.points
-  in
   Printf.sprintf
     "ACK-loss robustness (4-loss burst recovery under reverse-path drops, §2.3)\n\
      paper shape: RR degrades gracefully and stays ahead of New-Reno;\n\
      SACK is the least ACK-sensitive\n\n\
      %s"
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:
+         [
+           ( "ACK loss rate",
+             fun (rate, _) -> Printf.sprintf "%.0f%%" (100.0 *. rate) );
+         ]
+       ~columns:Variant_table.[ goodput; count "timeouts" 1 ]
+       outcome)

@@ -13,15 +13,9 @@
     around the recovery episode and timeout counts are averaged over
     several seeds per point. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean over seeds *)
-  timeouts : float;  (** mean over seeds *)
-}
-
-type point = { ack_loss_rate : float; cells : cell list }
-
-type outcome = { points : point list }
+(** One row per ACK-loss rate; each run measures goodput (bits/s) and
+    timeouts. *)
+type outcome = float Variant_table.t
 
 (** [run ()] sweeps ACK-loss rates (default 0 … 0.3) for New-Reno, SACK
     and RR. *)

@@ -1,13 +1,4 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  timeouts : float;
-  ack_drops : float;
-}
-
-type point = { ratio : float; cells : cell list }
-
-type outcome = { duration : float; points : point list }
+type outcome = float Variant_table.t
 
 let duration = 30.0
 
@@ -28,34 +19,27 @@ let faults_of_ratio ratio =
   if ratio <= 1.0 then Faults.Spec.none
   else { Faults.Spec.none with Faults.Spec.asym = Some ratio }
 
-let run_one ~seed ~ratio variant =
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell config)
-         ~flows:
-           (List.init flows (fun flow ->
-                {
-                  (Scenario.flow variant) with
-                  Scenario.start = 0.2 *. float_of_int flow;
-                }))
-         ~params ~seed ~duration ~faults:(faults_of_ratio ratio) ())
-  in
+let scenario ratio variant ~seed =
+  Scenario.make
+    ~topology:(Scenario.dumbbell config)
+    ~flows:
+      (List.init flows (fun flow ->
+           {
+             (Scenario.flow variant) with
+             Scenario.start = 0.2 *. float_of_int flow;
+           }))
+    ~params ~seed ~duration ~faults:(faults_of_ratio ratio) ()
+
+let measure _ t =
   let goodput =
     Stats.Metrics.mean
       (List.init flows (fun flow ->
-           Stats.Metrics.effective_throughput_bps
-             t.Scenario.results.(flow).Scenario.trace
-             ~mss:params.Tcp.Params.mss ~t0:2.0 ~t1:duration))
+           Scenario.goodput_bps t ~flow ~t0:2.0 ~t1:duration))
   in
   let timeouts =
     List.fold_left
-      (fun acc result ->
-        acc
-        + result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-            .Tcp.Counters.timeouts)
-      0
-      (Array.to_list t.Scenario.results)
+      (fun acc flow -> acc + (Scenario.counters t ~flow).Tcp.Counters.timeouts)
+      0 (List.init flows Fun.id)
   in
   let ack_drops =
     List.length
@@ -63,66 +47,14 @@ let run_one ~seed ~ratio variant =
          (fun d -> d.Scenario.payload = Scenario.Ack)
          t.Scenario.drop_log)
   in
-  (goodput, timeouts, ack_drops)
+  [| goodput; float_of_int timeouts; float_of_int ack_drops |]
 
 let run ?(ratios = [ 1.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0 ])
     ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ]) ()
     =
-  let points =
-    List.map
-      (fun ratio ->
-        let cells =
-          List.map
-            (fun variant ->
-              let runs =
-                List.map (fun seed -> run_one ~seed ~ratio variant) seeds
-              in
-              {
-                variant;
-                throughput_bps =
-                  Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
-                timeouts =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, t, _) -> float_of_int t) runs);
-                ack_drops =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, _, a) -> float_of_int a) runs);
-              })
-            variants
-        in
-        { ratio; cells })
-      ratios
-  in
-  { duration; points }
+  Variant_table.run ~rows:ratios ~variants ~seeds ~scenario ~measure
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "fwd:rev ratio"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " timeouts"; n ^ " ACK drops" ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%.0f:1" point.ratio
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.1f" cell.timeouts;
-                 Printf.sprintf "%.1f" cell.ack_drops;
-               ])
-             point.cells)
-      outcome.points
-  in
   Printf.sprintf
     "Asymmetric ACK channels: reverse trunk at 1/R of the forward rate\n\
      (asym:R spec clause; %d forward flows share the path, per-flow mean \
@@ -131,4 +63,9 @@ let report outcome =
      full\n\n\
      %s"
     flows
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:
+         [ ("fwd:rev ratio", fun (ratio, _) -> Printf.sprintf "%.0f:1" ratio) ]
+       ~columns:
+         Variant_table.[ goodput; count "timeouts" 1; count "ACK drops" 2 ]
+       outcome)

@@ -12,16 +12,10 @@
     50:1) and extends the §2.3 ACK-loss and two-way experiments, whose
     reverse-path stress was binary. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean per-flow goodput over seeds *)
-  timeouts : float;  (** total RTO expiries across flows, mean over seeds *)
-  ack_drops : float;  (** reverse-gateway ACK drops, mean over seeds *)
-}
-
-type point = { ratio : float; cells : cell list }
-
-type outcome = { duration : float; points : point list }
+(** One row per forward:reverse ratio. Each run measures the mean
+    per-flow goodput (bits/s), the RTO expiries summed across flows and
+    the reverse-gateway ACK drops. *)
+type outcome = float Variant_table.t
 
 (** [run ()] measures New-Reno, SACK and RR across forward:reverse
     ratios 1 to 200 (the paper-path collapse point sits past 50:1,

@@ -1,24 +1,12 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  timeouts : float;
-  residual_share : float;
-}
-
-type point = {
-  cbr_share : float;
-  cbr_delivered : float;
-  cells : cell list;
-}
-
-type outcome = { points : point list }
+type outcome = float Variant_table.t
 
 let duration = 20.0
 
-let run_one ~seed ~share variant =
-  let config =
-    Net.Dumbbell.paper_config ~flows:(if share > 0.0 then 2 else 1)
-  in
+let config share =
+  Net.Dumbbell.paper_config ~flows:(if share > 0.0 then 2 else 1)
+
+let scenario share variant ~seed =
+  let config = config share in
   let cross =
     if share > 0.0 then
       [
@@ -28,22 +16,13 @@ let run_one ~seed ~share variant =
       ]
     else []
   in
-  let t =
-    Scenario.run
-      (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:[ Scenario.flow variant ] ~seed ~duration
-         ~cross ())
-  in
-  let result = t.Scenario.results.(0) in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration
-  in
-  let timeouts =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
+  Scenario.make ~topology:(Scenario.dumbbell config)
+    ~flows:[ Scenario.flow variant ] ~seed ~duration ~cross ()
+
+let measure share t =
+  let throughput = Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration in
   let residual =
-    (1.0 -. share) *. config.Net.Dumbbell.bottleneck_bandwidth_bps
+    (1.0 -. share) *. (config share).Net.Dumbbell.bottleneck_bandwidth_bps
   in
   let delivered =
     if share > 0.0 then
@@ -53,77 +32,40 @@ let run_one ~seed ~share variant =
       else float_of_int cr.Scenario.received /. float_of_int sent
     else 1.0
   in
-  (throughput, timeouts, throughput /. residual, delivered)
+  [|
+    throughput;
+    float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+    throughput /. residual;
+    delivered;
+  |]
 
 let run ?(shares = [ 0.0; 0.25; 0.5 ])
     ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 41L ]) ()
     =
-  let points =
-    List.map
-      (fun share ->
-        let all_runs =
-          List.map
-            (fun variant ->
-              (variant, List.map (fun seed -> run_one ~seed ~share variant) seeds))
-            variants
-        in
-        let cells =
-          List.map
-            (fun (variant, runs) ->
-              {
-                variant;
-                throughput_bps =
-                  Stats.Metrics.mean (List.map (fun (x, _, _, _) -> x) runs);
-                timeouts =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, t, _, _) -> float_of_int t) runs);
-                residual_share =
-                  Stats.Metrics.mean (List.map (fun (_, _, r, _) -> r) runs);
-              })
-            all_runs
-        in
-        let cbr_delivered =
-          Stats.Metrics.mean
-            (List.concat_map
-               (fun (_, runs) -> List.map (fun (_, _, _, d) -> d) runs)
-               all_runs)
-        in
-        { cbr_share = share; cbr_delivered; cells })
-      shares
-  in
-  { points }
+  Variant_table.run ~rows:shares ~variants ~seeds ~scenario ~measure
+
+let percent x = Printf.sprintf "%.0f%%" (100.0 *. x)
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "CBR share" :: "CBR delivered"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " residual use"; n ^ " timeouts" ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%.0f%%" (100.0 *. point.cbr_share)
-        :: Printf.sprintf "%.0f%%" (100.0 *. point.cbr_delivered)
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.0f%%" (100.0 *. cell.residual_share);
-                 Printf.sprintf "%.1f" cell.timeouts;
-               ])
-             point.cells)
-      outcome.points
-  in
   Printf.sprintf
     "Unresponsive CBR cross-traffic at the bottleneck\n\
      residual use = TCP goodput / capacity the CBR leaves over\n\n\
      %s"
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:
+         [
+           ("CBR share", fun (share, _) -> percent share);
+           ( "CBR delivered",
+             fun (_, runs) ->
+               percent
+                 (Stats.Metrics.mean
+                    (List.concat_map (List.map (fun m -> m.(3))) runs)) );
+         ]
+       ~columns:
+         Variant_table.
+           [
+             goodput;
+             ("residual use", fun means -> percent means.(2));
+             count "timeouts" 1;
+           ]
+       outcome)

@@ -10,22 +10,11 @@
     full despite the permanently loss-inducing competitor, a timid one
     leaves residual bandwidth idle after every episode. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean TCP goodput over seeds *)
-  timeouts : float;
-  residual_share : float;
-      (** goodput as a fraction of the bottleneck capacity the CBR
-          leaves over (1.0 = TCP uses everything it could) *)
-}
-
-type point = {
-  cbr_share : float;  (** CBR offered load / bottleneck capacity *)
-  cbr_delivered : float;  (** fraction of CBR packets that got through *)
-  cells : cell list;
-}
-
-type outcome = { points : point list }
+(** One row per CBR share (CBR offered load / bottleneck capacity).
+    Each run measures TCP goodput (bits/s), timeouts, goodput as a
+    fraction of the capacity the CBR leaves over (1.0 = TCP uses
+    everything it could) and the fraction of CBR packets delivered. *)
+type outcome = float Variant_table.t
 
 (** [run ()] sweeps CBR shares (default 0, 0.25, 0.5 of the bottleneck)
     for New-Reno, SACK and RR. *)

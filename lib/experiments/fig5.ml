@@ -49,16 +49,14 @@ let run ~drops ?(measure_window = 3.0) ?(variants = paper_variants)
     List.map
       (fun variant ->
         let t = run_variant ~drops ~seed variant in
-        let result = t.Scenario.results.(0) in
-        let trace = result.Scenario.trace in
+        let trace = t.Scenario.results.(0).Scenario.trace in
         let t0 =
           match Scenario.first_drop_time t ~flow:0 with
           | Some time -> time
           | None -> failwith "Fig5: forced drops did not occur"
         in
         let throughput_bps =
-          Stats.Metrics.effective_throughput_bps trace
-            ~mss:params.Tcp.Params.mss ~t0 ~t1:(t0 +. measure_window)
+          Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. measure_window)
         in
         let recovery_seconds =
           Option.map
@@ -66,9 +64,7 @@ let run ~drops ?(measure_window = 3.0) ?(variants = paper_variants)
             (Stats.Metrics.recovery_completion_time trace
                ~target_seq:last_drop)
         in
-        let counters =
-          result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-        in
+        let counters = Scenario.counters t ~flow:0 in
         {
           variant;
           throughput_bps;
@@ -135,9 +131,7 @@ let run_background ?(file_bytes = 100_000) ?(variants = paper_variants)
               (fun seconds -> float_of_int (8 * file_bytes) /. seconds)
               transfer_seconds;
           target_drops = Scenario.drops t ~flow:0;
-          b_timeouts =
-            result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-              .Tcp.Counters.timeouts;
+          b_timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
         })
       variants
   in

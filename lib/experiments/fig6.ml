@@ -44,18 +44,11 @@ let run ?(variants = paper_variants) ?(seed = 11L) ?(duration = 6.0) () =
     List.map
       (fun variant ->
         let t = run_variant ~seed ~duration variant in
-        let mss = Tcp.Params.default.Tcp.Params.mss in
         let throughput_of flow =
-          Stats.Metrics.effective_throughput_bps
-            t.Scenario.results.(flow).Scenario.trace ~mss
-            ~t0:(start_time flow) ~t1:duration
+          Scenario.goodput_bps t ~flow ~t0:(start_time flow) ~t1:duration
         in
-        let first = t.Scenario.results.(0) in
-        let trace = first.Scenario.trace in
-        let counters flow =
-          t.Scenario.results.(flow).Scenario.agent.Tcp.Agent.base
-            .Tcp.Sender_common.counters
-        in
+        let trace = t.Scenario.results.(0).Scenario.trace in
+        let counters flow = Scenario.counters t ~flow in
         let sum f = List.fold_left ( + ) 0 (List.init flows f) in
         let early, forced =
           match Scenario.red_stats t with

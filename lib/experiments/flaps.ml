@@ -1,115 +1,55 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  timeouts : float;
-  fault_drops : float;
-}
-
-type point = { policy : [ `Drop_queued | `Hold_queued ]; cells : cell list }
-
 type outcome = {
   period : float;
   down_for : float;
-  baseline : cell list;
-  points : point list;
+  table : (string * Faults.Spec.t) Variant_table.t;
 }
 
 let duration = 30.0
 
-let run_one ~seed ~faults variant =
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-         ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ())
-  in
-  let result = t.Scenario.results.(0) in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration
-  in
-  let timeouts =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
-  let fault_drops =
-    match t.Scenario.injector with
-    | Some injector -> Faults.Injector.fault_drops injector
-    | None -> 0
-  in
-  (throughput, timeouts, fault_drops)
+let scenario (_, faults) variant ~seed =
+  Scenario.make
+    ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
+    ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ()
 
-let mean_cells ~faults ~variants ~seeds =
-  List.map
-    (fun variant ->
-      let runs = List.map (fun seed -> run_one ~seed ~faults variant) seeds in
-      {
-        variant;
-        throughput_bps = Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
-        timeouts =
-          Stats.Metrics.mean (List.map (fun (_, t, _) -> float_of_int t) runs);
-        fault_drops =
-          Stats.Metrics.mean (List.map (fun (_, _, d) -> float_of_int d) runs);
-      })
-    variants
+let measure _ t =
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration;
+    float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+    float_of_int (Scenario.fault_drops t);
+  |]
 
 let run ?(period = 5.0) ?(down_for = 0.3)
     ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ]) ()
     =
-  let baseline = mean_cells ~faults:Faults.Spec.none ~variants ~seeds in
-  let points =
-    List.map
-      (fun policy ->
-        let faults =
-          {
-            Faults.Spec.none with
-            Faults.Spec.flaps =
-              Some (Faults.Spec.Periodic { period; down_for });
-            flap_policy = policy;
-          }
-        in
-        { policy; cells = mean_cells ~faults ~variants ~seeds })
-      [ `Hold_queued; `Drop_queued ]
-  in
-  { period; down_for; baseline; points }
-
-let report outcome =
-  let variants = List.map (fun c -> c.variant) outcome.baseline in
-  let header =
-    "Flap policy"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " timeouts"; n ^ " fault drops" ])
-         variants
-  in
-  let row label cells =
-    label
-    :: List.concat_map
-         (fun cell ->
-           [
-             Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-             Printf.sprintf "%.1f" cell.timeouts;
-             Printf.sprintf "%.1f" cell.fault_drops;
-           ])
-         cells
+  let flaps policy =
+    {
+      Faults.Spec.none with
+      Faults.Spec.flaps = Some (Faults.Spec.Periodic { period; down_for });
+      flap_policy = policy;
+    }
   in
   let rows =
-    row "none (baseline)" outcome.baseline
-    :: List.map
-         (fun point ->
-           let label =
-             match point.policy with
-             | `Hold_queued -> "hold (handoff)"
-             | `Drop_queued -> "drop (outage)"
-           in
-           row label point.cells)
-         outcome.points
+    [
+      ("none (baseline)", Faults.Spec.none);
+      ("hold (handoff)", flaps `Hold_queued);
+      ("drop (outage)", flaps `Drop_queued);
+    ]
   in
+  {
+    period;
+    down_for;
+    table = Variant_table.run ~rows ~variants ~seeds ~scenario ~measure;
+  }
+
+let report outcome =
   Printf.sprintf
     "Link-flap robustness: %.0f ms outage of both trunk directions every \
      %.0f s\n\
      hold keeps the bottleneck buffer across the outage; drop discards it\n\n\
      %s"
     (1000.0 *. outcome.down_for) outcome.period
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:[ ("Flap policy", fun ((label, _), _) -> label) ]
+       ~columns:
+         Variant_table.[ goodput; count "timeouts" 1; count "fault drops" 2 ]
+       outcome.table)

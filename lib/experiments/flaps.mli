@@ -15,20 +15,13 @@
       every outage costs a whole window and recovery starts from
       scratch. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean goodput over seeds *)
-  timeouts : float;  (** mean RTO expiries *)
-  fault_drops : float;  (** mean packets discarded by the flaps *)
-}
-
-type point = { policy : [ `Drop_queued | `Hold_queued ]; cells : cell list }
-
+(** One row per condition, labelled: no flaps (the baseline), then the
+    hold and drop policies. Each run measures goodput (bits/s), RTO
+    expiries and the packets the flaps discarded. *)
 type outcome = {
   period : float;
   down_for : float;
-  baseline : cell list;  (** same variants with no flaps at all *)
-  points : point list;
+  table : (string * Faults.Spec.t) Variant_table.t;
 }
 
 (** [run ()] measures a 300 ms outage every 5 s (default) for New-Reno,

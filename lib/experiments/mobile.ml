@@ -1,13 +1,4 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  timeouts : float;
-  fault_drops : float;
-}
-
-type point = { label : string; buffer : int; faults : Faults.Spec.t; cells : cell list }
-
-type outcome = { duration : float; points : point list }
+type outcome = (string * int * Faults.Spec.t) Variant_table.t
 
 let duration = 30.0
 
@@ -24,60 +15,31 @@ let spec_of s =
   | Ok spec -> spec
   | Error m -> invalid_arg ("Mobile: bad spec " ^ s ^ ": " ^ m)
 
-let run_one ~seed ~buffer ~faults variant =
+let scenario (_, buffer, faults) variant ~seed =
   let config =
     {
       (Net.Dumbbell.paper_config ~flows:1) with
       gateway = Net.Dumbbell.Droptail { capacity = buffer };
     }
   in
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell config)
-         ~flows:[ Scenario.flow variant ]
-         ~params:{ Tcp.Params.default with rwnd = 64 }
-         ~seed ~duration ~faults ())
-  in
-  let result = t.Scenario.results.(0) in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration
-  in
-  let timeouts =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
-  let fault_drops =
-    match t.Scenario.injector with
-    | Some injector -> Faults.Injector.fault_drops injector
-    | None -> 0
-  in
-  (throughput, timeouts, fault_drops)
+  Scenario.make
+    ~topology:(Scenario.dumbbell config)
+    ~flows:[ Scenario.flow variant ]
+    ~params:{ Tcp.Params.default with rwnd = 64 }
+    ~seed ~duration ~faults ()
 
-let cells ~buffer ~faults ~variants ~seeds =
-  List.map
-    (fun variant ->
-      let runs =
-        List.map (fun seed -> run_one ~seed ~buffer ~faults variant) seeds
-      in
-      {
-        variant;
-        throughput_bps = Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
-        timeouts =
-          Stats.Metrics.mean (List.map (fun (_, t, _) -> float_of_int t) runs);
-        fault_drops =
-          Stats.Metrics.mean (List.map (fun (_, _, d) -> float_of_int d) runs);
-      })
-    variants
+let measure _ t =
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration;
+    float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+    float_of_int (Scenario.fault_drops t);
+  |]
 
 let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ])
     () =
   let fade = spec_of fade_spec and handover = spec_of handover_spec in
-  let points =
-    List.map
-      (fun (label, buffer, faults) ->
-        { label; buffer; faults; cells = cells ~buffer ~faults ~variants ~seeds })
+  Variant_table.run ~variants ~seeds ~scenario ~measure
+    ~rows:
       [
         ("clean, paper buffer", 8, Faults.Spec.none);
         ("fading, paper buffer", 8, fade);
@@ -85,37 +47,8 @@ let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ])
         ("fading, deep buffer", 64, fade);
         ("handover, deep buffer", 64, handover);
       ]
-  in
-  { duration; points }
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "Condition (buffer)"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " timeouts"; n ^ " fault drops" ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%s (%d)" point.label point.buffer
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.1f" cell.timeouts;
-                 Printf.sprintf "%.1f" cell.fault_drops;
-               ])
-             point.cells)
-      outcome.points
-  in
   Printf.sprintf
     "Mobile-channel robustness: time-varying trunk rate over the dumbbell\n\
      fading = rate cycle 1x/0.5x/0.25x every 2 s (%s)\n\
@@ -123,4 +56,13 @@ let report outcome =
      deep buffer = 64-packet gateway (bufferbloat regime; paper's is 8)\n\n\
      %s"
     fade_spec handover_spec
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:
+         [
+           ( "Condition (buffer)",
+             fun ((label, buffer, _), _) ->
+               Printf.sprintf "%s (%d)" label buffer );
+         ]
+       ~columns:
+         Variant_table.[ goodput; count "timeouts" 1; count "fault drops" 2 ]
+       outcome)

@@ -11,21 +11,10 @@
     deep-buffer (bufferbloat) regime, where rate down-steps translate
     into queueing delay instead of prompt loss. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean goodput over seeds *)
-  timeouts : float;  (** mean RTO expiries *)
-  fault_drops : float;  (** mean packets burst-lost at handovers *)
-}
-
-type point = {
-  label : string;
-  buffer : int;  (** gateway capacity, packets *)
-  faults : Faults.Spec.t;
-  cells : cell list;
-}
-
-type outcome = { duration : float; points : point list }
+(** One row per condition: its label, the gateway capacity in packets
+    and the faults injected. Each run measures goodput (bits/s), RTO
+    expiries and the packets burst-lost at handovers. *)
+type outcome = (string * int * Faults.Spec.t) Variant_table.t
 
 (** [run ()] measures New-Reno, SACK and RR across clean / fading /
     handover conditions, each under paper and deep buffers. *)

@@ -54,16 +54,8 @@ let run_one ~params ~seed ~duration ~loss_rate variant =
          ~flows:[ Scenario.flow variant ]
          ~params ~seed ~duration ~uniform_loss:loss_rate ())
   in
-  let result = t.Scenario.results.(0) in
-  let bw =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:params.Tcp.Params.mss ~t0:warmup ~t1:duration
-  in
-  let timeouts =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
-  (bw, timeouts)
+  ( Scenario.goodput_bps t ~flow:0 ~t0:warmup ~t1:duration,
+    (Scenario.counters t ~flow:0).Tcp.Counters.timeouts )
 
 let run ?(variants = default_variants) ?(loss_rates = default_loss_rates)
     ?(seeds = [ 3L; 17L; 29L; 101L; 2048L ]) ?(duration = 100.0) ?(rwnd = 20)

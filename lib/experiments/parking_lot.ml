@@ -48,11 +48,7 @@ let run_case ~seed ~duration ~hops variant =
          ~params:{ Tcp.Params.default with rwnd = 20 }
          ~seed ~duration ())
   in
-  let mss = Tcp.Params.default.Tcp.Params.mss in
-  let goodput flow =
-    Stats.Metrics.effective_throughput_bps t.Scenario.results.(flow).Scenario.trace
-      ~mss ~t0:0.0 ~t1:duration
-  in
+  let goodput flow = Scenario.goodput_bps t ~flow ~t0:0.0 ~t1:duration in
   let mean_over lo hi =
     let n = hi - lo in
     let sum = ref 0.0 in

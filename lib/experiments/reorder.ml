@@ -1,17 +1,8 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  fast_retransmits : float;
-  timeouts : float;
-}
-
-type point = { prob : float; cells : cell list }
-
-type outcome = { points : point list }
+type outcome = float Variant_table.t
 
 let duration = 20.0
 
-let run_one ~seed ~prob variant =
+let scenario prob variant ~seed =
   let faults =
     if prob = 0.0 then Faults.Spec.none
     else
@@ -25,82 +16,24 @@ let run_one ~seed ~prob variant =
             };
       }
   in
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-         ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ())
-  in
-  let result = t.Scenario.results.(0) in
-  let counters =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-  in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration
-  in
-  ( throughput,
-    counters.Tcp.Counters.fast_retransmits,
-    counters.Tcp.Counters.timeouts )
+  Scenario.make
+    ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
+    ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ()
+
+let measure _ t =
+  let counters = Scenario.counters t ~flow:0 in
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration;
+    float_of_int counters.Tcp.Counters.fast_retransmits;
+    float_of_int counters.Tcp.Counters.timeouts;
+  |]
 
 let run ?(probs = [ 0.0; 0.02; 0.05; 0.1 ])
     ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 5L; 23L ]) ()
     =
-  let points =
-    List.map
-      (fun prob ->
-        let cells =
-          List.map
-            (fun variant ->
-              let runs =
-                List.map (fun seed -> run_one ~seed ~prob variant) seeds
-              in
-              {
-                variant;
-                throughput_bps =
-                  Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
-                fast_retransmits =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, f, _) -> float_of_int f) runs);
-                timeouts =
-                  Stats.Metrics.mean
-                    (List.map (fun (_, _, t) -> float_of_int t) runs);
-              })
-            variants
-        in
-        { prob; cells })
-      probs
-  in
-  { points }
+  Variant_table.run ~rows:probs ~variants ~seeds ~scenario ~measure
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "Reorder prob"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " fast rtx"; n ^ " timeouts" ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%.0f%%" (100.0 *. point.prob)
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.1f" cell.fast_retransmits;
-                 Printf.sprintf "%.1f" cell.timeouts;
-               ])
-             point.cells)
-      outcome.points
-  in
   Printf.sprintf
     "Packet reordering robustness (bounded extra delay at the bottleneck, no \
      injected loss)\n\
@@ -108,4 +41,12 @@ let report outcome =
      within %.0f ms\n\n\
      %s"
     (1000.0 *. Faults.Spec.default_reorder_extra)
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render
+       ~keys:
+         [
+           ( "Reorder prob",
+             fun (prob, _) -> Printf.sprintf "%.0f%%" (100.0 *. prob) );
+         ]
+       ~columns:
+         Variant_table.[ goodput; count "fast rtx" 1; count "timeouts" 2 ]
+       outcome)

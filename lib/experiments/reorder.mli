@@ -13,16 +13,10 @@
     loss — recoveries beyond the prob-0 baseline (whose few episodes
     are genuine buffer-overflow losses) are reordering-induced. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean goodput over seeds *)
-  fast_retransmits : float;  (** mean spurious recovery entries *)
-  timeouts : float;  (** mean RTO expiries *)
-}
-
-type point = { prob : float; cells : cell list }
-
-type outcome = { points : point list }
+(** One row per reordering probability; each run measures goodput
+    (bits/s), fast retransmits (spurious recovery entries) and RTO
+    expiries. *)
+type outcome = float Variant_table.t
 
 (** [run ()] sweeps reordering probabilities (default 0 … 0.1) for
     New-Reno, SACK and RR. *)

@@ -21,9 +21,7 @@ let params ~level = { Tcp.Params.default with rwnd = 20; rrr_level = level }
 
 let goodputs t n =
   List.init n (fun flow ->
-      Stats.Metrics.effective_throughput_bps
-        t.Scenario.results.(flow).Scenario.trace
-        ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration)
+      Scenario.goodput_bps t ~flow ~t0:2.0 ~t1:duration)
 
 (* Intra-protocol: a pod of RRR flows at the same level — aggregate
    throughput and Jain fairness across the pod. *)

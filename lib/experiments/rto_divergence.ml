@@ -37,20 +37,17 @@ let run_one ~seed ~faults ~duration estimator =
          ~flows:Core.Variant.[ Scenario.flow Rr; Scenario.flow Rr ]
          ~params ~seed ~duration ~faults ~watch_divergence:true ())
   in
+  let flows = List.init (Array.length t.Scenario.results) Fun.id in
   let throughput =
-    Array.to_list t.Scenario.results
-    |> List.map (fun r ->
-           Stats.Metrics.effective_throughput_bps r.Scenario.trace
-             ~mss:params.Tcp.Params.mss ~t0:2.0 ~t1:duration)
+    flows
+    |> List.map (fun flow -> Scenario.goodput_bps t ~flow ~t0:2.0 ~t1:duration)
     |> List.fold_left ( +. ) 0.0
   in
   let timeouts =
-    Array.to_list t.Scenario.results
+    flows
     |> List.fold_left
-         (fun acc r ->
-           acc
-           + r.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-               .Tcp.Counters.timeouts)
+         (fun acc flow ->
+           acc + (Scenario.counters t ~flow).Tcp.Counters.timeouts)
          0
   in
   let monitor =

@@ -25,9 +25,7 @@ let hetero_delays =
 
 let goodputs ~duration t =
   List.init flows (fun flow ->
-      Stats.Metrics.effective_throughput_bps
-        t.Scenario.results.(flow).Scenario.trace ~mss:params.Tcp.Params.mss
-        ~t0:10.0 ~t1:duration)
+      Scenario.goodput_bps t ~flow ~t0:10.0 ~t1:duration)
 
 let run_case ~seed ~duration ~variant side_delays =
   let flow_specs =

@@ -1,20 +1,4 @@
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  utilization : float;
-  timeouts : float;
-  retransmits : float;
-}
-
-type point = {
-  label : string;
-  one_way_delay : float;
-  buffer : int;
-  rwnd : int;
-  cells : cell list;
-}
-
-type outcome = { duration : float; loss : float; points : point list }
+type outcome = (string * float * int * int) Variant_table.t
 
 let duration = 120.0
 
@@ -29,7 +13,7 @@ let satellite_buffer = 100
 
 let satellite_rwnd = 150
 
-let run_point ~seed ~one_way_delay ~buffer ~rwnd variant =
+let scenario (_, one_way_delay, buffer, rwnd) variant ~seed =
   let config =
     {
       (Net.Dumbbell.paper_config ~flows:1) with
@@ -37,106 +21,55 @@ let run_point ~seed ~one_way_delay ~buffer ~rwnd variant =
       gateway = Net.Dumbbell.Droptail { capacity = buffer };
     }
   in
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell config)
-         ~flows:[ Scenario.flow variant ]
-         ~params:{ Tcp.Params.default with rwnd }
-         ~seed ~duration ~uniform_loss:loss ())
-  in
-  let result = t.Scenario.results.(0) in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps result.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:5.0 ~t1:duration
-  in
-  let counters =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-  in
-  ( throughput,
-    counters.Tcp.Counters.timeouts,
-    counters.Tcp.Counters.retransmits )
+  Scenario.make
+    ~topology:(Scenario.dumbbell config)
+    ~flows:[ Scenario.flow variant ]
+    ~params:{ Tcp.Params.default with rwnd }
+    ~seed ~duration ~uniform_loss:loss ()
 
-let cells ~one_way_delay ~buffer ~rwnd ~variants ~seeds ~bottleneck_bps =
-  List.map
-    (fun variant ->
-      let runs =
-        List.map
-          (fun seed -> run_point ~seed ~one_way_delay ~buffer ~rwnd variant)
-          seeds
-      in
-      let throughput =
-        Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs)
-      in
-      {
-        variant;
-        throughput_bps = throughput;
-        utilization = throughput /. bottleneck_bps;
-        timeouts =
-          Stats.Metrics.mean (List.map (fun (_, t, _) -> float_of_int t) runs);
-        retransmits =
-          Stats.Metrics.mean (List.map (fun (_, _, r) -> float_of_int r) runs);
-      })
-    variants
+let measure _ t =
+  let counters = Scenario.counters t ~flow:0 in
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0:5.0 ~t1:duration;
+    float_of_int counters.Tcp.Counters.timeouts;
+    float_of_int counters.Tcp.Counters.retransmits;
+  |]
 
 let run ?(variants = Core.Variant.[ Tahoe; Newreno; Sack; Rr ])
     ?(seeds = [ 7L; 29L ]) () =
-  let bottleneck_bps =
-    (Net.Dumbbell.paper_config ~flows:1).Net.Dumbbell.bottleneck_bandwidth_bps
-  in
-  let points =
-    List.map
-      (fun (label, one_way_delay, buffer, rwnd) ->
-        {
-          label;
-          one_way_delay;
-          buffer;
-          rwnd;
-          cells =
-            cells ~one_way_delay ~buffer ~rwnd ~variants ~seeds ~bottleneck_bps;
-        })
+  Variant_table.run ~variants ~seeds ~scenario ~measure
+    ~rows:
       [
         ("terrestrial (paper)", 0.096, 8, 20);
         ("satellite", satellite_delay, satellite_buffer, satellite_rwnd);
       ]
-  in
-  { duration; loss; points }
 
 let report outcome =
-  let variants =
-    match outcome.points with
-    | [] -> []
-    | point :: _ -> List.map (fun c -> c.variant) point.cells
-  in
-  let header =
-    "Path (delay/buffer/rwnd)"
-    :: List.concat_map
-         (fun v ->
-           let n = Core.Variant.name v in
-           [ n ^ " goodput (Kbps)"; n ^ " util"; n ^ " timeouts"; n ^ " retx" ])
-         variants
-  in
-  let rows =
-    List.map
-      (fun point ->
-        Printf.sprintf "%s (%.0f ms/%d/%d)" point.label
-          (1000.0 *. point.one_way_delay)
-          point.buffer point.rwnd
-        :: List.concat_map
-             (fun cell ->
-               [
-                 Printf.sprintf "%.1f" (cell.throughput_bps /. 1000.0);
-                 Printf.sprintf "%.2f" cell.utilization;
-                 Printf.sprintf "%.1f" cell.timeouts;
-                 Printf.sprintf "%.1f" cell.retransmits;
-               ])
-             point.cells)
-      outcome.points
+  let bottleneck_bps =
+    (Net.Dumbbell.paper_config ~flows:1).Net.Dumbbell.bottleneck_bandwidth_bps
   in
   Printf.sprintf
     "Satellite paths: long-RTT recovery (%.1f%% uniform loss, %.0f s runs)\n\
      at a ~1.2 s RTT every slow-start or timeout costs seconds of idle pipe;\n\
      dupack-clocked recovery (SACK, RR) keeps the window moving in one RTT\n\n\
      %s"
-    (100.0 *. outcome.loss) outcome.duration
-    (Stats.Text_table.render ~header rows)
+    (100.0 *. loss) duration
+    (Variant_table.render
+       ~keys:
+         [
+           ( "Path (delay/buffer/rwnd)",
+             fun ((label, one_way_delay, buffer, rwnd), _) ->
+               Printf.sprintf "%s (%.0f ms/%d/%d)" label
+                 (1000.0 *. one_way_delay) buffer rwnd );
+         ]
+       ~columns:
+         Variant_table.
+           [
+             goodput;
+             ( "util",
+               fun means -> Printf.sprintf "%.2f" (means.(0) /. bottleneck_bps)
+             );
+             count "timeouts" 1;
+             count "retx" 2;
+           ]
+       outcome)

@@ -11,23 +11,12 @@
     (deep gateway and receiver window sized to the BDP) under light
     uniform loss. *)
 
-type cell = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** mean goodput over seeds *)
-  utilization : float;  (** goodput / bottleneck rate *)
-  timeouts : float;
-  retransmits : float;
-}
-
-type point = {
-  label : string;
-  one_way_delay : float;  (** bottleneck one-way propagation, seconds *)
-  buffer : int;  (** gateway capacity, packets *)
-  rwnd : int;  (** receiver window, segments *)
-  cells : cell list;
-}
-
-type outcome = { duration : float; loss : float; points : point list }
+(** One row per path: its label, the bottleneck one-way propagation
+    (seconds), the gateway capacity (packets) and the receiver window
+    (segments). Each run measures goodput (bits/s), timeouts and
+    retransmits; the report adds utilization, the mean goodput over
+    the bottleneck rate. *)
+type outcome = (string * float * int * int) Variant_table.t
 
 (** [run ()] measures Tahoe, New-Reno, SACK and RR on the paper's
     96 ms path and a 500 ms satellite path. *)

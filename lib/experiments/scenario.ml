@@ -660,6 +660,20 @@ let run spec =
 
 let drops t ~flow = Net.Topology.drops_of_flow (topology_of t.net) flow
 
+let counters t ~flow =
+  t.results.(flow).agent.Tcp.Agent.base.Tcp.Sender_common.counters
+
+let goodput_bps t ~flow ~t0 ~t1 =
+  let result = t.results.(flow) in
+  Stats.Metrics.effective_throughput_bps result.trace
+    ~mss:result.agent.Tcp.Agent.base.Tcp.Sender_common.params.Tcp.Params.mss
+    ~t0 ~t1
+
+let fault_drops t =
+  match t.injector with
+  | Some injector -> Faults.Injector.fault_drops injector
+  | None -> 0
+
 let red_stats t =
   Option.bind (bottleneck_of t.net) (Net.Topology.red_stats (topology_of t.net))
 

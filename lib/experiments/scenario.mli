@@ -283,6 +283,18 @@ val run : spec -> t
 (** [drops t ~flow] is that flow's total drop count. *)
 val drops : t -> flow:int -> int
 
+(** [counters t ~flow] is that flow's sender counters. *)
+val counters : t -> flow:int -> Tcp.Counters.t
+
+(** [goodput_bps t ~flow ~t0 ~t1] is that flow's effective throughput
+    over [\[t0, t1\]] ({!Stats.Metrics.effective_throughput_bps}), in
+    segments of the flow's own MSS. *)
+val goodput_bps : t -> flow:int -> t0:float -> t1:float -> float
+
+(** [fault_drops t] is the packets the run's fault injector discarded
+    (0 when nothing was injected). *)
+val fault_drops : t -> int
+
 (** [red_stats t] classifies RED drops at the bottleneck: the dumbbell
     gateway, or a graph's designated [bottleneck] link. [None] when the
     bottleneck queue is not RED (or a graph named none). *)

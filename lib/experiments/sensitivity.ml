@@ -37,8 +37,7 @@ let measure ~drops ~buffer ~bottleneck_delay variant =
     Scenario.rtt_estimate config ~mss:params.Tcp.Params.mss
       ~ack_size:params.Tcp.Params.ack_size
   in
-  Stats.Metrics.effective_throughput_bps t.Scenario.results.(0).Scenario.trace
-    ~mss:params.Tcp.Params.mss ~t0 ~t1:(t0 +. (15.0 *. rtt))
+  Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. (15.0 *. rtt))
 
 let run ?(drops = 6) ?(buffers = [ 4; 8; 16; 25 ])
     ?(delays = [ Sim.Units.ms 48.0; Sim.Units.ms 96.0; Sim.Units.ms 192.0 ]) () =

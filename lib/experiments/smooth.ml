@@ -27,7 +27,6 @@ let run_one ~seed ~smooth variant =
          ~params:{ params with smooth_start = smooth }
          ~seed ~duration ())
   in
-  let result = t.Scenario.results.(0) in
   let startup_drops =
     List.length
       (List.filter
@@ -40,12 +39,8 @@ let run_one ~seed ~smooth variant =
     variant;
     smooth;
     startup_drops;
-    timeouts =
-      result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-        .Tcp.Counters.timeouts;
-    goodput_bps =
-      Stats.Metrics.effective_throughput_bps result.Scenario.trace
-        ~mss:params.Tcp.Params.mss ~t0:0.0 ~t1:duration;
+    timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+    goodput_bps = Scenario.goodput_bps t ~flow:0 ~t0:0.0 ~t1:duration;
   }
 
 let run ?(variants = Core.Variant.[ Newreno; Rr ]) ?(seed = 13L) () =

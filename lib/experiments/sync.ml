@@ -59,8 +59,7 @@ let run_gateway ~seed ~duration ~variant gateway_label gateway =
   let mss = params.Tcp.Params.mss in
   let goodputs =
     List.init flows (fun flow ->
-        Stats.Metrics.effective_throughput_bps
-          t.Scenario.results.(flow).Scenario.trace ~mss ~t0:5.0 ~t1:duration)
+        Scenario.goodput_bps t ~flow ~t0:5.0 ~t1:duration)
   in
   let rtt = Scenario.rtt_estimate config ~mss ~ack_size:params.Tcp.Params.ack_size in
   let sync_index, loss_events = synchronization ~rtt t.Scenario.drop_log in

@@ -69,15 +69,12 @@ let run_instance ~params ~seed ~deadline ~background ~target ~phase =
       (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:flow_specs
          ~params ~seed ~duration:deadline ~audit_sample:8 ())
   in
-  let result = t.Scenario.results.(target_flow) in
   let transfer_delay =
     Option.map
       (fun c -> c.Workload.Ftp.finished -. c.Workload.Ftp.started)
-      result.Scenario.completion
+      t.Scenario.results.(target_flow).Scenario.completion
   in
-  let counters =
-    result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-  in
+  let counters = Scenario.counters t ~flow:target_flow in
   let loss_rate =
     Stats.Metrics.loss_rate
       ~drops:(Scenario.drops t ~flow:target_flow)
@@ -90,10 +87,7 @@ let run_instance ~params ~seed ~deadline ~background ~target ~phase =
     let sum =
       List.fold_left
         (fun acc flow ->
-          acc
-          +. Stats.Metrics.effective_throughput_bps
-               t.Scenario.results.(flow).Scenario.trace
-               ~mss:params.Tcp.Params.mss ~t0:steady_t0 ~t1:deadline)
+          acc +. Scenario.goodput_bps t ~flow ~t0:steady_t0 ~t1:deadline)
         0.0
         (List.init (flows - 1) Fun.id)
     in

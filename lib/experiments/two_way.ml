@@ -25,9 +25,7 @@ let config ~flows =
   }
 
 let goodput ~duration t flow =
-  Stats.Metrics.effective_throughput_bps
-    t.Scenario.results.(flow).Scenario.trace ~mss:params.Tcp.Params.mss
-    ~t0:5.0 ~t1:duration
+  Scenario.goodput_bps t ~flow ~t0:5.0 ~t1:duration
 
 let mean values = Stats.Metrics.mean values
 
@@ -74,10 +72,7 @@ let run_two_way ~seed ~duration ~variant =
   in
   let timeouts =
     List.fold_left
-      (fun acc flow ->
-        acc
-        + t.Scenario.results.(flow).Scenario.agent.Tcp.Agent.base
-            .Tcp.Sender_common.counters.Tcp.Counters.timeouts)
+      (fun acc flow -> acc + (Scenario.counters t ~flow).Tcp.Counters.timeouts)
       0 forward
   in
   ( mean (List.map (goodput ~duration t) forward),

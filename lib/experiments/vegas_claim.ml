@@ -59,7 +59,6 @@ let run ?(drops = 3) ?(seed = 7L) () =
                ~flows:[ make_flow label mechanisms ]
                ~params ~seed ~forced_drops:rules ())
         in
-        let result = t.Scenario.results.(0) in
         let t0 =
           match Scenario.first_drop_time t ~flow:0 with
           | Some time -> time
@@ -67,17 +66,13 @@ let run ?(drops = 3) ?(seed = 7L) () =
         in
         {
           label;
-          throughput_bps =
-            Stats.Metrics.effective_throughput_bps result.Scenario.trace
-              ~mss:params.Tcp.Params.mss ~t0 ~t1:(t0 +. 3.0);
+          throughput_bps = Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. 3.0);
           recovery_seconds =
             Option.map
               (fun finish -> finish -. t0)
-              (Stats.Metrics.recovery_completion_time result.Scenario.trace
-                 ~target_seq:last_drop);
-          timeouts =
-            result.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-              .Tcp.Counters.timeouts;
+              (Stats.Metrics.recovery_completion_time
+                 t.Scenario.results.(0).Scenario.trace ~target_seq:last_drop);
+          timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
         })
       configurations
   in

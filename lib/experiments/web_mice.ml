@@ -22,15 +22,8 @@ let run_one ~seed ~mice_flows variant =
          ~flows:(Scenario.flow variant :: List.init mice_flows (fun _ -> mouse))
          ~seed ~duration ())
   in
-  let bulk = t.Scenario.results.(0) in
-  let throughput =
-    Stats.Metrics.effective_throughput_bps bulk.Scenario.trace
-      ~mss:Tcp.Params.default.Tcp.Params.mss ~t0:2.0 ~t1:duration
-  in
-  let timeouts =
-    bulk.Scenario.agent.Tcp.Agent.base.Tcp.Sender_common.counters
-      .Tcp.Counters.timeouts
-  in
+  let throughput = Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration in
+  let timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts in
   let finished = ref 0 in
   let completion_sum = ref 0.0 in
   Array.iteri

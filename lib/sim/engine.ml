@@ -245,7 +245,7 @@ let[@inline] cal_insert t c s =
 let width_sample = 2048
 
 (* Iterate up to [width_sample] queued slots (bucket by bucket) calling
-   [f time]. The traversal order mixes bucket residues, so the sample
+   [f slot]. The traversal order mixes bucket residues, so the sample
    is not biased toward early timestamps. *)
 let cal_iter_sample t c f =
   let budget = ref width_sample in
@@ -253,12 +253,23 @@ let cal_iter_sample t c f =
   while !budget > 0 && !b <= c.cmask do
     let s = ref c.buckets.(!b) in
     while !budget > 0 && !s <> no_slot do
-      f (time_of_bits t.time_bits.(!s));
+      f !s;
       decr budget;
       s := t.qnext.(!s)
     done;
     incr b
   done
+
+(* The float registers of [cal_estimate]. An all-float record is stored
+   flat, so writing a field boxes nothing, where a float ref captured
+   by the sampling closure would box every sampled time. *)
+type sample_registers = {
+  mutable lo : float;
+  mutable hi : float;
+  mutable prev : float;
+  mutable min_gap : float;
+  mutable wide : float;
+}
 
 (* Estimate a bucket width from a bounded sample, and report whether
    the population is duplicate-heavy. Two regimes:
@@ -277,42 +288,52 @@ let cal_iter_sample t c f =
 
    Returns [(width, duplicate_heavy)]. *)
 let cal_estimate t c =
-  let lo = ref infinity and hi = ref neg_infinity and n = ref 0 in
-  let distinct = ref 0 and min_gap = ref infinity in
   (* Same-time events are adjacent in the iteration order (chains are
      sorted by (time, seq) and one timestamp never spans two buckets),
      so a single previous-entry register dedupes and yields adjacent
      distinct gaps. Carried across buckets: negative cross-bucket or
      cross-year jumps are skipped for the gap but still break runs. *)
-  let prev = ref neg_infinity in
-  cal_iter_sample t c (fun time ->
-      if time < !lo then lo := time;
-      if time > !hi then hi := time;
-      if time <> !prev then begin
+  let r =
+    {
+      lo = infinity;
+      hi = neg_infinity;
+      prev = neg_infinity;
+      min_gap = infinity;
+      wide = 0.0;
+    }
+  in
+  let n = ref 0 and distinct = ref 0 in
+  cal_iter_sample t c (fun s ->
+      let time = time_of_bits t.time_bits.(s) in
+      if time < r.lo then r.lo <- time;
+      if time > r.hi then r.hi <- time;
+      if time <> r.prev then begin
         incr distinct;
-        let gap = time -. !prev in
-        if !prev > neg_infinity && gap > 0.0 && gap < !min_gap then
-          min_gap := gap
+        let gap = time -. r.prev in
+        if r.prev > neg_infinity && gap > 0.0 && gap < r.min_gap then
+          r.min_gap <- gap
       end;
-      prev := time;
+      r.prev <- time;
       incr n);
-  if !n < 2 || !hi <= !lo then (c.width, false)
+  if !n < 2 || r.hi <= r.lo then (c.width, false)
   else if
     4 * !distinct <= !n
     && !distinct >= 2
-    && !min_gap > 0.0
-    && !min_gap < infinity
-  then (0.5 *. !min_gap, true)
+    && r.min_gap > 0.0
+    && r.min_gap < infinity
+  then (0.5 *. r.min_gap, true)
   else begin
-    let global_gap = (!hi -. !lo) /. float_of_int (!n - 1) in
-    let window = !lo +. (64.0 *. global_gap) in
-    let in_window = ref 0 and wide = ref !lo in
-    cal_iter_sample t c (fun time ->
+    let global_gap = (r.hi -. r.lo) /. float_of_int (!n - 1) in
+    let window = r.lo +. (64.0 *. global_gap) in
+    let in_window = ref 0 in
+    r.wide <- r.lo;
+    cal_iter_sample t c (fun s ->
+        let time = time_of_bits t.time_bits.(s) in
         if time <= window then begin
           incr in_window;
-          if time > !wide then wide := time
+          if time > r.wide then r.wide <- time
         end);
-    let span = !wide -. !lo in
+    let span = r.wide -. r.lo in
     if span > 0.0 && !in_window >= 2 then
       (3.0 *. span /. float_of_int (!in_window - 1), false)
     else (3.0 *. global_gap, false)

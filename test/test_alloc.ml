@@ -103,7 +103,8 @@ let nop () = ()
 
 (* 100k fire-and-forget events over 97 distinct delays. A first batch,
    unmeasured, grows the engine's arena and calendar; each call then
-   boxes its delay, the 2 words a caller in another module pays. *)
+   boxes its delay, the 2 words a caller in another module pays; the
+   calendar's rebuilds add next to nothing (2.0093 in all). *)
 let warmed_engine () =
   let engine = Sim.Engine.create () in
   let batch () =
@@ -179,8 +180,8 @@ let suite =
         Alcotest.test_case "figure 7 point, full audit: <= 70 words/segment"
           `Quick
           (check_budget ~budget:70.0 (fun () -> segments (fig7 ~audit_sample:1)));
-        Alcotest.test_case "warmed engine: <= 2.5 words/event" `Quick
-          (check_budget ~budget:2.5 warmed_engine);
+        Alcotest.test_case "warmed engine: <= 2.05 words/event" `Quick
+          (check_budget ~budget:2.05 warmed_engine);
         Alcotest.test_case "saturated link: <= 0.01 words/packet" `Quick
           (check_budget ~budget:0.01 saturated_link);
         Alcotest.test_case "Rto.value: <= 2 words/call" `Quick

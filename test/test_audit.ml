@@ -423,26 +423,55 @@ let test_binary_trace_corruption () =
   Sys.remove binary_path;
   let export_string s =
     let tmp = Filename.temp_file "rr_trace" ".bad" in
+    let jsonl = Filename.temp_file "rr_trace" ".jsonl" in
     let oc = open_out_bin tmp in
     output_string oc s;
     close_out oc;
     Fun.protect
-      ~finally:(fun () -> Sys.remove tmp)
+      ~finally:(fun () -> List.iter Sys.remove [ tmp; jsonl ])
       (fun () ->
         In_channel.with_open_bin tmp (fun input ->
-            Out_channel.with_open_bin "/dev/null" (fun output ->
-                Audit.Trace.export ~input ~output)))
+            Out_channel.with_open_bin jsonl (fun output ->
+                Audit.Trace.export ~input ~output));
+        read_file jsonl)
   in
   let check_corrupt what s =
     match export_string s with
-    | () -> Alcotest.failf "%s: export accepted a corrupt stream" what
+    | _ -> Alcotest.failf "%s: export accepted a corrupt stream" what
     | exception Audit.Trace.Corrupt _ -> ()
   in
   check_corrupt "bad magic" ("JUNK" ^ data);
   check_corrupt "truncated record" (String.sub data 0 (String.length data - 1));
   check_corrupt "empty file" "";
+  (* Varints that reach the sign bit, so a length or count would decode
+     negative: a record length, a strdef string length and a journal
+     field count. *)
+  let negative = String.make 8 '\xff' ^ "\x7f" in
+  check_corrupt "negative record length" ("RRTB\x01" ^ negative);
+  check_corrupt "negative string length"
+    ("RRTB\x01\x0c\x0d\x00" ^ negative ^ "\x00");
+  check_corrupt "negative journal field count"
+    ("RRTB\x01\x13\x0c" ^ String.make 8 '\x00' ^ "\x00" ^ negative);
+  (* A record past 64 KiB is read a chunk at a time: a length of 2^40
+     with nothing after it is refused without being allocated, and a
+     journal line holding a 100 kB string exports byte for byte. *)
+  check_corrupt "huge record length" "RRTB\x01\x80\x80\x80\x80\x80\x20";
+  let journal format =
+    let path = Filename.temp_file "rr_trace" ".long" in
+    Out_channel.with_open_bin path (fun out ->
+        let t = Audit.Trace.create ~format ~out () in
+        Audit.Trace.journal_event t ~time:1.0 ~ev:"job"
+          [ ("s", Audit.Trace.Str (String.make 100_000 'x')) ];
+        Audit.Trace.flush t);
+    let bytes = read_file path in
+    Sys.remove path;
+    bytes
+  in
+  Alcotest.(check bool)
+    "a 100 kB record exports byte-identical" true
+    (String.equal (journal `Jsonl) (export_string (journal `Binary)));
   (* A healthy stream through the same harness still exports. *)
-  export_string data
+  ignore (export_string data : string)
 
 (* -- auditor sampling: cheaper checks, still zero false positives -- *)
 

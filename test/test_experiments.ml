@@ -122,15 +122,14 @@ let test_ack_loss_shape () =
     Experiments.Ack_loss.run ~rates:[ 0.0; 0.2 ] ~seeds:[ 2L; 19L ]
       ~variants:Core.Variant.[ Newreno; Rr ] ()
   in
-  match outcome.Experiments.Ack_loss.points with
-  | [ clean; lossy ] ->
-    let goodput point variant =
-      let cell =
-        List.find
-          (fun c -> c.Experiments.Ack_loss.variant = variant)
-          point.Experiments.Ack_loss.cells
+  match outcome.Experiments.Variant_table.rows with
+  | [ (_, clean); (_, lossy) ] ->
+    let goodput runs variant =
+      let runs =
+        List.assoc variant
+          (List.combine outcome.Experiments.Variant_table.variants runs)
       in
-      cell.Experiments.Ack_loss.throughput_bps
+      (Experiments.Variant_table.means runs).(0)
     in
     List.iter
       (fun v ->

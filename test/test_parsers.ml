@@ -1,7 +1,8 @@
 (* Fuzzing the string parsers behind `rr-sim run` and `rr-sim sweep`:
    the fault DSL, --link-schedule, gateway and topology strings,
    --cross-traffic, the pool's chaos spec and the campaign cache's JSON
-   reader. Cases are built from each
+   reader, plus the binary trace reader behind `rr-sim trace export`.
+   Cases are built from each
    grammar's own tokens mixed with numeric edge tokens, so most of them
    are near misses of valid input. Every case must end in [Ok] or [Error], never in an
    exception; an [Ok] value holds only finite numbers and survives a
@@ -344,6 +345,129 @@ let never_raises ~name gen ~parse ~ok =
 
 let round_trips parse print value = parse (print value) = Ok value
 
+(* Binary traces for [rr-sim trace export]: random bytes after the
+   magic, and a short recorded trace cut short, or with one byte
+   dropped, flipped or spliced in. Export must end in [()] or
+   [Trace.Corrupt]. *)
+
+let magic = "RRTB\x01"
+
+(* [record write] is the bytes [write] puts on a fresh channel. *)
+let record write =
+  let path = Filename.temp_file "rr_fuzz" ".rrtb" in
+  Out_channel.with_open_bin path write;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  bytes
+
+(* [sample trace] keeps, after the magic, every string definition
+   (tag 13: later records refer to them) and the first two records of
+   every other tag, so each record kind fits in a few hundred bytes. *)
+let sample trace =
+  let kept = Buffer.create 1024 and seen = Array.make 256 0 in
+  Buffer.add_string kept magic;
+  let rec varint pos shift acc =
+    let b = Char.code trace.[pos] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then varint (pos + 1) (shift + 7) acc else (pos + 1, acc)
+  in
+  let rec from pos =
+    if pos < String.length trace then begin
+      let body, len = varint pos 0 0 in
+      let tag = Char.code trace.[body] in
+      if tag = 13 || seen.(tag) < 2 then begin
+        seen.(tag) <- seen.(tag) + 1;
+        Buffer.add_string kept (String.sub trace pos (body + len - pos))
+      end;
+      from (body + len)
+    end
+  in
+  from (String.length magic);
+  Buffer.contents kept
+
+(* Five seconds of two faulted, lossy flows under a handover and a
+   delay step, which write every scenario record kind, sampled; then a
+   journal line with a field of each type. *)
+let recorded_trace =
+  lazy
+    (let faults =
+       Result.get_ok
+         (Faults.Spec.of_string "flap:0.8+0.3,drop,reorder:0.2,handover:1+0.2")
+     in
+     let scenario =
+       record (fun out ->
+           ignore
+             (Experiments.Scenario.run
+                (Experiments.Scenario.make
+                   ~topology:
+                     (Experiments.Scenario.dumbbell
+                        (Net.Dumbbell.paper_config ~flows:2))
+                   ~flows:
+                     Experiments.Scenario.
+                       [ flow Core.Variant.Rr; flow Core.Variant.Rr ]
+                   ~params:{ Tcp.Params.default with rwnd = 32 }
+                   ~seed:7L ~duration:5.0 ~uniform_loss:0.05 ~faults
+                   ~link_schedule:
+                     (Result.get_ok (Faults.Timeline.of_string "@0.5+-+0.15"))
+                   ~trace_out:out ~trace_format:`Binary ())
+               : Experiments.Scenario.t))
+     in
+     let journal =
+       record (fun out ->
+           let t = Audit.Trace.create ~format:`Binary ~out () in
+           Audit.Trace.journal_event t ~time:0.5 ~ev:"job"
+             Audit.Trace.
+               [
+                 ("n", Int (-3)); ("x", Float 0.25); ("s", Str "a\"b");
+                 ("ok", Bool true);
+               ];
+           Audit.Trace.flush t)
+     in
+     let skip = String.length magic in
+     sample scenario ^ String.sub journal skip (String.length journal - skip))
+
+let binary_trace =
+  let open QCheck2.Gen in
+  let mutated =
+    delay (fun () ->
+        let trace = Lazy.force recorded_trace in
+        let n = String.length trace in
+        let at = int_bound (n - 1) in
+        let edit i inserted skip =
+          String.sub trace 0 i ^ inserted
+          ^ String.sub trace (i + skip) (n - i - skip)
+        in
+        oneof
+          [
+            map (fun i -> String.sub trace 0 i) at;
+            map (fun i -> edit i "" 1) at;
+            map2
+              (fun i c ->
+                let mask = 1 + (Char.code c mod 255) in
+                let flipped = Char.chr (Char.code trace.[i] lxor mask) in
+                edit i (String.make 1 flipped) 1)
+              at char;
+            map2 (fun i c -> edit i (String.make 1 c) 0) at char;
+          ])
+  in
+  oneof [ map (( ^ ) magic) (string_size (int_range 0 32)); mutated ]
+
+(* Every case goes through one file, removed at exit. *)
+let export_path =
+  lazy
+    (let path = Filename.temp_file "rr_fuzz" ".rrtb" in
+     at_exit (fun () -> Sys.remove path);
+     path)
+
+let export bytes =
+  let path = Lazy.force export_path in
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  In_channel.with_open_bin path (fun input ->
+      Out_channel.with_open_bin Filename.null (fun output ->
+          match Audit.Trace.export ~input ~output with
+          | () -> Ok ()
+          | exception Audit.Trace.Corrupt reason -> Error reason))
+
 let properties =
   [
     never_raises ~name:"fault spec" fault_spec ~parse:Faults.Spec.of_string
@@ -373,6 +497,8 @@ let properties =
           (Campaign.Job.result_of_json Campaign.Job.default))
       ~ok:sane_result;
     json_round_trip;
+    never_raises ~name:"binary trace" binary_trace ~parse:export
+      ~ok:(fun () -> true);
   ]
 
 let suite =
