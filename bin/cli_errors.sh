@@ -52,6 +52,13 @@ cannot_write /nonexistent/a/b run --csv /nonexistent/a/b
   failed=1
 cannot_write /nonexistent/x.jsonl trace export "$tmp/t.bin" -o /nonexistent/x.jsonl
 
+# trace export: a trace cut inside a record is refused, and the JSONL
+# decoded before the cut does not stay behind in the -o file.
+"$exe" run --duration 5 --loss 0.02 --trace "$tmp/long.bin" --trace-format binary >/dev/null ||
+  failed=1
+head -c 20000 "$tmp/long.bin" >"$tmp/cut.bin"
+expect "$tmp/cut.bin: truncated record" trace export "$tmp/cut.bin" -o out.jsonl
+
 # run: the job fields, named by run's own flags.
 run '--duration nan: must be finite and >= 0' --duration nan
 run '--loss 2: must be within [0, 1]' --loss 2
@@ -129,6 +136,10 @@ sweep '--jobs -2: must be >= 0' --jobs=-2
 export RR_SIM_POOL_CHAOS=bogus
 sweep 'RR_SIM_POOL_CHAOS: invalid chaos clause "bogus" (expected ACTION:JOB[,JOB...])'
 unset RR_SIM_POOL_CHAOS
+
+# sweep --resume: a journal that cannot be read is refused, not raised.
+mkdir -p "$tmp/cache/journal.jsonl"
+expect "cannot resume: cannot read journal $tmp/cache/journal.jsonl: Is a directory" sweep --variants rr --seeds 1 --duration 1 --jobs 1 --resume --cache-dir "$tmp/cache"
 
 # all: a name the registry does not hold.
 expect '--only bogus: unknown experiment; try rr-sim list' all --only bogus

@@ -1032,27 +1032,33 @@ let trace_export_term =
     let doc = "Write the JSONL to $(docv) instead of standard output." in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
+  (* A corrupt trace is refused like any other bad input, and the JSONL
+     decoded before the fault is removed from a regular [-o] file (never
+     from a device or pipe it names); on standard output it has already
+     gone out. *)
   let export input output =
     let convert out_channel =
-      In_channel.with_open_bin input (fun in_channel ->
-          Audit.Trace.export ~input:in_channel ~output:out_channel)
+      try
+        In_channel.with_open_bin input (fun in_channel ->
+            Audit.Trace.export ~input:in_channel ~output:out_channel)
+      with Audit.Trace.Corrupt reason ->
+        Option.iter
+          (fun path ->
+            close_out_noerr out_channel;
+            match Unix.stat path with
+            | { Unix.st_kind = Unix.S_REG; _ } -> Sys.remove path
+            | _ | (exception Unix.Unix_error _) -> ())
+          output;
+        usage_error "%s: %s" input reason
     in
-    match
-      match output with
-      | Some path ->
-        let oc = open_output path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            convert oc;
-            close_out oc)
-      | None -> convert stdout
-    with
-    | () -> `Ok ()
-    | exception Audit.Trace.Corrupt reason ->
-      `Error (false, Printf.sprintf "%s: %s" input reason)
+    match output with
+    | Some path ->
+      let oc = open_output path in
+      convert oc;
+      close_out oc
+    | None -> convert stdout
   in
-  Term.(ret (const export $ input $ output))
+  Term.(const export $ input $ output)
 
 let trace_cmd =
   Cmd.group

@@ -65,6 +65,14 @@ pin run --variant rr --flows 2 --loss 0.02 --audit --trace t.jsonl
 pin run --variant rr --duration 5 --loss 0.02 --trace t.bin --trace-format binary
 pin run --variant rr --red --loss 0.02 --tracefile t.tr --csv out
 
+# Every variant's binary event stream: the order of its send, ACK,
+# recovery and timeout records under loss, ACK loss and a link flap.
+# RRR runs off its default level, where its stream equals New-Reno's.
+for v in tahoe reno newreno sack fack vegas relentless; do
+  pin run --variant $v --flows 3 --duration 20 --loss 0.02 --ack-loss 0.02 --faults flap:4+0.5,drop --trace t.bin --trace-format binary
+done
+pin run --variant rrr --rrr-level 0.3 --flows 2 --red --buffer 20 --duration 20 --loss 0.01 --trace t.bin --trace-format binary
+
 # Graph topologies and the flock scale path.
 pin run --topology parking-lot:3 --flows 2 --duration 5 --loss 0.01 --audit
 pin run --topology parking-lot --flows 1 --red --duration 5 --faults flap:2+0.3

@@ -40,9 +40,9 @@ let () =
   in
   topology_cell := Some topology;
   let agent, handle =
-    Core.Rr.create_with_handle ~engine ~params ~flow:0
+    Core.Rr.create ~engine ~params ~flow:0
       ~emit:(Net.Dumbbell.inject_data topology ~flow:0)
-      ()
+      ~ablation:Core.Rr.paper_design ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0

@@ -20,10 +20,10 @@ let () =
 
   (* Sender: the paper's contribution. Its [emit] injects data packets
      at host S1; ACKs come back through [on_ack]. *)
-  let agent =
+  let agent, _handle =
     Core.Rr.create ~engine ~params ~flow:0
       ~emit:(Net.Dumbbell.inject_data topology ~flow:0)
-      ()
+      ~ablation:Core.Rr.paper_design ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0

@@ -75,54 +75,63 @@ let read_lines path =
 let load ~path =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "no journal at %s" path)
-  else begin
-    let sweep = ref None in
-    let entries : (string, (string, string) Stdlib.result) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let order = ref [] in
-    let record digest entry =
-      if not (Hashtbl.mem entries digest) then order := digest :: !order;
-      Hashtbl.replace entries digest entry
-    in
-    List.iter
-      (fun line ->
-        (* A parent killed mid-write can tear its last line; anything
-           unparseable is skipped, never fatal. *)
-        match Json.of_string line with
-        | Error _ -> ()
-        | Ok json -> (
-          let str name = Option.bind (Json.member name json) Json.to_str in
-          match str "ev" with
-          | Some "sweep_start" -> (
-            match str "sweep" with
-            | Some digest -> sweep := Some digest
-            | None -> ())
-          | Some "job_settled" -> (
-            match str "digest" with
-            | Some digest -> record digest (Ok digest)
-            | None -> ())
-          | Some "job_failed" -> (
-            match str "digest" with
-            | Some digest ->
-              record digest
-                (Error (Option.value ~default:"unknown" (str "failure")))
-            | None -> ())
-          | _ -> ()))
-      (read_lines path);
-    match !sweep with
-    | None -> Error (Printf.sprintf "journal %s has no sweep_start record" path)
-    | Some sweep ->
-      let settled, failed =
-        List.fold_left
-          (fun (settled, failed) digest ->
-            match Hashtbl.find entries digest with
-            | Ok _ -> (digest :: settled, failed)
-            | Error reason -> (settled, (digest, reason) :: failed))
-          ([], []) !order
+  else
+    match read_lines path with
+    | exception Sys_error message ->
+      let prefix = path ^ ": " in
+      Error
+        (Printf.sprintf "cannot read journal %s: %s" path
+           (if String.starts_with ~prefix message then
+              String.sub message (String.length prefix)
+                (String.length message - String.length prefix)
+            else message))
+    | lines ->
+      let sweep = ref None in
+      let entries : (string, (string, string) Stdlib.result) Hashtbl.t =
+        Hashtbl.create 64
       in
-      Ok { sweep; settled; failed }
-  end
+      let order = ref [] in
+      let record digest entry =
+        if not (Hashtbl.mem entries digest) then order := digest :: !order;
+        Hashtbl.replace entries digest entry
+      in
+      List.iter
+        (fun line ->
+          (* A parent killed mid-write can tear its last line; anything
+             unparseable is skipped, never fatal. *)
+          match Json.of_string line with
+          | Error _ -> ()
+          | Ok json -> (
+            let str name = Option.bind (Json.member name json) Json.to_str in
+            match str "ev" with
+            | Some "sweep_start" -> (
+              match str "sweep" with
+              | Some digest -> sweep := Some digest
+              | None -> ())
+            | Some "job_settled" -> (
+              match str "digest" with
+              | Some digest -> record digest (Ok digest)
+              | None -> ())
+            | Some "job_failed" -> (
+              match str "digest" with
+              | Some digest ->
+                record digest
+                  (Error (Option.value ~default:"unknown" (str "failure")))
+              | None -> ())
+            | _ -> ()))
+        lines;
+      match !sweep with
+      | None -> Error (Printf.sprintf "journal %s has no sweep_start record" path)
+      | Some sweep ->
+        let settled, failed =
+          List.fold_left
+            (fun (settled, failed) digest ->
+              match Hashtbl.find entries digest with
+              | Ok _ -> (digest :: settled, failed)
+              | Error reason -> (settled, (digest, reason) :: failed))
+            ([], []) !order
+        in
+        Ok { sweep; settled; failed }
 
 let resume ~path ~sweep =
   match load ~path with

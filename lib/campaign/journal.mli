@@ -56,7 +56,8 @@ type snapshot = {
 }
 
 (** [load ~path] parses a journal (torn trailing lines are skipped,
-    never fatal). *)
+    never fatal). A missing or unreadable journal, or one without a
+    [sweep_start] record, is an [Error]. *)
 val load : path:string -> (snapshot, string) result
 
 (** [resume ~path ~sweep] validates that the journal at [path] belongs

@@ -6,9 +6,9 @@
 
     {[
       let engine = Core.Sim.Engine.create () in
-      let agent =
+      let agent, _handle =
         Core.Rr.create ~engine ~params:Core.Tcp.Params.default ~flow:0
-          ~emit ()
+          ~emit ~ablation:Core.Rr.paper_design ()
       in
       ...
     ]} *)

@@ -55,11 +55,8 @@ let recoveries state = state.completed_recoveries
 
 (* Fast retransmit: freeze cwnd, halve ssthresh, and start the retreat
    sub-phase. actnum stays 0 until the first non-duplicate ACK. *)
-let enter_recovery base state =
-  base.counters.Tcp.Counters.fast_retransmits <-
-    base.counters.Tcp.Counters.fast_retransmits + 1;
-  base.recover_mark <- base.maxseq;
-  notify_recovery_enter base;
+let enter base state =
+  enter_recovery base;
   state.recovery <-
     Some
       {
@@ -71,8 +68,6 @@ let enter_recovery base state =
         further_losses = 0;
       };
   ignore (halve_ssthresh base : float);
-  base.phase <- Recovery;
-  base.timed <- None;
   send_segment base ~seq:(base.una + 1) ~retx:true;
   restart_rtx_timer base
 
@@ -117,22 +112,7 @@ let probe_rtt_boundary ~ablation base r ~ackno =
 
 let recv_ack ~ablation base state ~ackno =
   match state.recovery with
-  | None ->
-    if ackno > base.una then begin
-      base.dupacks <- 0;
-      advance_una base ~ackno;
-      open_cwnd base;
-      send_much base
-    end
-    else if ackno = base.una && outstanding base > 0 then begin
-      note_dupack base;
-      base.dupacks <- base.dupacks + 1;
-      if
-        base.dupacks = base.params.Tcp.Params.dupack_threshold
-        && may_fast_retransmit base
-      then enter_recovery base state
-      else limited_transmit base
-    end
+  | None -> if open_ack base ~ackno then enter base state
   | Some r ->
     if ackno = base.una then begin
       note_dupack base;
@@ -170,28 +150,11 @@ let timeout state base =
   state.recovery <- None;
   timeout_common base
 
-let make ~engine ~params ~flow ~emit ~ablation () =
+let create ~engine ~params ~flow ~emit ~ablation () =
   let state = { recovery = None; completed_recoveries = 0 } in
   let base =
     create ~engine ~params ~flow ~emit ~timeout_action:(timeout state) ()
   in
-  let deliver_ack packet =
-    if Net.Packet.is_data packet then
-      invalid_arg "Rr: data packet delivered to sender"
-    else if not base.completed then
-      recv_ack ~ablation base state ~ackno:(Net.Packet.ackno_exn packet)
-  in
-  ( { Tcp.Agent.name = "rr"; flow; deliver_ack; base; wants_sack = false },
+  ( Tcp.Agent.create ~name:"rr" ~wants_sack:false base (fun packet ->
+        recv_ack ~ablation base state ~ackno:(Net.Packet.ackno_exn packet)),
     state )
-
-let create_with_handle ~engine ~params ~flow ~emit () =
-  make ~engine ~params ~flow ~emit ~ablation:paper_design ()
-
-let create ~engine ~params ~flow ~emit () =
-  fst (make ~engine ~params ~flow ~emit ~ablation:paper_design ())
-
-let create_ablated ~engine ~params ~flow ~emit ~ablation () =
-  fst (make ~engine ~params ~flow ~emit ~ablation ())
-
-let create_ablated_with_handle ~engine ~params ~flow ~emit ~ablation () =
-  make ~engine ~params ~flow ~emit ~ablation ()

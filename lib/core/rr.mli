@@ -37,15 +37,6 @@
 
     Retransmission losses are still repaired by timeout, as usual. *)
 
-(** [create ~engine ~params ~flow ~emit ()] builds an RR sender. *)
-val create :
-  engine:Sim.Engine.t ->
-  params:Tcp.Params.t ->
-  flow:int ->
-  emit:(Net.Packet.t -> unit) ->
-  unit ->
-  Tcp.Agent.t
-
 (** {1 Introspection}
 
     White-box observation points used by tests and by the ablation
@@ -64,15 +55,6 @@ type probe_view = {
 (** Handle onto an RR sender's live recovery state. *)
 type handle
 
-(** [create_with_handle] is {!create} plus an introspection handle. *)
-val create_with_handle :
-  engine:Sim.Engine.t ->
-  params:Tcp.Params.t ->
-  flow:int ->
-  emit:(Net.Packet.t -> unit) ->
-  unit ->
-  Tcp.Agent.t * handle
-
 (** [inspect handle] is the live recovery state, or [None] outside
     recovery. *)
 val inspect : handle -> probe_view option
@@ -81,11 +63,10 @@ val inspect : handle -> probe_view option
     timeouts). *)
 val recoveries : handle -> int
 
-(** {1 Ablation variants}
+(** {1 Ablation}
 
-    The paper motivates three design decisions; these constructors build
-    RR with one decision flipped, for the ablation benchmarks DESIGN.md
-    calls out. *)
+    The paper motivates three design decisions; an [ablation] flips
+    any of them, for the ablation benchmarks DESIGN.md calls out. *)
 
 type ablation = {
   retreat_per_dupack : bool;
@@ -102,20 +83,13 @@ type ablation = {
 (** The paper's design: all three flags off. *)
 val paper_design : ablation
 
-(** [create_ablated ~ablation] is [create] with design decisions
-    flipped per [ablation]. *)
-val create_ablated :
-  engine:Sim.Engine.t ->
-  params:Tcp.Params.t ->
-  flow:int ->
-  emit:(Net.Packet.t -> unit) ->
-  ablation:ablation ->
-  unit ->
-  Tcp.Agent.t
+(** {1 Construction} *)
 
-(** [create_ablated_with_handle] is {!create_ablated} plus the
-    introspection handle, so ablation runs stay auditable. *)
-val create_ablated_with_handle :
+(** [create ~engine ~params ~flow ~emit ~ablation ()] builds an RR
+    sender with the design decisions [ablation] flips
+    ({!paper_design} for the paper's RR), and the handle onto its
+    recovery state, so every run, ablated or not, stays auditable. *)
+val create :
   engine:Sim.Engine.t ->
   params:Tcp.Params.t ->
   flow:int ->

@@ -26,22 +26,24 @@ let of_string s =
   | "rrr" | "relative-rate-reduction" -> Ok Rrr
   | other -> Error (Printf.sprintf "unknown TCP variant %S" other)
 
-let create t ~engine ~params ~flow ~emit () =
-  match t with
-  | Tahoe -> Tcp.Tahoe.create ~engine ~params ~flow ~emit ()
-  | Reno -> Tcp.Reno.create ~engine ~params ~flow ~emit ()
-  | Newreno -> Tcp.Newreno.create ~engine ~params ~flow ~emit ()
-  | Sack -> Tcp.Sack.create ~engine ~params ~flow ~emit ()
-  | Fack -> Tcp.Fack.create ~engine ~params ~flow ~emit ()
-  | Vegas -> Tcp.Vegas.create ~engine ~params ~flow ~emit ()
-  | Rr -> Rr.create ~engine ~params ~flow ~emit ()
-  | Relentless -> Tcp.Relentless.create ~engine ~params ~flow ~emit ()
-  | Rrr -> Tcp.Rrr.create ~engine ~params ~flow ~emit ()
-
 let create_inspected t ~engine ~params ~flow ~emit () =
+  let newreno rule =
+    (Tcp.Newreno.create rule ~engine ~params ~flow ~emit (), None)
+  in
   match t with
+  | Tahoe -> (Tcp.Tahoe.create ~engine ~params ~flow ~emit (), None)
+  | Reno -> newreno Tcp.Newreno.Reno
+  | Newreno -> newreno Tcp.Newreno.Newreno
+  | Sack -> (Tcp.Sack.create ~engine ~params ~flow ~emit (), None)
+  | Fack -> (Tcp.Fack.create ~engine ~params ~flow ~emit (), None)
+  | Vegas -> (Tcp.Vegas.create ~engine ~params ~flow ~emit (), None)
   | Rr ->
-    let agent, handle = Rr.create_with_handle ~engine ~params ~flow ~emit () in
+    let agent, handle =
+      Rr.create ~engine ~params ~flow ~emit ~ablation:Rr.paper_design ()
+    in
     (agent, Some handle)
-  | Tahoe | Reno | Newreno | Sack | Fack | Vegas | Relentless | Rrr ->
-    (create t ~engine ~params ~flow ~emit (), None)
+  | Relentless -> newreno Tcp.Newreno.Relentless
+  | Rrr -> newreno Tcp.Newreno.Rrr
+
+let create t ~engine ~params ~flow ~emit () =
+  fst (create_inspected t ~engine ~params ~flow ~emit ())

@@ -1,10 +1,11 @@
 (** Uniform selection of TCP congestion-control variants.
 
     The paper compares RR against Tahoe, (New-)Reno and SACK; the bench
-    adds Relentless (exact decrease-by-losses, {!Tcp.Relentless}) and
-    Relative Rate Reduction (adjustable backoff, {!Tcp.Rrr}). This
-    module gives experiments, examples and the CLI one switch point for
-    all of them. *)
+    adds Relentless (exact decrease-by-losses) and Relative Rate
+    Reduction (adjustable backoff). Reno, New-Reno, Relentless and RRR
+    are the rules of one machine, {!Tcp.Newreno}. This module gives
+    experiments, examples and the CLI one switch point for all of
+    them. *)
 
 type t = Tahoe | Reno | Newreno | Sack | Fack | Vegas | Rr | Relentless | Rrr
 

@@ -33,8 +33,7 @@ let run ?(drops = 6) ?(measure_window = 3.0) () =
       (fun (label, ablation) ->
         let make ~engine ~params ~flow ~emit () =
           let agent, handle =
-            Core.Rr.create_ablated_with_handle ~engine ~params ~flow ~emit
-              ~ablation ()
+            Core.Rr.create ~engine ~params ~flow ~emit ~ablation ()
           in
           Scenario.build ~rr:handle agent
         in

@@ -6,6 +6,14 @@ type t = {
   wants_sack : bool;
 }
 
+let create ~name ~wants_sack base recv_ack =
+  let deliver_ack packet =
+    if Net.Packet.is_data packet then
+      invalid_arg (name ^ ": data packet delivered to sender")
+    else if not base.Sender_common.completed then recv_ack packet
+  in
+  { name; flow = base.Sender_common.flow; deliver_ack; base; wants_sack }
+
 let start t = Sender_common.start t.base
 
 let supply_data t ~segments =

@@ -1,9 +1,9 @@
 (** Uniform handle over a TCP sender of any congestion-control variant.
 
-    Variants ({!Tahoe}, {!Reno}, {!Newreno}, {!Sack}, {!Fack},
-    {!Vegas}, {!Relentless}, {!Rrr}, and [Core.Rr]) return this record
-    from their [create] functions; experiment code and applications
-    drive senders exclusively through it, plus the exposed
+    Variants ({!Tahoe}, {!Newreno} for Reno, New-Reno, RRR and
+    Relentless, {!Sack}, {!Fack}, {!Vegas}, and [Core.Rr]) return this
+    record from their [create] functions; experiment code and
+    applications drive senders exclusively through it, plus the exposed
     {!Sender_common.t} for statistics and white-box tests. [Core.Variant]
     is the uniform way to pick one by name. *)
 
@@ -15,6 +15,17 @@ type t = {
   base : Sender_common.t;  (** shared state, for stats/metrics/tests *)
   wants_sack : bool;  (** whether the peer receiver must generate SACKs *)
 }
+
+(** [create ~name ~wants_sack base recv_ack] is the agent over [base].
+    Its [deliver_ack] refuses a data packet with [Invalid_argument] and
+    hands every ACK packet to [recv_ack] until the flow completes. Each
+    variant's constructor ends here. *)
+val create :
+  name:string ->
+  wants_sack:bool ->
+  Sender_common.t ->
+  (Net.Packet.t -> unit) ->
+  t
 
 (** [start t] begins transmitting whatever application data is
     available. *)

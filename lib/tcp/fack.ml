@@ -6,13 +6,6 @@ type state = {
   mutable recover : int;
 }
 
-let update_scoreboard state ~sack =
-  List.iter
-    (fun (first, last_plus_one) ->
-      if first < last_plus_one then
-        Seqset.add_range state.scoreboard ~first ~last:(last_plus_one - 1))
-    sack
-
 (* The forward-most data the receiver holds; [una] when nothing is
    SACKed. *)
 let fack base state =
@@ -58,16 +51,11 @@ let send_while_awnd_allows base state =
   in
   loop 0
 
-let enter_recovery base state =
-  base.counters.Counters.fast_retransmits <-
-    base.counters.Counters.fast_retransmits + 1;
-  base.recover_mark <- base.maxseq;
-  notify_recovery_enter base;
+let enter base state =
+  enter_recovery base;
   state.recover <- base.maxseq;
   Seqset.clear state.retransmitted;
   set_cwnd base (halve_ssthresh base);
-  base.phase <- Recovery;
-  base.timed <- None;
   (* The first hole goes out unconditionally; awnd gates the rest. *)
   (match next_hole base state with
   | Some seq ->
@@ -91,7 +79,7 @@ let loss_evident base state =
   || base.dupacks = base.params.Params.dupack_threshold
 
 let recv_ack base state ~ackno ~sack =
-  update_scoreboard state ~sack;
+  Seqset.add_blocks state.scoreboard sack;
   if ackno > base.una then begin
     Seqset.remove_below state.scoreboard (ackno + 1);
     Seqset.remove_below state.retransmitted (ackno + 1);
@@ -113,7 +101,7 @@ let recv_ack base state ~ackno ~sack =
       open_cwnd base;
       (* A cumulative advance can still reveal a hole below fack. *)
       if loss_evident base state && may_fast_retransmit base then
-        enter_recovery base state
+        enter base state
       else send_much base
     end
   end
@@ -122,7 +110,7 @@ let recv_ack base state ~ackno ~sack =
     base.dupacks <- base.dupacks + 1;
     if base.phase = Recovery then send_while_awnd_allows base state
     else if loss_evident base state && may_fast_retransmit base then
-      enter_recovery base state
+      enter base state
     else limited_transmit base
   end
 
@@ -137,12 +125,7 @@ let create ~engine ~params ~flow ~emit () =
   let base =
     create ~engine ~params ~flow ~emit ~timeout_action:(timeout state) ()
   in
-  let deliver_ack packet =
-    if Net.Packet.is_data packet then
-      invalid_arg "Fack: data packet delivered to sender"
-    else if not base.completed then
+  Agent.create ~name:"fack" ~wants_sack:true base (fun packet ->
       recv_ack base state
         ~ackno:(Net.Packet.ackno_exn packet)
-        ~sack:(Net.Packet.sack packet)
-  in
-  { Agent.name = "fack"; flow; deliver_ack; base; wants_sack = true }
+        ~sack:(Net.Packet.sack packet))

@@ -40,10 +40,10 @@ type t = {
           cs/9809097) and are selected per run via the campaign grid
           or [rr-sim --rto]. *)
   rrr_level : float;
-      (** the {!Rrr} sender's target congestion level [ℓ ∈ (0, 1)]:
-          each congestion event multiplies the window by [1 - ℓ].
-          [0.5] (the default) reproduces the Reno half-cut; other
-          senders ignore the field. Selected per run via
+      (** the RRR rule's ({!Newreno.rule}) target congestion level
+          [ℓ ∈ (0, 1)]: each congestion event multiplies the window by
+          [1 - ℓ]. [0.5] (the default) reproduces the Reno half-cut;
+          other senders ignore the field. Selected per run via
           [rr-sim --rrr-level] or the campaign [--rrr-levels] axis. *)
 }
 

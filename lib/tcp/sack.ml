@@ -7,13 +7,6 @@ type state = {
   mutable pipe : int;
 }
 
-let update_scoreboard state ~sack =
-  List.iter
-    (fun (first, last_plus_one) ->
-      if first < last_plus_one then
-        Seqset.add_range state.scoreboard ~first ~last:(last_plus_one - 1))
-    sack
-
 (* The oldest segment above [una] that the receiver does not hold and
    that we have not already retransmitted this recovery, provided the
    scoreboard proves data above it arrived. *)
@@ -57,12 +50,9 @@ let send_while_pipe_allows base state =
   in
   loop 0
 
-let enter_recovery base state =
-  base.counters.Counters.fast_retransmits <-
-    base.counters.Counters.fast_retransmits + 1;
-  notify_recovery_enter base;
+let enter base state =
+  enter_recovery base;
   state.recover <- base.maxseq;
-  base.recover_mark <- base.maxseq;
   Seqset.clear state.retransmitted;
   (* ns-2 sack1 (the implementation the paper compares against) seeds
      the pipe from the pre-halving window minus the duplicate ACKs'
@@ -72,8 +62,6 @@ let enter_recovery base state =
     max 0
       (int_of_float (window base) - base.params.Params.dupack_threshold);
   set_cwnd base (halve_ssthresh base);
-  base.phase <- Recovery;
-  base.timed <- None;
   send_segment base ~seq:(base.una + 1) ~retx:true;
   ignore (Seqset.add state.retransmitted (base.una + 1) : bool);
   state.pipe <- state.pipe + 1;
@@ -88,44 +76,34 @@ let exit_recovery base state =
   notify_recovery_exit base
 
 let recv_ack base state ~ackno ~sack =
-  update_scoreboard state ~sack;
+  Seqset.add_blocks state.scoreboard sack;
   if ackno > base.una then begin
     Seqset.remove_below state.scoreboard (ackno + 1);
-    Seqset.remove_below state.retransmitted (ackno + 1);
-    if base.phase = Recovery then begin
-      if ackno >= state.recover then begin
-        (* Full ACK: deflate to ssthresh; growth resumes next ACK. *)
-        exit_recovery base state;
-        advance_una base ~ackno;
-        send_much base
-      end
-      else begin
-        advance_una base ~ackno;
-        (* Partial ACK: the original and its retransmission left. *)
-        state.pipe <- max 0 (state.pipe - 2);
-        restart_rtx_timer base;
-        send_while_pipe_allows base state
-      end
+    Seqset.remove_below state.retransmitted (ackno + 1)
+  end;
+  if base.phase <> Recovery then begin
+    if open_ack base ~ackno then enter base state
+  end
+  else if ackno > base.una then begin
+    if ackno >= state.recover then begin
+      (* Full ACK: deflate to ssthresh; growth resumes next ACK. *)
+      exit_recovery base state;
+      advance_una base ~ackno;
+      send_much base
     end
     else begin
-      base.dupacks <- 0;
       advance_una base ~ackno;
-      open_cwnd base;
-      send_much base
+      (* Partial ACK: the original and its retransmission left. *)
+      state.pipe <- max 0 (state.pipe - 2);
+      restart_rtx_timer base;
+      send_while_pipe_allows base state
     end
   end
   else if ackno = base.una && outstanding base > 0 then begin
     note_dupack base;
     base.dupacks <- base.dupacks + 1;
-    if base.phase = Recovery then begin
-      state.pipe <- max 0 (state.pipe - 1);
-      send_while_pipe_allows base state
-    end
-    else if
-      base.dupacks = base.params.Params.dupack_threshold
-      && may_fast_retransmit base
-    then enter_recovery base state
-    else limited_transmit base
+    state.pipe <- max 0 (state.pipe - 1);
+    send_while_pipe_allows base state
   end
 
 let timeout state base =
@@ -147,12 +125,7 @@ let create ~engine ~params ~flow ~emit () =
   let base =
     create ~engine ~params ~flow ~emit ~timeout_action:(timeout state) ()
   in
-  let deliver_ack packet =
-    if Net.Packet.is_data packet then
-      invalid_arg "Sack: data packet delivered to sender"
-    else if not base.completed then
+  Agent.create ~name:"sack" ~wants_sack:true base (fun packet ->
       recv_ack base state
         ~ackno:(Net.Packet.ackno_exn packet)
-        ~sack:(Net.Packet.sack packet)
-  in
-  { Agent.name = "sack"; flow; deliver_ack; base; wants_sack = true }
+        ~sack:(Net.Packet.sack packet))

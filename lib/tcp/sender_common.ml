@@ -290,6 +290,34 @@ let note_dupack t =
   let now = Sim.Engine.now t.engine in
   fire_ack t ~time:now ~ackno:t.una
 
+let open_ack t ~ackno =
+  if ackno > t.una then begin
+    t.dupacks <- 0;
+    advance_una t ~ackno;
+    open_cwnd t;
+    send_much t;
+    false
+  end
+  else if ackno = t.una && outstanding t > 0 then begin
+    note_dupack t;
+    t.dupacks <- t.dupacks + 1;
+    if t.dupacks = t.params.Params.dupack_threshold && may_fast_retransmit t
+    then true
+    else begin
+      limited_transmit t;
+      false
+    end
+  end
+  else false
+
+let enter_recovery t =
+  t.counters.Counters.fast_retransmits <-
+    t.counters.Counters.fast_retransmits + 1;
+  t.recover_mark <- t.maxseq;
+  notify_recovery_enter t;
+  t.phase <- Recovery;
+  t.timed <- None
+
 let timeout_common t =
   let now = Sim.Engine.now t.engine in
   t.counters.Counters.timeouts <- t.counters.Counters.timeouts + 1;

@@ -1,8 +1,11 @@
 (** Shared TCP-sender state and mechanics.
 
-    Every congestion-control variant (Tahoe, Reno, New-Reno, SACK and the
-    paper's Robust Recovery) owns one of these records and layers its
-    ACK-processing policy on top. The record is deliberately transparent:
+    Every congestion-control variant ({!Tahoe}, the {!Newreno} family,
+    {!Sack}, {!Fack}, {!Vegas} and the paper's Robust Recovery) owns one
+    of these records and layers its ACK-processing policy on top. The
+    skeleton they share is here too: the ACK step outside recovery
+    ({!open_ack}) and the prologue of a recovery episode
+    ({!enter_recovery}). The record is deliberately transparent:
     variants mutate it directly, and white-box tests read it.
 
     Conventions (packet-unit sequence numbers, as in ns-2):
@@ -129,6 +132,22 @@ val advance_una : t -> ackno:int -> unit
 (** [note_dupack t] bumps duplicate-ACK counters and hooks. *)
 val note_dupack : t -> unit
 
+(** [open_ack t ~ackno] is the ACK step outside recovery. A new ACK
+    resets [dupacks], advances [una], grows the window and sends. A
+    duplicate is counted; it then either sends by {!limited_transmit}
+    or, when it is the [dupack_threshold]-th and {!may_fast_retransmit}
+    holds, sends nothing and returns [true], the caller's cue to fast
+    retransmit. Every other case returns [false]; an ACK below [una], or
+    a duplicate with nothing outstanding, is ignored. *)
+val open_ack : t -> ackno:int -> bool
+
+(** [enter_recovery t] is the prologue of every recovery episode: it
+    counts the fast retransmit, sets [recover_mark] to [maxseq],
+    notifies the recovery-entry hooks, sets [phase] to [Recovery] and
+    drops the RTT timing (Karn's rule) ahead of the retransmission. The
+    caller then cuts the window and retransmits. *)
+val enter_recovery : t -> unit
+
 (** [may_fast_retransmit t] reports whether a fresh burst of duplicate
     ACKs is trustworthy evidence of a new loss (see [recover_mark]). *)
 val may_fast_retransmit : t -> bool
@@ -175,8 +194,8 @@ val on_send : t -> (time:float -> seq:int -> retx:bool -> unit) -> unit
     {!note_dupack}, with [ackno = una]). *)
 val on_ack : t -> (time:float -> ackno:int -> unit) -> unit
 
-(** [on_recovery_enter t f] calls [f] when a variant announces loss
-    recovery (via {!notify_recovery_enter}). *)
+(** [on_recovery_enter t f] calls [f] when a variant enters loss
+    recovery (via {!enter_recovery}). *)
 val on_recovery_enter : t -> (time:float -> unit) -> unit
 
 (** [on_recovery_exit t f] is the matching exit notification. *)
@@ -186,10 +205,8 @@ val on_recovery_exit : t -> (time:float -> unit) -> unit
     timeout's state changes are applied. *)
 val on_timeout : t -> (time:float -> unit) -> unit
 
-(** [notify_recovery_enter t] broadcasts recovery entry at the current
-    engine time. For variant implementations ({!Reno}, {!Sack}, RR, …) —
-    observers should subscribe instead. *)
-val notify_recovery_enter : t -> unit
-
-(** [notify_recovery_exit t] broadcasts recovery exit. *)
+(** [notify_recovery_exit t] broadcasts recovery exit at the current
+    engine time; {!enter_recovery} broadcasts the entry. For variant
+    implementations ({!Newreno}, {!Sack}, RR, …) — observers should
+    subscribe instead. *)
 val notify_recovery_exit : t -> unit

@@ -32,6 +32,12 @@ let add_range t ~first ~last =
   in
   t.intervals <- insert [] first last t.intervals
 
+let rec add_blocks t = function
+  | [] -> ()
+  | (first, last_plus_one) :: rest ->
+    if first < last_plus_one then add_range t ~first ~last:(last_plus_one - 1);
+    add_blocks t rest
+
 let add t seq =
   if mem t seq then false
   else begin

@@ -16,6 +16,12 @@ val add : t -> int -> bool
 (** [add_range t ~first ~last] inserts the inclusive range. *)
 val add_range : t -> first:int -> last:int -> unit
 
+(** [add_blocks t blocks] inserts SACK blocks, each a half-open
+    [(first, last + 1)] pair as {!Net.Packet.sack} carries them; an
+    empty block is skipped. This is the SACK and FACK senders'
+    scoreboard update. *)
+val add_blocks : t -> (int * int) list -> unit
+
 (** [mem t seq] tests membership. *)
 val mem : t -> int -> bool
 

@@ -15,31 +15,10 @@ let fast_retransmit base =
   base.t_seqno <- first + 1;
   restart_rtx_timer base
 
-let recv_ack base ~ackno =
-  if ackno > base.una then begin
-    base.dupacks <- 0;
-    advance_una base ~ackno;
-    open_cwnd base;
-    send_much base
-  end
-  else if ackno = base.una && outstanding base > 0 then begin
-    note_dupack base;
-    base.dupacks <- base.dupacks + 1;
-    if
-      base.dupacks = base.params.Params.dupack_threshold
-      && may_fast_retransmit base
-    then fast_retransmit base
-    else limited_transmit base
-  end
-
 let create ~engine ~params ~flow ~emit () =
   let base =
     create ~engine ~params ~flow ~emit ~timeout_action:timeout_common ()
   in
-  let deliver_ack packet =
-    if Net.Packet.is_data packet then
-      invalid_arg "Tahoe: data packet delivered to sender"
-    else if not base.completed then
-      recv_ack base ~ackno:(Net.Packet.ackno_exn packet)
-  in
-  { Agent.name = "tahoe"; flow; deliver_ack; base; wants_sack = false }
+  Agent.create ~name:"tahoe" ~wants_sack:false base (fun packet ->
+      if open_ack base ~ackno:(Net.Packet.ackno_exn packet) then
+        fast_retransmit base)

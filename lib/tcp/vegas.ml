@@ -190,13 +190,8 @@ let create_with ~engine ~params ~flow ~emit ~mechanisms
     create ~engine ~params ~flow ~emit:emit_recording
       ~timeout_action:(timeout state) ()
   in
-  let deliver_ack packet =
-    if Net.Packet.is_data packet then
-      invalid_arg "Vegas: data packet delivered to sender"
-    else if not base.completed then
-      recv_ack state base ~ackno:(Net.Packet.ackno_exn packet)
-  in
-  { Agent.name = "vegas"; flow; deliver_ack; base; wants_sack = false }
+  Agent.create ~name:"vegas" ~wants_sack:false base (fun packet ->
+      recv_ack state base ~ackno:(Net.Packet.ackno_exn packet))
 
 let create ~engine ~params ~flow ~emit () =
   create_with ~engine ~params ~flow ~emit ~mechanisms:full ()

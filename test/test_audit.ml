@@ -71,7 +71,7 @@ let test_detects_occupancy_leak () =
     (List.mem "queue-conservation" (rules auditor))
 
 let test_detects_corrupt_cwnd () =
-  let h = Harness.make Tcp.Reno.create in
+  let h = Harness.make Core.Variant.(create Reno) in
   let engine = Sim.Engine.create () in
   let auditor = Audit.Auditor.create ~engine () in
   Audit.Auditor.attach_sender auditor ~label:"flow 0 (reno)" h.Harness.agent;
@@ -125,7 +125,7 @@ let test_divergence_trend_rule () =
      repeated timeouts back the RTO off 0.6 -> 1.2 -> 2.4 -> 4.8 while
      the measured RTT never moves. The observation window must catch the
      ratio running away. *)
-  let h = Harness.make ~params:fine_params Tcp.Newreno.create in
+  let h = Harness.make ~params:fine_params Core.Variant.(create Newreno) in
   let monitor = Audit.Divergence.create ~engine:h.Harness.engine () in
   Audit.Divergence.attach_sender monitor ~label:"flow 0 (newreno)"
     h.Harness.agent;
@@ -150,7 +150,7 @@ let test_divergence_sync_rule () =
   let monitor = Audit.Divergence.create ~engine () in
   let spawn flow =
     let agent =
-      Tcp.Newreno.create ~engine ~params:Tcp.Params.default ~flow
+      Core.Variant.(create Newreno) ~engine ~params:Tcp.Params.default ~flow
         ~emit:(fun (_ : Net.Packet.t) -> ())
         ()
     in
@@ -557,7 +557,7 @@ let suite =
           test_divergence_under_flaps;
         Alcotest.test_case "burst sweep clean" `Slow test_sweep_bursts;
         Alcotest.test_case "random-loss sweep clean" `Slow test_sweep_random_loss;
-        QCheck_alcotest.to_alcotest prop_sweep_arbitrary_drops;
+        Qcheck_seed.to_alcotest prop_sweep_arbitrary_drops;
         Alcotest.test_case "trace shape" `Quick test_trace_shape;
         Alcotest.test_case "binary trace round-trips byte-identically" `Quick
           test_binary_trace_roundtrip;

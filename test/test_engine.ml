@@ -434,8 +434,8 @@ let suite =
         Alcotest.test_case "schedule_unit rejects past" `Quick
           test_schedule_unit_rejects_past;
         Alcotest.test_case "schedule by time bits" `Quick test_schedule_by_bits;
-        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
-        QCheck_alcotest.to_alcotest prop_random_schedule_fires_in_order;
+        Qcheck_seed.to_alcotest prop_engine_matches_reference;
+        Qcheck_seed.to_alcotest prop_random_schedule_fires_in_order;
       ] );
     ( "timer",
       [

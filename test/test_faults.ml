@@ -670,8 +670,8 @@ let suite =
           test_timeline_string_form;
         Alcotest.test_case "faulted scenarios stay clean" `Slow
           test_faulted_scenarios_stay_clean;
-        QCheck_alcotest.to_alcotest prop_random_faults_stay_clean;
-        QCheck_alcotest.to_alcotest prop_timeline_link_exactly_once_fifo;
+        Qcheck_seed.to_alcotest prop_random_faults_stay_clean;
+        Qcheck_seed.to_alcotest prop_timeline_link_exactly_once_fifo;
         Alcotest.test_case "faulted trace deterministic" `Quick
           test_faulted_trace_deterministic;
         Alcotest.test_case "clean trace byte-identical" `Slow

@@ -334,6 +334,6 @@ let suite =
         Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         Alcotest.test_case "limited transmit at tiny windows" `Quick
           test_limited_transmit_tiny_windows;
-        QCheck_alcotest.to_alcotest ~long:false prop_reliable_delivery;
+        Qcheck_seed.to_alcotest ~long:false prop_reliable_delivery;
       ] );
   ]

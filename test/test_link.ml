@@ -171,6 +171,6 @@ let suite =
         Alcotest.test_case "invalid args" `Quick test_invalid_args;
         Alcotest.test_case "non-finite rate and delay refused" `Quick
           test_non_finite_refused;
-        QCheck_alcotest.to_alcotest prop_conservation;
+        Qcheck_seed.to_alcotest prop_conservation;
       ] );
   ]

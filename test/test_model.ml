@@ -165,7 +165,7 @@ let suite =
         Alcotest.test_case "padhye rto sensitivity" `Quick test_padhye_rto_sensitivity;
         Alcotest.test_case "padhye bandwidth" `Quick test_padhye_bandwidth;
         Alcotest.test_case "padhye invalid" `Quick test_padhye_invalid;
-        QCheck_alcotest.to_alcotest prop_padhye_decreasing;
+        Qcheck_seed.to_alcotest prop_padhye_decreasing;
         Alcotest.test_case "relentless window" `Quick test_relentless_window;
         Alcotest.test_case "relentless window limited" `Quick
           test_relentless_window_limited;
@@ -180,6 +180,6 @@ let suite =
         Alcotest.test_case "rrr window limited" `Quick test_rrr_window_limited;
         Alcotest.test_case "rrr bandwidth" `Quick test_rrr_bandwidth;
         Alcotest.test_case "rrr invalid" `Quick test_rrr_invalid;
-        QCheck_alcotest.to_alcotest prop_rrr_gentler_level_larger_window;
+        Qcheck_seed.to_alcotest prop_rrr_gentler_level_larger_window;
       ] );
   ]

@@ -1,7 +1,8 @@
 (* Fuzzing the string parsers behind `rr-sim run` and `rr-sim sweep`:
    the fault DSL, --link-schedule, gateway and topology strings,
    --cross-traffic, the pool's chaos spec and the campaign cache's JSON
-   reader, plus the binary trace reader behind `rr-sim trace export`.
+   reader, plus the binary trace reader behind `rr-sim trace export` and
+   the run journal `sweep --resume` reads.
    Cases are built from each
    grammar's own tokens mixed with numeric edge tokens, so most of them
    are near misses of valid input. Every case must end in [Ok] or [Error], never in an
@@ -426,47 +427,170 @@ let recorded_trace =
      let skip = String.length magic in
      sample scenario ^ String.sub journal skip (String.length journal - skip))
 
+(* [mutations text] are [text] cut short, or with one byte dropped,
+   flipped or spliced in. *)
+let mutations text =
+  let open QCheck2.Gen in
+  let n = String.length text in
+  let at = int_bound (n - 1) in
+  let edit i inserted skip =
+    String.sub text 0 i ^ inserted ^ String.sub text (i + skip) (n - i - skip)
+  in
+  [
+    map (fun i -> String.sub text 0 i) at;
+    map (fun i -> edit i "" 1) at;
+    map2
+      (fun i c ->
+        let mask = 1 + (Char.code c mod 255) in
+        let flipped = Char.chr (Char.code text.[i] lxor mask) in
+        edit i (String.make 1 flipped) 1)
+      at char;
+    map2 (fun i c -> edit i (String.make 1 c) 0) at char;
+  ]
+
 let binary_trace =
   let open QCheck2.Gen in
-  let mutated =
-    delay (fun () ->
-        let trace = Lazy.force recorded_trace in
-        let n = String.length trace in
-        let at = int_bound (n - 1) in
-        let edit i inserted skip =
-          String.sub trace 0 i ^ inserted
-          ^ String.sub trace (i + skip) (n - i - skip)
-        in
-        oneof
-          [
-            map (fun i -> String.sub trace 0 i) at;
-            map (fun i -> edit i "" 1) at;
-            map2
-              (fun i c ->
-                let mask = 1 + (Char.code c mod 255) in
-                let flipped = Char.chr (Char.code trace.[i] lxor mask) in
-                edit i (String.make 1 flipped) 1)
-              at char;
-            map2 (fun i c -> edit i (String.make 1 c) 0) at char;
-          ])
-  in
-  oneof [ map (( ^ ) magic) (string_size (int_range 0 32)); mutated ]
+  oneof
+    [
+      map (( ^ ) magic) (string_size (int_range 0 32));
+      delay (fun () -> oneof (mutations (Lazy.force recorded_trace)));
+    ]
 
-(* Every case goes through one file, removed at exit. *)
-let export_path =
+(* Every file-reading case goes through one file, removed at exit. *)
+let fuzz_path =
   lazy
-    (let path = Filename.temp_file "rr_fuzz" ".rrtb" in
+    (let path = Filename.temp_file "rr_fuzz" "" in
      at_exit (fun () -> Sys.remove path);
      path)
 
 let export bytes =
-  let path = Lazy.force export_path in
+  let path = Lazy.force fuzz_path in
   Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
   In_channel.with_open_bin path (fun input ->
       Out_channel.with_open_bin Filename.null (fun output ->
           match Audit.Trace.export ~input ~output with
           | () -> Ok ()
           | exception Audit.Trace.Corrupt reason -> Error reason))
+
+(* Journals for [Campaign.Journal.load], which [sweep --resume] reads:
+   random journals built from the records' own tokens and JSON near
+   misses, and a recorded journal cut short, with one byte dropped,
+   flipped or spliced in, or with a line spliced in or repeated. Load
+   must end in [Ok] or [Error]; an [Ok] snapshot may name only digests
+   that a [job_settled] or [job_failed] line names, and only a sweep
+   that a [sweep_start] line names. *)
+
+let journal_value =
+  QCheck2.Gen.oneofl
+    [
+      {|"sweep_start"|}; {|"job_settled"|}; {|"job_failed"|}; {|"job_retry"|};
+      {|"sweep_resume"|}; {|"sweep_complete"|}; {|"d1"|}; {|"d2"|}; {|""|};
+      {|"rr-sim-journal/1"|}; {|"a\"b"|}; {|"\u00e9"|}; {|"\"|}; {|"x|};
+      "null"; "true"; "1"; "-0"; "1e999"; "[]"; "{}"; {|["d1"]|}; "tru"; "";
+    ]
+
+let journal_line =
+  let open QCheck2.Gen in
+  let field =
+    map2
+      (Printf.sprintf "%S:%s")
+      (oneofl [ "ev"; "digest"; "failure"; "sweep"; "t"; "total"; "" ])
+      journal_value
+  in
+  oneof
+    [
+      map (fun fields -> "{" ^ String.concat "," fields ^ "}")
+        (list_size (int_range 0 4) field);
+      string_size (int_range 0 16);
+    ]
+
+(* A journal as a sweep writes it, interrupted and resumed once, with
+   its wall-clock stamps pinned so every run fuzzes the same bytes. *)
+let recorded_journal =
+  lazy
+    (let path = Filename.temp_file "rr_fuzz" ".jsonl" in
+     let digest n = Digest.to_hex (Digest.string (string_of_int n)) in
+     let j = Campaign.Journal.start ~path ~sweep:(digest 0) ~total:3 in
+     Campaign.Journal.settled j ~digest:(digest 1);
+     Campaign.Journal.retry j ~digest:(digest 2) ~attempt:1
+       ~failure:"crashed: killed by SIGKILL";
+     Campaign.Journal.failed j ~digest:(digest 2) ~failure:"timed out after 5s";
+     Campaign.Journal.finish j ~settled:1 ~failed:1 ~interrupted:true;
+     Campaign.Journal.close j;
+     let j, _ =
+       Result.get_ok (Campaign.Journal.resume ~path ~sweep:(digest 0))
+     in
+     Campaign.Journal.settled j ~digest:(digest 2);
+     Campaign.Journal.settled j ~digest:(digest 3);
+     Campaign.Journal.finish j ~settled:3 ~failed:0 ~interrupted:false;
+     Campaign.Journal.close j;
+     let text = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     String.split_on_char '\n' text
+     |> List.map (fun line ->
+            match String.index_opt line ',' with
+            | Some i when String.starts_with ~prefix:{|{"t":|} line ->
+              {|{"t":0.5|} ^ String.sub line i (String.length line - i)
+            | Some _ | None -> line)
+     |> String.concat "\n")
+
+let journal =
+  let open QCheck2.Gen in
+  let mutated =
+    delay (fun () ->
+        let text = Lazy.force recorded_journal in
+        let lines = String.split_on_char '\n' text in
+        let at_line = int_bound (List.length lines - 1) in
+        let insert_line k line =
+          String.concat "\n"
+            (List.concat
+               (List.mapi (fun i l -> if i = k then [ line; l ] else [ l ]) lines))
+        in
+        oneof
+          (mutations text
+          @ [
+              map2 insert_line at_line journal_line;
+              map2 (fun k j -> insert_line k (List.nth lines j)) at_line at_line;
+            ]))
+  in
+  oneof
+    [
+      map (String.concat "\n") (list_size (int_range 0 8) journal_line);
+      mutated;
+    ]
+
+(* The [what] strings that lines recording an [ev] in [evs] name. *)
+let named ~evs ~what text =
+  List.filter_map
+    (fun line ->
+      match Campaign.Json.of_string line with
+      | Ok json -> (
+        let str name =
+          Option.bind (Campaign.Json.member name json) Campaign.Json.to_str
+        in
+        match str "ev" with
+        | Some ev when List.mem ev evs -> str what
+        | Some _ | None -> None)
+      | Error _ -> None)
+    (String.split_on_char '\n' text)
+
+let journal_load =
+  QCheck2.Test.make ~name:"journal" ~count:10_000 ~print:(Printf.sprintf "%S")
+    journal (fun text ->
+      let path = Lazy.force fuzz_path in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      match Campaign.Journal.load ~path with
+      | Ok { Campaign.Journal.sweep; settled; failed } ->
+        let jobs =
+          named ~evs:[ "job_settled"; "job_failed" ] ~what:"digest" text
+        in
+        List.mem sweep (named ~evs:[ "sweep_start" ] ~what:"sweep" text)
+        && List.for_all
+             (fun digest -> List.mem digest jobs)
+             (settled @ List.map fst failed)
+      | Error _ -> true
+      | exception e ->
+        QCheck2.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
 
 let properties =
   [
@@ -499,7 +623,8 @@ let properties =
     json_round_trip;
     never_raises ~name:"binary trace" binary_trace ~parse:export
       ~ok:(fun () -> true);
+    journal_load;
   ]
 
 let suite =
-  [ ("parsers", List.map (QCheck_alcotest.to_alcotest ~long:false) properties) ]
+  [ ("parsers", List.map (Qcheck_seed.to_alcotest ~long:false) properties) ]

@@ -196,7 +196,7 @@ let suite =
         Alcotest.test_case "delack hole fill immediate" `Quick
           test_delack_hole_fill_acks_immediately;
         Alcotest.test_case "rejects acks" `Quick test_rejects_acks;
-        QCheck_alcotest.to_alcotest prop_any_order_reassembles;
-        QCheck_alcotest.to_alcotest prop_sack_blocks_well_formed;
+        Qcheck_seed.to_alcotest prop_any_order_reassembles;
+        Qcheck_seed.to_alcotest prop_sack_blocks_well_formed;
       ] );
   ]

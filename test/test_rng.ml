@@ -112,6 +112,6 @@ let suite =
         Alcotest.test_case "bernoulli edges" `Quick test_bernoulli_edges;
         Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
         Alcotest.test_case "exponential mean" `Quick test_exponential;
-        QCheck_alcotest.to_alcotest prop_int_in_range;
+        Qcheck_seed.to_alcotest prop_int_in_range;
       ] );
   ]

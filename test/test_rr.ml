@@ -8,7 +8,8 @@ let make_rr () =
   let h =
     Harness.make (fun ~engine ~params ~flow ~emit () ->
         let agent, handle =
-          Core.Rr.create_with_handle ~engine ~params ~flow ~emit ()
+          Core.Rr.create ~engine ~params ~flow ~emit
+            ~ablation:Core.Rr.paper_design ()
         in
         handle_cell := Some handle;
         agent)
@@ -199,9 +200,10 @@ let test_no_recovery_without_outstanding () =
 let test_ablated_retreat_per_dupack () =
   let h =
     Harness.make (fun ~engine ~params ~flow ~emit () ->
-        Core.Rr.create_ablated ~engine ~params ~flow ~emit
-          ~ablation:{ Core.Rr.paper_design with retreat_per_dupack = true }
-          ())
+        fst
+          (Core.Rr.create ~engine ~params ~flow ~emit
+             ~ablation:{ Core.Rr.paper_design with retreat_per_dupack = true }
+             ()))
   in
   Harness.open_window h ~target:20;
   ignore (Harness.sent h);
@@ -220,7 +222,8 @@ let test_rr_with_limited_transmit () =
       ~params:{ Harness.params with Tcp.Params.limited_transmit = true }
       (fun ~engine ~params ~flow ~emit () ->
         let agent, handle =
-          Core.Rr.create_with_handle ~engine ~params ~flow ~emit ()
+          Core.Rr.create ~engine ~params ~flow ~emit
+            ~ablation:Core.Rr.paper_design ()
         in
         handle_cell := Some handle;
         agent)
@@ -337,6 +340,6 @@ let suite =
           test_rr_with_limited_transmit;
         Alcotest.test_case "second burst, second episode" `Quick
           test_rr_second_burst_after_recovery;
-        QCheck_alcotest.to_alcotest prop_invariants_under_any_script;
+        Qcheck_seed.to_alcotest prop_invariants_under_any_script;
       ] );
   ]

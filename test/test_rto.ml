@@ -236,6 +236,6 @@ let suite =
         Alcotest.test_case "rfc793 = 2*srtt" `Quick test_rfc793_is_twice_srtt;
         Alcotest.test_case "agile gains" `Quick test_agile_gains;
         Alcotest.test_case "fine timeout" `Quick test_fine_timeout;
-        QCheck_alcotest.to_alcotest prop_rto_bounded;
+        Qcheck_seed.to_alcotest prop_rto_bounded;
       ] );
   ]

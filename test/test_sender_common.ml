@@ -3,7 +3,7 @@
 
 open Tcp.Sender_common
 
-let make ?params () = Harness.make ?params Tcp.Newreno.create
+let make ?params () = Harness.make ?params Core.Variant.(create Newreno)
 
 let test_initial_send () =
   let h = make () in

@@ -143,7 +143,7 @@ let suite =
         Alcotest.test_case "remove_below" `Quick test_remove_below;
         Alcotest.test_case "first_gap_above" `Quick test_first_gap;
         Alcotest.test_case "max and clear" `Quick test_max_and_clear;
-        QCheck_alcotest.to_alcotest prop_matches_reference;
-        QCheck_alcotest.to_alcotest prop_intervals_disjoint_sorted;
+        Qcheck_seed.to_alcotest prop_matches_reference;
+        Qcheck_seed.to_alcotest prop_intervals_disjoint_sorted;
       ] );
   ]

@@ -76,7 +76,7 @@ let prop_value_at_matches_scan =
 
 let make_trace_via_agent () =
   (* Use a harness sender so hooks fire exactly as in production. *)
-  let h = Harness.make Tcp.Newreno.create in
+  let h = Harness.make Core.Variant.(create Newreno) in
   let trace = Stats.Flow_trace.attach h.Harness.agent in
   (h, trace)
 
@@ -221,7 +221,7 @@ let suite =
           test_series_first_time_at_or_above;
         Alcotest.test_case "between" `Quick test_series_between;
         Alcotest.test_case "csv" `Quick test_series_csv;
-        QCheck_alcotest.to_alcotest prop_value_at_matches_scan;
+        Qcheck_seed.to_alcotest prop_value_at_matches_scan;
       ] );
     ( "flow_trace",
       [

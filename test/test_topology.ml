@@ -302,7 +302,7 @@ let suite =
         Alcotest.test_case "builders validate" `Quick test_builders_validate;
         Alcotest.test_case "dumbbell builder keeps legacy names" `Quick
           test_dumbbell_builder_names;
-        QCheck_alcotest.to_alcotest prop_conservation;
-        QCheck_alcotest.to_alcotest prop_fat_tree_delivers;
+        Qcheck_seed.to_alcotest prop_conservation;
+        Qcheck_seed.to_alcotest prop_fat_tree_delivers;
       ] );
   ]

@@ -17,7 +17,7 @@ let with_loss create =
 (* -- Tahoe -- *)
 
 let test_tahoe_fast_retransmit () =
-  let h = with_loss Tcp.Tahoe.create in
+  let h = with_loss Core.Variant.(create Tahoe) in
   let b = Harness.base h in
   let window_before = window b in
   let una = b.una in
@@ -33,7 +33,7 @@ let test_tahoe_fast_retransmit () =
   Alcotest.(check int) "no timeout involved" 0 b.counters.Tcp.Counters.timeouts
 
 let test_tahoe_slow_start_after_loss () =
-  let h = with_loss Tcp.Tahoe.create in
+  let h = with_loss Core.Variant.(create Tahoe) in
   let b = Harness.base h in
   let una = b.una in
   Harness.dupacks h 3;
@@ -43,7 +43,7 @@ let test_tahoe_slow_start_after_loss () =
   Alcotest.(check (float 1e-9)) "slow start growth" 2.0 (cwnd b)
 
 let test_tahoe_two_dupacks_no_action () =
-  let h = with_loss Tcp.Tahoe.create in
+  let h = with_loss Core.Variant.(create Tahoe) in
   let b = Harness.base h in
   let cwnd_before = cwnd b in
   Harness.dupacks h 2;
@@ -51,7 +51,7 @@ let test_tahoe_two_dupacks_no_action () =
   Alcotest.(check (float 1e-9)) "cwnd unchanged" cwnd_before (cwnd b)
 
 let test_tahoe_bugfix_guard () =
-  let h = with_loss Tcp.Tahoe.create in
+  let h = with_loss Core.Variant.(create Tahoe) in
   let b = Harness.base h in
   Harness.dupacks h 3;
   ignore (Harness.sent h);
@@ -64,7 +64,7 @@ let test_tahoe_bugfix_guard () =
 (* -- Reno -- *)
 
 let test_reno_fast_recovery_inflation () =
-  let h = with_loss Tcp.Reno.create in
+  let h = with_loss Core.Variant.(create Reno) in
   let b = Harness.base h in
   let window_before = window b in
   Harness.dupacks h 3;
@@ -77,7 +77,7 @@ let test_reno_fast_recovery_inflation () =
   Alcotest.(check (float 1e-9)) "inflated" (halved +. 4.0) (cwnd b)
 
 let test_reno_partial_ack_exits () =
-  let h = with_loss Tcp.Reno.create in
+  let h = with_loss Core.Variant.(create Reno) in
   let b = Harness.base h in
   let una = b.una in
   Harness.dupacks h 3;
@@ -98,7 +98,7 @@ let newreno_entered h =
   (b, sent)
 
 let test_newreno_stays_in_recovery () =
-  let h = with_loss Tcp.Newreno.create in
+  let h = with_loss Core.Variant.(create Newreno) in
   let b, _ = newreno_entered h in
   let una = b.una in
   (* Partial ACK: still in recovery, and the next hole goes out at once. *)
@@ -110,7 +110,7 @@ let test_newreno_stays_in_recovery () =
   | _ -> Alcotest.fail "expected hole retransmission")
 
 let test_newreno_full_ack_exits () =
-  let h = with_loss Tcp.Newreno.create in
+  let h = with_loss Core.Variant.(create Newreno) in
   let b, _ = newreno_entered h in
   let recover = b.maxseq in
   Harness.deliver_ack h recover;
@@ -118,7 +118,7 @@ let test_newreno_full_ack_exits () =
   Alcotest.(check (float 1e-9)) "cwnd = ssthresh" (ssthresh b) (cwnd b)
 
 let test_newreno_sends_on_dupacks_in_recovery () =
-  let h = with_loss Tcp.Newreno.create in
+  let h = with_loss Core.Variant.(create Newreno) in
   let b, _ = newreno_entered h in
   (* Enough inflation lets new data out roughly one per two dupacks. *)
   Harness.dupacks h 8;
@@ -132,12 +132,12 @@ let test_newreno_sends_on_dupacks_in_recovery () =
 (* -- SACK -- *)
 
 let test_sack_wants_sack () =
-  let h = Harness.make Tcp.Sack.create in
+  let h = Harness.make Core.Variant.(create Sack) in
   Alcotest.(check bool) "receiver must generate sacks" true
     h.Harness.agent.Tcp.Agent.wants_sack
 
 let test_sack_retransmits_holes_first () =
-  let h = with_loss Tcp.Sack.create in
+  let h = with_loss Core.Variant.(create Sack) in
   let b = Harness.base h in
   let una = b.una in
   (* Receiver holds everything except una+1 and una+4. *)
@@ -161,7 +161,7 @@ let test_sack_retransmits_holes_first () =
     sends
 
 let test_sack_no_rtx_of_sacked_data () =
-  let h = with_loss Tcp.Sack.create in
+  let h = with_loss Core.Variant.(create Sack) in
   let b = Harness.base h in
   let una = b.una in
   let blocks = [ (una + 2, b.maxseq + 1) ] in
@@ -171,7 +171,7 @@ let test_sack_no_rtx_of_sacked_data () =
     (List.map (fun s -> s.Harness.seq) resent)
 
 let test_sack_exit_at_recover () =
-  let h = with_loss Tcp.Sack.create in
+  let h = with_loss Core.Variant.(create Sack) in
   let b = Harness.base h in
   let una = b.una in
   let recover = b.maxseq in
@@ -181,7 +181,7 @@ let test_sack_exit_at_recover () =
   Alcotest.(check (float 1e-9)) "cwnd = ssthresh" (ssthresh b) (cwnd b)
 
 let test_sack_pipe_decrement_on_partial () =
-  let h = with_loss Tcp.Sack.create in
+  let h = with_loss Core.Variant.(create Sack) in
   let b = Harness.base h in
   let una = b.una in
   (* Two holes: una+1 and una+3. *)
@@ -195,7 +195,7 @@ let test_sack_pipe_decrement_on_partial () =
 (* -- FACK -- *)
 
 let test_fack_triggers_on_forward_evidence () =
-  let h = with_loss Tcp.Fack.create in
+  let h = with_loss Core.Variant.(create Fack) in
   let b = Harness.base h in
   let una = b.una in
   (* One duplicate ACK whose SACK block shows 8 segments beyond the
@@ -209,7 +209,7 @@ let test_fack_triggers_on_forward_evidence () =
   | [] -> Alcotest.fail "no retransmission")
 
 let test_fack_no_trigger_below_threshold () =
-  let h = with_loss Tcp.Fack.create in
+  let h = with_loss Core.Variant.(create Fack) in
   let b = Harness.base h in
   let una = b.una in
   (* Only 2 segments beyond the hole: neither trigger condition met. *)
@@ -217,7 +217,7 @@ let test_fack_no_trigger_below_threshold () =
   Alcotest.(check bool) "no recovery yet" true (b.phase <> Recovery)
 
 let test_fack_holes_before_new_data () =
-  let h = with_loss Tcp.Fack.create in
+  let h = with_loss Core.Variant.(create Fack) in
   let b = Harness.base h in
   let una = b.una in
   (* Two holes: una+1 and una+5; everything else up to maxseq held. *)
@@ -235,7 +235,7 @@ let test_fack_holes_before_new_data () =
     sends
 
 let test_fack_exit_at_recover () =
-  let h = with_loss Tcp.Fack.create in
+  let h = with_loss Core.Variant.(create Fack) in
   let b = Harness.base h in
   let una = b.una in
   let recover = b.maxseq in
@@ -270,18 +270,18 @@ let test_timeout_during_recovery_resets create name =
     (b.counters.Tcp.Counters.fast_retransmits >= fast_before)
 
 let test_newreno_timeout_during_recovery () =
-  test_timeout_during_recovery_resets Tcp.Newreno.create "newreno"
+  test_timeout_during_recovery_resets Core.Variant.(create Newreno) "newreno"
 
 let test_sack_timeout_during_recovery () =
-  test_timeout_during_recovery_resets Tcp.Sack.create "sack"
+  test_timeout_during_recovery_resets Core.Variant.(create Sack) "sack"
 
 let test_reno_timeout_during_recovery () =
-  test_timeout_during_recovery_resets Tcp.Reno.create "reno"
+  test_timeout_during_recovery_resets Core.Variant.(create Reno) "reno"
 
 (* -- Relentless -- *)
 
 let test_relentless_exact_decrease () =
-  let h = with_loss Tcp.Relentless.create in
+  let h = with_loss Core.Variant.(create Relentless) in
   let b = Harness.base h in
   let window_before = window b in
   let una = b.una in
@@ -301,7 +301,7 @@ let test_relentless_exact_decrease () =
     (window_before +. 3.0) (cwnd b)
 
 let test_relentless_full_ack_exit_window () =
-  let h = with_loss Tcp.Relentless.create in
+  let h = with_loss Core.Variant.(create Relentless) in
   let b = Harness.base h in
   let window_before = window b in
   Harness.dupacks h 3;
@@ -311,7 +311,7 @@ let test_relentless_full_ack_exit_window () =
     (window_before -. 1.0) (cwnd b)
 
 let test_relentless_partial_acks_subtract () =
-  let h = with_loss Tcp.Relentless.create in
+  let h = with_loss Core.Variant.(create Relentless) in
   let b = Harness.base h in
   let window_before = window b in
   let una = b.una in
@@ -336,11 +336,15 @@ let test_relentless_partial_acks_subtract () =
 (* -- RRR -- *)
 
 let test_rrr_half_level_matches_newreno () =
-  (* At the default level 0.5 the relative reduction (1 - l) * W is
-     exactly New-Reno's half-cut, so the two senders must be
-     observationally identical on any script. *)
-  let trace create =
-    let h = with_loss create in
+  (* One machine runs both rules: RRR cuts to (1 - level) * W with the
+     level read from the parameters, New-Reno is the same rule at 0.5.
+     So RRR at the default level must act as New-Reno on any script,
+     and the level must reach the RRR rule alone. *)
+  let trace ~level variant =
+    let params = { Harness.params with Tcp.Params.rrr_level = level } in
+    let h = Harness.make ~params (Core.Variant.create variant) in
+    Harness.open_window h ~target:20;
+    ignore (Harness.sent h);
     let b = Harness.base h in
     let una = b.una in
     let log = ref [] in
@@ -355,16 +359,24 @@ let test_rrr_half_level_matches_newreno () =
     snap ();
     List.rev !log
   in
-  List.iter2
-    (fun (c1, s1, q1) (c2, s2, q2) ->
-      Alcotest.(check (float 1e-9)) "cwnd matches newreno" c1 c2;
-      Alcotest.(check (float 1e-9)) "ssthresh matches newreno" s1 s2;
-      Alcotest.(check (list int)) "sends match newreno" q1 q2)
-    (trace Tcp.Newreno.create) (trace Tcp.Rrr.create)
+  let same what expected actual =
+    List.iter2
+      (fun (c1, s1, q1) (c2, s2, q2) ->
+        Alcotest.(check (float 1e-9)) (what ^ ": cwnd") c1 c2;
+        Alcotest.(check (float 1e-9)) (what ^ ": ssthresh") s1 s2;
+        Alcotest.(check (list int)) (what ^ ": sends") q1 q2)
+      expected actual
+  in
+  let newreno = trace ~level:0.5 Core.Variant.Newreno in
+  same "rrr at 0.5 matches newreno" newreno (trace ~level:0.5 Core.Variant.Rrr);
+  same "newreno ignores the level" newreno
+    (trace ~level:0.2 Core.Variant.Newreno);
+  Alcotest.(check bool) "the level reaches rrr" true
+    (trace ~level:0.2 Core.Variant.Rrr <> newreno)
 
 let test_rrr_custom_level_backoff () =
   let params = { Harness.params with Tcp.Params.rrr_level = 0.2 } in
-  let h = Harness.make ~params Tcp.Rrr.create in
+  let h = Harness.make ~params Core.Variant.(create Rrr) in
   Harness.open_window h ~target:20;
   ignore (Harness.sent h);
   let b = Harness.base h in
@@ -379,7 +391,7 @@ let test_rrr_custom_level_backoff () =
 
 let test_rrr_timeout_takes_level () =
   let params = { Harness.params with Tcp.Params.rrr_level = 0.2 } in
-  let h = Harness.make ~params Tcp.Rrr.create in
+  let h = Harness.make ~params Core.Variant.(create Rrr) in
   Harness.open_window h ~target:20;
   ignore (Harness.sent h);
   let b = Harness.base h in
@@ -442,24 +454,16 @@ let script_gen =
          ]))
 
 let variant_makers =
-  [
-    ("tahoe", Tcp.Tahoe.create);
-    ("reno", Tcp.Reno.create);
-    ("newreno", Tcp.Newreno.create);
-    ("sack", Tcp.Sack.create);
-    ("fack", Tcp.Fack.create);
-    ("vegas", Tcp.Vegas.create);
-    ("rr", Core.Rr.create);
-    ("relentless", Tcp.Relentless.create);
-    ("rrr", Tcp.Rrr.create);
-  ]
+  List.map (fun v -> (Core.Variant.name v, Core.Variant.create v)) Core.Variant.all
 
+(* The receive window is drawn too, down to one segment, where every
+   cut and inflation meets the [rwnd] clamp. *)
 let prop_sender_invariants =
   QCheck2.Test.make ~name:"all variants keep sender invariants" ~count:200
-    QCheck2.Gen.(pair (int_range 0 8) script_gen)
-    (fun (variant_index, ops) ->
+    QCheck2.Gen.(triple (int_range 0 8) (oneofl [ 1; 2; 20 ]) script_gen)
+    (fun (variant_index, rwnd, ops) ->
       let _, create = List.nth variant_makers variant_index in
-      let h = Harness.make create in
+      let h = Harness.make ~params:{ Harness.params with rwnd } create in
       let limit = 50 in
       Tcp.Agent.supply_data h.Harness.agent ~segments:limit;
       Tcp.Agent.start h.Harness.agent;
@@ -542,7 +546,7 @@ let suite =
           test_fack_holes_before_new_data;
         Alcotest.test_case "exit at recover" `Quick test_fack_exit_at_recover;
         Alcotest.test_case "timeout during recovery" `Quick (fun () ->
-            test_timeout_during_recovery_resets Tcp.Fack.create "fack");
+            test_timeout_during_recovery_resets Core.Variant.(create Fack) "fack");
       ] );
     ( "relentless",
       [
@@ -553,10 +557,10 @@ let suite =
         Alcotest.test_case "partial acks subtract" `Quick
           test_relentless_partial_acks_subtract;
         Alcotest.test_case "timeout during recovery" `Quick (fun () ->
-            test_timeout_during_recovery_resets Tcp.Relentless.create
+            test_timeout_during_recovery_resets Core.Variant.(create Relentless)
               "relentless");
         Alcotest.test_case "karn/rto interaction" `Quick (fun () ->
-            test_karn_rto_interaction Tcp.Relentless.create "relentless");
+            test_karn_rto_interaction Core.Variant.(create Relentless) "relentless");
       ] );
     ( "rrr",
       [
@@ -567,10 +571,10 @@ let suite =
         Alcotest.test_case "timeout takes level" `Quick
           test_rrr_timeout_takes_level;
         Alcotest.test_case "timeout during recovery" `Quick (fun () ->
-            test_timeout_during_recovery_resets Tcp.Rrr.create "rrr");
+            test_timeout_during_recovery_resets Core.Variant.(create Rrr) "rrr");
         Alcotest.test_case "karn/rto interaction" `Quick (fun () ->
-            test_karn_rto_interaction Tcp.Rrr.create "rrr");
+            test_karn_rto_interaction Core.Variant.(create Rrr) "rrr");
       ] );
     ( "variant invariants",
-      [ QCheck_alcotest.to_alcotest prop_sender_invariants ] );
+      [ Qcheck_seed.to_alcotest prop_sender_invariants ] );
   ]

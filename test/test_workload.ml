@@ -13,7 +13,7 @@ let loopback_agent engine =
   let agent_cell = ref None in
   let receiver_cell = ref None in
   let agent =
-    Tcp.Newreno.create ~engine ~params:Tcp.Params.default ~flow:0
+    Core.Variant.(create Newreno) ~engine ~params:Tcp.Params.default ~flow:0
       ~emit:(fun packet ->
         ignore
           (Sim.Engine.schedule_after engine ~delay:0.01 (fun () ->
