@@ -144,6 +144,23 @@ expect "cannot resume: cannot read journal $tmp/cache/journal.jsonl: Is a direct
 # all: a name the registry does not hold.
 expect '--only bogus: unknown experiment; try rr-sim list' all --only bogus
 
+# The figure kernels: the burst size and measuring window, the seed
+# count and the horizon.
+expect '--drops 0: must be >= 1' fig5 --drops 0
+expect '--drops 0: must be >= 1' ablation --drops 0
+expect '--window 0: must be finite and > 0' fig5 --window 0
+expect '--window -1: must be finite and > 0' fig5 --window=-1
+expect '--window nan: must be finite and > 0' fig5 --window nan
+expect '--runs 0: needs at least one seed' fig7 --runs 0
+expect '--runs -1: needs at least one seed' fig7 --runs=-1
+expect '--duration nan: must be finite and >= 0' fig7 --duration nan
+expect '--duration -5: must be finite and >= 0' fig7 --duration=-5
+expect '--duration 3: must exceed the 5 s warm-up' fig7 --duration 3
+expect '--duration nan: must be finite and > 0' fig6 --duration nan
+expect '--duration -1: must be finite and > 0' fig6 --duration=-1
+expect '--duration 0: must be finite and > 0' fig6 --duration 0
+expect '--duration 0: must be finite and > 0' fig6 --duration 0 --csv out
+
 # modelcheck: the models' domain, the horizon and the RRR level.
 expect '--rrr-level nan: must be inside (0, 1)' modelcheck --rrr-level nan --variants rrr --loss 0.01 --seeds 1 --duration 10 --check 0.2
 expect '--loss 2: must be within (0, 1]' modelcheck --loss 2

@@ -46,6 +46,10 @@ let cannot_write path message =
          (String.length message - String.length prefix)
      else message)
 
+(* A figure kernel refuses a value outside its domain with
+   [Invalid_argument "--FLAG VALUE: REASON"] before it runs anything. *)
+let refusing f = try f () with Invalid_argument message -> usage_error "%s" message
+
 let open_output path =
   try open_out_bin path with Sys_error message -> cannot_write path message
 
@@ -91,7 +95,10 @@ let fig5_term =
         (Experiments.Fig5.report_background (Experiments.Fig5.run_background ~seed ()))
     else
       print_string
-        (Experiments.Fig5.report (Experiments.Fig5.run ~drops ~measure_window:window ~seed ()))
+        (Experiments.Fig5.report
+           (refusing (fun () ->
+                Experiments.Fig5.run ~drops ~measure_window:window ~seed
+                  Experiments.Fig5.paper_flows)))
   in
   Term.(const run $ drops $ window $ background $ seed_arg)
 
@@ -124,6 +131,7 @@ let fig6_term =
       | Some v -> Some [ v ]
       | None -> None
     in
+    refusing (fun () -> Experiments.Fig6.validate ~duration);
     Option.iter ensure_dir csv;
     let outcome = Experiments.Fig6.run ?variants ~seed ~duration () in
     print_string (Experiments.Fig6.report outcome);
@@ -186,8 +194,16 @@ let fig7_term =
     Arg.(value & flag & info [ "delack" ] ~doc)
   in
   let run duration runs delack seed =
-    let seeds = List.init runs (fun i -> Int64.add seed (Int64.of_int i)) in
-    let outcome = Experiments.Fig7.run ~seeds ~duration ~delayed_ack:delack () in
+    let seeds =
+      List.init (Int.max runs 0) (fun i -> Int64.add seed (Int64.of_int i))
+    in
+    let outcome =
+      match Experiments.Fig7.run ~seeds ~duration ~delayed_ack:delack () with
+      | outcome -> outcome
+      | exception Invalid_argument reason when seeds = [] ->
+        usage_error "--runs %d: %s" runs reason
+      | exception Invalid_argument message -> usage_error "%s" message
+    in
     print_string (Experiments.Fig7.report outcome);
     print_newline ();
     print_string (Experiments.Fig7.plot outcome)
@@ -226,7 +242,9 @@ let ablation_term =
     Arg.(value & opt int 6 & info [ "drops" ] ~docv:"N" ~doc)
   in
   let run drops =
-    print_string (Experiments.Ablation.report (Experiments.Ablation.run ~drops ()))
+    print_string
+      (Experiments.Ablation.report
+         (refusing (fun () -> Experiments.Ablation.run ~drops ())))
   in
   Term.(const run $ drops)
 
@@ -977,11 +995,6 @@ let modelcheck_term =
         if not (p > 0.0 && p <= 1.0) then
           usage_error "--loss %g: must be within (0, 1]" p)
       losses;
-    if not (Float.is_finite duration && duration >= 0.0) then
-      usage_error "--duration %g: must be finite and >= 0" duration;
-    if not (duration > Experiments.Modelcheck.warmup) then
-      usage_error "--duration %g: must exceed the %g s warm-up" duration
-        Experiments.Modelcheck.warmup;
     if not (rrr_level > 0.0 && rrr_level < 1.0) then
       usage_error "--rrr-level %g: must be inside (0, 1)" rrr_level;
     Option.iter
@@ -993,8 +1006,9 @@ let modelcheck_term =
       usage_error "--seeds %d: must be 1-%d" seeds (List.length all_seeds);
     let seeds = List.filteri (fun i _ -> i < seeds) all_seeds in
     let outcome =
-      Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds ~duration
-        ~rrr_level ()
+      refusing (fun () ->
+          Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds
+            ~duration ~rrr_level ())
     in
     print_string (Experiments.Modelcheck.report outcome);
     Option.iter

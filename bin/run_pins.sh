@@ -1,6 +1,7 @@
 #!/bin/sh
-# Byte pins for `rr-sim run`, `rr-sim --audit` and two of the commands
-# generated from the experiment registry, `list` and `sync`.
+# Byte pins for `rr-sim run`, `rr-sim --audit`, two of the commands
+# generated from the experiment registry, `list` and `sync`, and the
+# figure commands' flags that the registry leaves at their defaults.
 #
 # Usage: run_pins.sh RR_SIM_EXE
 #
@@ -88,3 +89,10 @@ pin --audit
 # prints its registry report at the default seed.
 pin list
 pin sync
+
+# The figure kernels' flags that the registry's own calls leave at
+# their defaults.
+pin fig5 --drops 4 --window 2 --seed 11
+pin ablation --drops 3
+pin fig7 --runs 2 --duration 30 --delack
+pin modelcheck --variants rr,rrr --loss 0.01,0.03 --seeds 2 --duration 30 --rrr-level 0.3

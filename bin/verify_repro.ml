@@ -11,18 +11,11 @@ let checks : (string * string * (unit -> bool * string)) list ref = ref []
 
 let claim ~section ~name check = checks := (section, name, check) :: !checks
 
-let fig5_bw outcome variant =
-  let row =
-    List.find
-      (fun r -> r.Experiments.Fig5.variant = variant)
-      outcome.Experiments.Fig5.rows
-  in
-  row.Experiments.Fig5.throughput_bps
-
 let fig5_row outcome variant =
-  List.find
-    (fun r -> r.Experiments.Fig5.variant = variant)
-    outcome.Experiments.Fig5.rows
+  List.assoc (Core.Variant.name variant) outcome.Experiments.Fig5.rows
+
+let fig5_bw outcome variant =
+  (fig5_row outcome variant).Experiments.Fig5.throughput_bps
 
 let kbps x = Printf.sprintf "%.1f Kbps" (x /. 1000.0)
 
@@ -39,8 +32,8 @@ let () =
     exit 0
   end;
   (* -- Figure 5 -- *)
-  let fig5_3 = Experiments.Fig5.run ~drops:3 () in
-  let fig5_6 = Experiments.Fig5.run ~drops:6 () in
+  let fig5_3 = Experiments.Fig5.run ~drops:3 Experiments.Fig5.paper_flows in
+  let fig5_6 = Experiments.Fig5.run ~drops:6 Experiments.Fig5.paper_flows in
   claim ~section:"fig5" ~name:"RR > New-Reno at 3 drops" (fun () ->
       let rr = fig5_bw fig5_3 Core.Variant.Rr in
       let nr = fig5_bw fig5_3 Core.Variant.Newreno in
@@ -180,9 +173,8 @@ let () =
   let vegas = Experiments.Vegas_claim.run () in
   claim ~section:"ext" ~name:"Vegas' gain is its recovery (ref [8])" (fun () ->
       let g label =
-        (List.find (fun r -> r.Experiments.Vegas_claim.label = label)
-           vegas.Experiments.Vegas_claim.rows)
-          .Experiments.Vegas_claim.throughput_bps
+        (List.assoc label vegas.Experiments.Fig5.rows)
+          .Experiments.Fig5.throughput_bps
       in
       ( g "vegas recovery only" > 0.8 *. g "vegas (full)"
         && g "vegas (full)" > g "reno"

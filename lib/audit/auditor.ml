@@ -30,9 +30,11 @@ type queue_state = {
   per_flow : (int, int Queue.t) Hashtbl.t;  (* flow -> uids in FIFO order *)
 }
 
+(* At most this many violations are stored verbatim. *)
+let max_recorded = 100
+
 type t = {
   engine : Sim.Engine.t;
-  max_recorded : int;
   (* 1-in-[sample] events get the invariant batteries; cheap shadow
      state (maxseq, cumulative point, occupancy counters) is updated on
      every event regardless, so sampled checks always evaluate against
@@ -46,11 +48,10 @@ type t = {
   mutable finalized : bool;
 }
 
-let create ?(max_recorded = 100) ?(sample = 1) ~engine () =
+let create ?(sample = 1) ~engine () =
   if sample < 1 then invalid_arg "Auditor.create: sample < 1";
   {
     engine;
-    max_recorded;
     sample;
     countdown = 1;
     recorded = [];
@@ -86,7 +87,7 @@ let[@inline] due t =
 
 let report_violation t ~subject ~rule ~detail =
   t.total <- t.total + 1;
-  if t.total <= t.max_recorded then
+  if t.total <= max_recorded then
     t.recorded <-
       { time = Sim.Engine.now t.engine; subject; rule; detail } :: t.recorded
 
@@ -400,8 +401,8 @@ let report t =
         (Printf.sprintf "  [%.6f] %s: %s — %s\n" v.time v.subject v.rule
            v.detail))
     (violations t);
-  if t.total > t.max_recorded then
+  if t.total > max_recorded then
     Buffer.add_string buffer
       (Printf.sprintf "  … %d further violation(s) not recorded\n"
-         (t.total - t.max_recorded));
+         (t.total - max_recorded));
   Buffer.contents buffer

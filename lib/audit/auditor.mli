@@ -53,14 +53,12 @@ type violation = {
 type t
 
 (** [create ~engine ()] builds an auditor stamping violations with
-    [engine]'s clock. At most [max_recorded] violations (default 100)
-    are stored verbatim; further ones are only counted. [sample]
-    (default 1 = audit every event) enables 1-in-[n] sampling as
-    described above.
+    [engine]'s clock. At most 100 violations are stored verbatim;
+    further ones are only counted. [sample] (default 1 = audit every
+    event) enables 1-in-[n] sampling as described above.
 
     @raise Invalid_argument if [sample < 1]. *)
-val create :
-  ?max_recorded:int -> ?sample:int -> engine:Sim.Engine.t -> unit -> t
+val create : ?sample:int -> engine:Sim.Engine.t -> unit -> t
 
 (** [sample t] is the sampling divisor [t] was created with. *)
 val sample : t -> int

@@ -16,13 +16,23 @@ type flow_state = {
   mutable recent : obs list;  (* newest first, truncated to the window *)
 }
 
+(* The divergence rule looks at the last [trend_window] observations
+   and asks for a [trend_factor] rise (about three uninterrupted backoff
+   doublings); the synchronization rule for [sync_flows] distinct flows
+   timing out within [sync_window] seconds. At most [max_recorded]
+   findings keep their detail text. *)
+let trend_window = 4
+
+let trend_factor = 6.0
+
+let sync_window = 0.5
+
+let sync_flows = 2
+
+let max_recorded = 100
+
 type t = {
   engine : Sim.Engine.t;
-  trend_window : int;
-  trend_factor : float;
-  sync_window : float;
-  sync_flows : int;
-  max_recorded : int;
   mutable flows : flow_state list;
   mutable timeout_log : (float * string) list;  (* newest first, pruned *)
   mutable last_burst : float;
@@ -31,19 +41,9 @@ type t = {
   mutable sync_bursts : int;
 }
 
-let create ?(trend_window = 4) ?(trend_factor = 6.0) ?(sync_window = 0.5)
-    ?(sync_flows = 2) ?(max_recorded = 100) ~engine () =
-  if trend_window < 2 then invalid_arg "Divergence.create: trend_window < 2";
-  if trend_factor <= 1.0 then invalid_arg "Divergence.create: trend_factor <= 1";
-  if sync_window <= 0.0 then invalid_arg "Divergence.create: sync_window <= 0";
-  if sync_flows < 2 then invalid_arg "Divergence.create: sync_flows < 2";
+let create ~engine () =
   {
     engine;
-    trend_window;
-    trend_factor;
-    sync_window;
-    sync_flows;
-    max_recorded;
     flows = [];
     timeout_log = [];
     last_burst = neg_infinity;
@@ -54,7 +54,7 @@ let create ?(trend_window = 4) ?(trend_factor = 6.0) ?(sync_window = 0.5)
 
 let record t ~subject ~rule ~detail =
   let total = t.divergences + t.sync_bursts in
-  if total < t.max_recorded then
+  if total < max_recorded then
     t.recorded <-
       { time = Sim.Engine.now t.engine; subject; rule; detail } :: t.recorded
 
@@ -69,8 +69,8 @@ let rec take n = function
    timeout is running away from the path it measures (successive
    backoffs with no successful sample pulling the estimate back). *)
 let check_trend t flow =
-  if List.length flow.recent >= t.trend_window then begin
-    let window = List.rev (take t.trend_window flow.recent) in
+  if List.length flow.recent >= trend_window then begin
+    let window = List.rev (take trend_window flow.recent) in
     let nondecreasing =
       let rec ok = function
         | a :: (b :: _ as rest) -> a.ratio <= b.ratio && ok rest
@@ -79,8 +79,8 @@ let check_trend t flow =
       ok window
     in
     let first = List.hd window in
-    let last = List.nth window (t.trend_window - 1) in
-    if nondecreasing && last.ratio >= t.trend_factor *. first.ratio then begin
+    let last = List.nth window (trend_window - 1) in
+    if nondecreasing && last.ratio >= trend_factor *. first.ratio then begin
       t.divergences <- t.divergences + 1;
       record t ~subject:flow.label ~rule:"rto-divergence"
         ~detail:
@@ -89,7 +89,7 @@ let check_trend t flow =
               measured srtt held at %.3fs"
              first.obs_rto last.obs_rto
              (last.ratio /. first.ratio)
-             t.trend_window last.obs_srtt);
+             trend_window last.obs_srtt);
       (* Episode reset: one finding per runaway, not one per further
          doubling. *)
       flow.recent <- []
@@ -104,7 +104,7 @@ let observe t flow =
   | Some srtt ->
     let value = Tcp.Rto.value rto in
     flow.recent <-
-      take (t.trend_window)
+      take trend_window
         ({ at = Sim.Engine.now t.engine; ratio = value /. srtt;
            obs_srtt = srtt; obs_rto = value }
         :: flow.recent);
@@ -114,13 +114,13 @@ let note_timeout t flow =
   let now = Sim.Engine.now t.engine in
   t.timeout_log <-
     (now, flow.label)
-    :: List.filter (fun (at, _) -> now -. at <= t.sync_window) t.timeout_log;
+    :: List.filter (fun (at, _) -> now -. at <= sync_window) t.timeout_log;
   let distinct =
     List.sort_uniq compare (List.map snd t.timeout_log)
   in
   if
-    List.length distinct >= t.sync_flows
-    && now -. t.last_burst > t.sync_window
+    List.length distinct >= sync_flows
+    && now -. t.last_burst > sync_window
   then begin
     t.last_burst <- now;
     t.sync_bursts <- t.sync_bursts + 1;
@@ -128,7 +128,7 @@ let note_timeout t flow =
       ~detail:
         (Printf.sprintf
            "%d flows timed out within %.3fs of each other (%s)"
-           (List.length distinct) t.sync_window
+           (List.length distinct) sync_window
            (String.concat ", " distinct))
   end
 
@@ -167,8 +167,8 @@ let report t =
         (Printf.sprintf "  [%.6f] %s: %s — %s\n" f.time f.subject f.rule
            f.detail))
     (findings t);
-  if finding_count t > t.max_recorded then
+  if finding_count t > max_recorded then
     Buffer.add_string buffer
       (Printf.sprintf "  … %d further finding(s) not recorded\n"
-         (finding_count t - t.max_recorded));
+         (finding_count t - max_recorded));
   Buffer.contents buffer

@@ -9,12 +9,11 @@
 
     - {b rto-divergence}: across a window of observations (taken at
       every ACK and at every timeout, before its backoff applies) the
-      rto/srtt ratio never falls and ends at least [trend_factor] times
-      where it started — the timeout is trending away from the RTT it
-      measures;
-    - {b timeout-sync}: at least [sync_flows] distinct flows time out
-      within [sync_window] seconds of each other — the synchronized
-      burst behaviour that turns one fault into a fleet-wide stall.
+      rto/srtt ratio never falls and ends at least 6 times where it
+      started — the timeout is trending away from the RTT it measures;
+    - {b timeout-sync}: at least 2 distinct flows time out within
+      0.5 s of each other — the synchronized burst behaviour that
+      turns one fault into a fleet-wide stall.
 
     Unlike {!Auditor} violations, findings are {e observations}, not
     bugs: the estimator-divergence experiment exists to measure when
@@ -31,21 +30,12 @@ type finding = {
 
 type t
 
-(** [create ~engine ()] builds an idle monitor. [trend_window]
-    (default 4) and [trend_factor] (default 6.0 — about three
-    uninterrupted backoff doublings) tune the divergence rule;
-    [sync_window] (default 0.5 s) and [sync_flows] (default 2) the
-    synchronization rule. At most [max_recorded] findings keep their
+(** [create ~engine ()] builds an idle monitor. The divergence rule
+    watches windows of 4 observations for a 6-fold rise (about three
+    uninterrupted backoff doublings); the synchronization rule fires
+    when 2 flows time out within 0.5 s. At most 100 findings keep their
     detail text (counts are always exact). *)
-val create :
-  ?trend_window:int ->
-  ?trend_factor:float ->
-  ?sync_window:float ->
-  ?sync_flows:int ->
-  ?max_recorded:int ->
-  engine:Sim.Engine.t ->
-  unit ->
-  t
+val create : engine:Sim.Engine.t -> unit -> t
 
 (** [attach_sender t ~label agent] subscribes to the sender's ACK and
     timeout hooks. Call once per flow, before the run. *)

@@ -444,16 +444,9 @@ let scenario ?(cross = []) job =
     match job.topology with
     | Dumbbell -> (job.flows, Experiments.Scenario.dumbbell (config slots))
     | Parking_lot hops ->
-      let spec, endpoints =
-        Net.Topology.parking_lot ~hops ~long_flows:slots ~cross_per_hop:0
-          ~config:(config slots) ()
-      in
       ( job.flows,
-        Experiments.Scenario.graph ~bottleneck:"bottleneck0"
-          ~loss_link:"bottleneck0"
-          ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-          ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-          ~spec ~endpoints () )
+        Experiments.Scenario.parking_lot ~hops ~long_flows:slots
+          ~cross_per_hop:0 ~config:(config slots) )
     | Fat_tree pods ->
       let total = pods * job.flows in
       let spec, endpoints =

@@ -1,5 +1,6 @@
 (** Ablation benches for the three RR design decisions DESIGN.md calls
-    out, evaluated on the Figure 5 6-loss scenario:
+    out, evaluated on the Figure 5 burst ({!Fig5.run}), one row per
+    design:
 
     - retreat pacing: 1 new segment per 2 dup ACKs (paper) vs per 1
       (right-edge style, which §1 argues "adds fuel to the fire");
@@ -8,19 +9,9 @@
     - exit window: [cwnd <- actnum] (paper, no big-ACK burst) vs
       [cwnd <- ssthresh] (New-Reno style). *)
 
-type row = {
-  label : string;
-  ablation : Core.Rr.ablation;
-  throughput_bps : float;
-  recovery_seconds : float option;
-  timeouts : int;
-}
-
-type outcome = { drops : int; measure_window : float; rows : row list }
-
-(** [run ()] measures the paper design and each single-flag flip on the
-    6-drop Figure 5 scenario. *)
-val run : ?drops:int -> ?measure_window:float -> unit -> outcome
+(** [run ()] measures the paper design and each single-flag flip on a
+    burst of [drops] losses (default 6). *)
+val run : ?drops:int -> unit -> Fig5.outcome
 
 (** [report outcome] renders the comparison. *)
-val report : outcome -> string
+val report : Fig5.outcome -> string

@@ -8,10 +8,11 @@
     degrades gracefully ("rare ACK losses cause only a slight negative
     effect"); this experiment quantifies that.
 
-    Setup: one flow recovers from a forced 4-loss burst while the
-    reverse path drops ACKs uniformly at rate [a]; effective throughput
-    around the recovery episode and timeout counts are averaged over
-    several seeds per point. *)
+    Setup: one flow recovers from the Figure 5 burst ({!Fig5.scenario})
+    of 4 losses while the reverse path drops ACKs uniformly at rate
+    [a]; effective throughput over 4 s from the first data drop
+    ({!Fig5.measure}) and timeout counts are averaged over several
+    seeds per point. *)
 
 (** One row per ACK-loss rate; each run measures goodput (bits/s) and
     timeouts. *)
@@ -19,12 +20,7 @@ type outcome = float Variant_table.t
 
 (** [run ()] sweeps ACK-loss rates (default 0 … 0.3) for New-Reno, SACK
     and RR. *)
-val run :
-  ?rates:float list ->
-  ?variants:Core.Variant.t list ->
-  ?seeds:int64 list ->
-  unit ->
-  outcome
+val run : ?rates:float list -> ?seeds:int64 list -> unit -> outcome
 
 (** [report outcome] renders the sweep. *)
 val report : outcome -> string

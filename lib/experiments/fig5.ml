@@ -1,80 +1,100 @@
-type row = {
-  variant : Core.Variant.t;
-  throughput_bps : float;
-  recovery_seconds : float option;
-  timeouts : int;
-  retransmits : int;
-}
-
-type outcome = {
-  drops : int;
-  drop_seqs : int list;
-  measure_window : float;
-  rows : row list;
-}
-
 (* The flow slow-starts 1,2,4,8,16 and turns to congestion avoidance at
    ssthresh 16, so segments 31..47 travel in one ~17-segment window; a
    drop list starting at 33 lands k losses inside it while leaving
    enough above-loss segments to generate the three duplicate ACKs fast
    retransmit needs. rwnd 20 = the path's bandwidth-delay product, so
    nothing else is ever dropped. *)
-let drop_base = 33
+let drop_seqs ~drops = List.init drops (fun i -> 33 + i)
 
-let params =
-  { Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
+let scenario ?(config = Net.Dumbbell.paper_config ~flows:1) ?(ack_loss = 0.0)
+    ~drops ~seed flow =
+  if drops < 1 then invalid_arg (Printf.sprintf "--drops %d: must be >= 1" drops);
+  Scenario.make ~topology:(Scenario.dumbbell config) ~flows:[ flow ]
+    ~params:{ Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
+    ~seed ~ack_loss
+    ~forced_drops:
+      (List.map
+         (fun seq -> { Net.Loss.flow = 0; seq; occurrence = 1 })
+         (drop_seqs ~drops))
+    ()
 
-let drop_seqs ~drops = List.init drops (fun i -> drop_base + i)
+type measure = {
+  throughput_bps : float;
+  recovery_seconds : float option;
+  timeouts : int;
+  retransmits : int;
+}
 
-let paper_variants =
-  Core.Variant.[ Tahoe; Reno; Newreno; Sack; Rr ]
-
-let run_variant ~drops ~seed variant =
-  let rules =
-    List.map
-      (fun seq -> { Net.Loss.flow = 0; seq; occurrence = 1 })
-      (drop_seqs ~drops)
+let measure ~drops ~window t =
+  (* The first data drop: ACK drops land in the log too. *)
+  let rec first_data_drop = function
+    | [] -> failwith "Fig5: forced drops did not occur"
+    | { Scenario.time; flow = 0; payload = Scenario.Data _ } :: _ -> time
+    | _ :: rest -> first_data_drop rest
   in
-  Scenario.run
-    (Scenario.make
-       ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-       ~flows:[ Scenario.flow variant ] ~params ~seed ~forced_drops:rules ())
+  let t0 = first_data_drop t.Scenario.drop_log in
+  let counters = Scenario.counters t ~flow:0 in
+  {
+    throughput_bps = Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. window);
+    recovery_seconds =
+      (* Until the cumulative ACK passes the last dropped segment. *)
+      Option.map
+        (fun finish -> finish -. t0)
+        (Stats.Metrics.recovery_completion_time
+           t.Scenario.results.(0).Scenario.trace
+           ~target_seq:(32 + drops));
+    timeouts = counters.Tcp.Counters.timeouts;
+    retransmits = counters.Tcp.Counters.retransmits;
+  }
 
-let run ~drops ?(measure_window = 3.0) ?(variants = paper_variants)
-    ?(seed = 7L) () =
-  if drops < 1 then invalid_arg "Fig5.run: drops < 1";
-  let seqs = drop_seqs ~drops in
-  let last_drop = List.fold_left max 0 seqs in
-  let rows =
-    List.map
-      (fun variant ->
-        let t = run_variant ~drops ~seed variant in
-        let trace = t.Scenario.results.(0).Scenario.trace in
-        let t0 =
-          match Scenario.first_drop_time t ~flow:0 with
-          | Some time -> time
-          | None -> failwith "Fig5: forced drops did not occur"
-        in
-        let throughput_bps =
-          Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. measure_window)
-        in
-        let recovery_seconds =
-          Option.map
-            (fun finish -> finish -. t0)
-            (Stats.Metrics.recovery_completion_time trace
-               ~target_seq:last_drop)
-        in
-        let counters = Scenario.counters t ~flow:0 in
-        {
-          variant;
-          throughput_bps;
-          recovery_seconds;
-          timeouts = counters.Tcp.Counters.timeouts;
-          retransmits = counters.Tcp.Counters.retransmits;
-        })
-      variants
-  in
-  { drops; drop_seqs = seqs; measure_window; rows }
+type outcome = {
+  drops : int;
+  measure_window : float;
+  rows : (string * measure) list;
+}
+
+let paper_variants = Core.Variant.[ Tahoe; Reno; Newreno; Sack; Rr ]
+
+let paper_flows = List.map Scenario.flow paper_variants
+
+let run ~drops ?(measure_window = 3.0) ?(seed = 7L) flows =
+  if not (Float.is_finite measure_window && measure_window > 0.0) then
+    invalid_arg
+      (Printf.sprintf "--window %g: must be finite and > 0" measure_window);
+  {
+    drops;
+    measure_window;
+    rows =
+      List.map
+        (fun (flow : Scenario.flow_spec) ->
+          ( flow.label,
+            measure ~drops ~window:measure_window
+              (Scenario.run (scenario ~drops ~seed flow)) ))
+        flows;
+  }
+
+let throughput title : measure Variant_table.column =
+  (title, fun m -> Printf.sprintf "%.1f" (m.throughput_bps /. 1000.0))
+
+let recovery : measure Variant_table.column =
+  ( "recovery time (s)",
+    fun m ->
+      match m.recovery_seconds with
+      | Some s -> Printf.sprintf "%.2f" s
+      | None -> "never" )
+
+let timeouts : measure Variant_table.column =
+  ("timeouts", fun m -> string_of_int m.timeouts)
+
+let retransmits : measure Variant_table.column =
+  ("retransmits", fun m -> string_of_int m.retransmits)
+
+let table ~key ~columns outcome =
+  Stats.Text_table.render
+    ~header:(key :: List.map fst columns)
+    (List.map
+       (fun (label, m) -> label :: List.map (fun (_, cell) -> cell m) columns)
+       outcome.rows)
 
 type background_row = {
   b_variant : Core.Variant.t;
@@ -174,35 +194,15 @@ let report_background outcome =
     (Stats.Text_table.render ~header rows)
 
 let report outcome =
-  let header =
-    [
-      "variant";
-      "eff. throughput (Kbps)";
-      "recovery time (s)";
-      "timeouts";
-      "retransmits";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          Core.Variant.name row.variant;
-          Printf.sprintf "%.1f" (row.throughput_bps /. 1000.0);
-          (match row.recovery_seconds with
-          | Some s -> Printf.sprintf "%.2f" s
-          | None -> "never");
-          string_of_int row.timeouts;
-          string_of_int row.retransmits;
-        ])
-      outcome.rows
-  in
   Printf.sprintf
     "Figure 5 (%d packet losses within a window, drop-tail gateway)\n\
      losses forced at segments %s; throughput over %.1f s from first drop\n\
      paper shape: RR >= SACK, both > New-Reno; Tahoe > New-Reno at 6 drops\n\n\
      %s"
     outcome.drops
-    (String.concat "," (List.map string_of_int outcome.drop_seqs))
+    (String.concat "," (List.map string_of_int (drop_seqs ~drops:outcome.drops)))
     outcome.measure_window
-    (Stats.Text_table.render ~header rows)
+    (table ~key:"variant"
+       ~columns:
+         [ throughput "eff. throughput (Kbps)"; recovery; timeouts; retransmits ]
+       outcome)

@@ -14,35 +14,83 @@
     window (cumulative ACK passing the last dropped segment), and
     timeout/retransmission counts. *)
 
-type row = {
-  variant : Core.Variant.t;
-  throughput_bps : float;  (** over [first drop, first drop + window] *)
+(** {1 The burst kernel}
+
+    The artifacts that measure recovery from one loss burst share this
+    scenario and measurement: Figure 5 over the paper's variants,
+    {!Ablation} over RR's design flags, {!Vegas_claim} over Vegas'
+    mechanisms, {!Sensitivity} on other dumbbells and {!Ack_loss} under
+    reverse-path ACK drops. *)
+
+(** [scenario ?config ?ack_loss ~drops ~seed flow] is [flow] alone on
+    the dumbbell [config] (default the paper's, one flow) losing
+    segments 33 … 33 + [drops] − 1 once each at R1, with ssthresh 16,
+    rwnd 20 and ACKs dropped at rate [ack_loss] (default 0).
+
+    @raise Invalid_argument ["--drops N: must be >= 1"] unless
+    [drops >= 1]. *)
+val scenario :
+  ?config:Net.Dumbbell.config ->
+  ?ack_loss:float ->
+  drops:int ->
+  seed:int64 ->
+  Scenario.flow_spec ->
+  Scenario.spec
+
+type measure = {
+  throughput_bps : float;  (** over [\[t0, t0 + window\]] *)
   recovery_seconds : float option;
-      (** first drop → cumulative ACK past the loss window *)
+      (** t0 → cumulative ACK past the loss window *)
   timeouts : int;
   retransmits : int;
 }
 
+(** [measure ~drops ~window t] reads flow 0 of a run of {!scenario}
+    from t0, its first data drop.
+
+    @raise Failure if flow 0 lost no data segment. *)
+val measure : drops:int -> window:float -> Scenario.t -> measure
+
 type outcome = {
   drops : int;
-  drop_seqs : int list;
   measure_window : float;
-  rows : row list;  (** one per variant, paper order *)
+  rows : (string * measure) list;  (** by flow label, in flow order *)
 }
 
-(** [run ~drops ()] executes the scenario for every variant.
-    [measure_window] defaults to 3 s (≈15 RTTs, covering recovery for
-    all variants); [variants] defaults to the paper's four (Tahoe,
-    New-Reno, SACK, RR) plus Reno. *)
+(** The paper's four variants (Tahoe, New-Reno, SACK, RR) plus Reno,
+    one flow each. *)
+val paper_flows : Scenario.flow_spec list
+
+(** [run ~drops ?measure_window ?seed flows] runs {!scenario} for each
+    of [flows] and measures it over [measure_window] (default 3 s, ≈15
+    RTTs, covering recovery for all variants). [seed] defaults to 7.
+
+    @raise Invalid_argument ["--window W: must be finite and > 0"] or
+    as {!scenario}, before any run. *)
 val run :
   drops:int ->
   ?measure_window:float ->
-  ?variants:Core.Variant.t list ->
   ?seed:int64 ->
-  unit ->
+  Scenario.flow_spec list ->
   outcome
 
-(** [report outcome] renders the comparison table with the paper's
+(** {2 Report columns} *)
+
+(** [throughput title] shows the throughput in Kbps under [title]. *)
+val throughput : string -> measure Variant_table.column
+
+val recovery : measure Variant_table.column
+
+val timeouts : measure Variant_table.column
+
+val retransmits : measure Variant_table.column
+
+(** [table ~key ~columns outcome] lays the rows out under [key] (the
+    labels' header) and [columns]. *)
+val table :
+  key:string -> columns:measure Variant_table.column list -> outcome -> string
+
+(** [report outcome] renders the Figure 5 table with the paper's
     expected ordering noted. *)
 val report : outcome -> string
 

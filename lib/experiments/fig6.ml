@@ -39,7 +39,12 @@ let run_variant ~seed ~duration variant =
   in
   Scenario.run (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:flow_specs ~params ~seed ~duration ())
 
+let validate ~duration =
+  if not (Float.is_finite duration && duration > 0.0) then
+    invalid_arg (Printf.sprintf "--duration %g: must be finite and > 0" duration)
+
 let run ?(variants = paper_variants) ?(seed = 11L) ?(duration = 6.0) () =
+  validate ~duration;
   let results =
     List.map
       (fun variant ->

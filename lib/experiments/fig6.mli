@@ -27,8 +27,17 @@ type result = {
 
 type outcome = { duration : float; results : result list }
 
+(** [validate ~duration] is {!run}'s check of its horizon, for a caller
+    that refuses a bad value before it creates any output.
+
+    @raise Invalid_argument ["--duration D: must be finite and > 0"]. *)
+val validate : duration:float -> unit
+
 (** [run ()] executes the scenario for each variant (default: the
-    paper's New-Reno, SACK, RR trio plus Tahoe). *)
+    paper's New-Reno, SACK, RR trio plus Tahoe) for [duration] seconds
+    (default 6).
+
+    @raise Invalid_argument as {!validate}, before any run. *)
 val run :
   ?variants:Core.Variant.t list -> ?seed:int64 -> ?duration:float -> unit ->
   outcome

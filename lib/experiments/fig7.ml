@@ -25,14 +25,37 @@ let params = { Tcp.Params.default with rwnd = 20 }
 
 let warmup = 5.0
 
-let run_one ?(delayed_ack = false) ~seed ~duration ~loss_rate variant =
-  let t =
-    Scenario.run
-      (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:[ Scenario.flow variant ] ~params ~seed
-         ~duration ~uniform_loss:loss_rate ~delayed_ack ())
+let rtt =
+  Scenario.rtt_estimate config ~mss:params.Tcp.Params.mss
+    ~ack_size:params.Tcp.Params.ack_size
+
+let measure ?(delayed_ack = false) ~params ~seeds ~duration ~loss_rate variant =
+  if seeds = [] then invalid_arg "needs at least one seed";
+  if not (Float.is_finite duration && duration >= 0.0) then
+    invalid_arg (Printf.sprintf "--duration %g: must be finite and >= 0" duration);
+  if not (duration > warmup) then
+    invalid_arg
+      (Printf.sprintf "--duration %g: must exceed the %g s warm-up" duration
+         warmup);
+  let runs =
+    List.map
+      (fun seed ->
+        let t =
+          Scenario.run
+            (Scenario.make ~topology:(Scenario.dumbbell config)
+               ~flows:[ Scenario.flow variant ] ~params ~seed ~duration
+               ~uniform_loss:loss_rate ~delayed_ack ())
+        in
+        ( Scenario.goodput_bps t ~flow:0 ~t0:warmup ~t1:duration,
+          (Scenario.counters t ~flow:0).Tcp.Counters.timeouts ))
+      seeds
   in
-  ( Scenario.goodput_bps t ~flow:0 ~t0:warmup ~t1:duration,
-    (Scenario.counters t ~flow:0).Tcp.Counters.timeouts )
+  let bw =
+    List.fold_left ( +. ) 0.0 (List.map fst runs)
+    /. float_of_int (List.length seeds)
+  in
+  ( bw *. rtt /. float_of_int (8 * params.Tcp.Params.mss),
+    List.fold_left ( + ) 0 (List.map snd runs) / List.length seeds )
 
 let run ?(loss_rates = paper_loss_rates) ?(variants = paper_variants)
     ?(seeds = [ 3L; 17L; 29L; 101L; 2048L ]) ?(duration = 100.0)
@@ -42,32 +65,9 @@ let run ?(loss_rates = paper_loss_rates) ?(variants = paper_variants)
     else Model.Mathis.c_ack_every_packet
   in
   let b_model = if delayed_ack then 2 else 1 in
-  let mss = params.Tcp.Params.mss in
-  let rtt = Scenario.rtt_estimate config ~mss ~ack_size:params.Tcp.Params.ack_size in
-  let mean values =
-    List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
-  in
   let points =
     List.map
       (fun loss_rate ->
-        let measured =
-          List.map
-            (fun variant ->
-              let runs =
-                List.map
-                  (fun seed ->
-                    run_one ~delayed_ack ~seed ~duration ~loss_rate variant)
-                  seeds
-              in
-              let bw = mean (List.map fst runs) in
-              let timeouts =
-                List.fold_left ( + ) 0 (List.map snd runs)
-                / List.length seeds
-              in
-              let window = bw *. rtt /. float_of_int (8 * mss) in
-              (variant, window, timeouts))
-            variants
-        in
         {
           loss_rate;
           model_window = Model.Mathis.window ~c:c_model ~loss_rate;
@@ -76,7 +76,15 @@ let run ?(loss_rates = paper_loss_rates) ?(variants = paper_variants)
           padhye_window =
             Model.Padhye.window ~rtt ~rto:params.Tcp.Params.min_rto ~b:b_model
               ~loss_rate;
-          measured;
+          measured =
+            List.map
+              (fun variant ->
+                let window, timeouts =
+                  measure ~delayed_ack ~params ~seeds ~duration ~loss_rate
+                    variant
+                in
+                (variant, window, timeouts))
+              variants;
         })
       loss_rates
   in

@@ -25,11 +25,50 @@ type outcome = {
   points : point list;
 }
 
+(** {1 The window kernel}
+
+    {!Modelcheck} compares the same measurement with each variant's own
+    model. *)
+
+(** The clean dumbbell: the paper's, one flow, with a 25-packet
+    drop-tail buffer so queue overflows never add to the injected
+    uniform loss. *)
+val config : Net.Dumbbell.config
+
+(** Its no-queueing RTT for the default MSS and ACK size
+    ({!Scenario.rtt_estimate}). *)
+val rtt : float
+
+(** Seconds at the start of each run left out of the measurement
+    (5 s): windows are measured from [warmup] to [duration]. *)
+val warmup : float
+
+(** [measure ?delayed_ack ~params ~seeds ~duration ~loss_rate variant]
+    runs [variant] alone on {!config} under uniform loss at
+    [loss_rate] once per seed and returns the seed-mean window
+    [BW·RTT/MSS] over [\[warmup, duration\]] and the seed-mean timeout
+    count, rounded down.
+
+    @raise Invalid_argument ["needs at least one seed"] when [seeds] is
+    empty, and ["--duration D: must be finite and >= 0"] or
+    ["--duration D: must exceed the 5 s warm-up"], before any run. *)
+val measure :
+  ?delayed_ack:bool ->
+  params:Tcp.Params.t ->
+  seeds:int64 list ->
+  duration:float ->
+  loss_rate:float ->
+  Core.Variant.t ->
+  float * int
+
 (** [run ()] sweeps the loss-rate grid (default the paper's 0.001–0.1)
-    for SACK and RR, averaging over [seeds] runs. With [delayed_ack]
-    (an extension — the paper's receivers ACK every packet) receivers
-    delay ACKs and the model column uses the delayed-ACK constant
-    [C = sqrt(3/4)] and [b = 2]. *)
+    for SACK and RR with rwnd 20, averaging over [seeds] runs of
+    [duration] (default 100 s) each. With [delayed_ack] (an extension
+    — the paper's receivers ACK every packet) receivers delay ACKs and
+    the model column uses the delayed-ACK constant [C = sqrt(3/4)] and
+    [b = 2].
+
+    @raise Invalid_argument as {!measure}. *)
 val run :
   ?loss_rates:float list ->
   ?variants:Core.Variant.t list ->

@@ -21,17 +21,6 @@ let default_variants =
 
 let default_loss_rates = [ 0.002; 0.005; 0.01; 0.03; 0.1 ]
 
-(* Same clean dumbbell as fig7: a generous buffer so queue overflow
-   never adds to the injected uniform loss the models are written
-   for. *)
-let config =
-  {
-    (Net.Dumbbell.paper_config ~flows:1) with
-    gateway = Net.Dumbbell.Droptail { capacity = 25 };
-  }
-
-let warmup = 5.0
-
 let model_window variant ~rrr_level ~loss_rate ~rwnd =
   match variant with
   | Core.Variant.Relentless ->
@@ -46,48 +35,20 @@ let model_window variant ~rrr_level ~loss_rate ~rwnd =
       Model.Mathis.window_limited ~c:Model.Mathis.c_ack_every_packet
         ~loss_rate ~rwnd )
 
-let run_one ~params ~seed ~duration ~loss_rate variant =
-  let t =
-    Scenario.run
-      (Scenario.make
-         ~topology:(Scenario.dumbbell config)
-         ~flows:[ Scenario.flow variant ]
-         ~params ~seed ~duration ~uniform_loss:loss_rate ())
-  in
-  ( Scenario.goodput_bps t ~flow:0 ~t0:warmup ~t1:duration,
-    (Scenario.counters t ~flow:0).Tcp.Counters.timeouts )
-
 let run ?(variants = default_variants) ?(loss_rates = default_loss_rates)
-    ?(seeds = [ 3L; 17L; 29L; 101L; 2048L ]) ?(duration = 100.0) ?(rwnd = 20)
+    ?(seeds = [ 3L; 17L; 29L; 101L; 2048L ]) ?(duration = 100.0)
     ?(rrr_level = 0.5) () =
-  if not (duration > warmup) then
-    invalid_arg
-      (Printf.sprintf "Modelcheck.run: duration %g must exceed the %g s warm-up"
-         duration warmup);
+  let rwnd = 20 in
   let params = { Tcp.Params.default with rwnd; rrr_level } in
-  let mss = params.Tcp.Params.mss in
-  let rtt =
-    Scenario.rtt_estimate config ~mss ~ack_size:params.Tcp.Params.ack_size
-  in
-  let mean values =
-    List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
-  in
   let points =
     List.map
       (fun loss_rate ->
         let rows =
           List.map
             (fun variant ->
-              let runs =
-                List.map
-                  (fun seed -> run_one ~params ~seed ~duration ~loss_rate variant)
-                  seeds
+              let measured_window, timeouts =
+                Fig7.measure ~params ~seeds ~duration ~loss_rate variant
               in
-              let bw = mean (List.map fst runs) in
-              let timeouts =
-                List.fold_left ( + ) 0 (List.map snd runs) / List.length seeds
-              in
-              let measured_window = bw *. rtt /. float_of_int (8 * mss) in
               let model, predicted_window =
                 model_window variant ~rrr_level ~loss_rate ~rwnd
               in
@@ -105,7 +66,7 @@ let run ?(variants = default_variants) ?(loss_rates = default_loss_rates)
         { loss_rate; rows })
       loss_rates
   in
-  { rtt; rwnd; rrr_level; points }
+  { rtt = Fig7.rtt; rwnd; rrr_level; points }
 
 let deviation outcome ~variant ~loss_rate =
   List.find_map

@@ -1,8 +1,9 @@
 (** Model-vs-measured validation of every modeled variant.
 
-    Runs each variant alone on the clean uniform-loss dumbbell (the
-    fig7 setup) and compares the measured steady-state window
-    [BW * RTT / MSS] against the variant's own analytical model:
+    Runs each variant alone on the clean uniform-loss dumbbell with
+    rwnd 20, through Figure 7's measurement ({!Fig7.measure}), and
+    compares the measured steady-state window [BW * RTT / MSS] against
+    the variant's own analytical model:
 
     - Reno / New-Reno / SACK / FACK / RR — {!Model.Mathis} with
       [C = sqrt (3/2)];
@@ -57,21 +58,15 @@ val model_window :
   rwnd:int ->
   string * float
 
-(** Seconds at the start of each run left out of the measurement
-    (5 s): windows are measured from [warmup] to [duration]. *)
-val warmup : float
-
 (** [run ()] measures every variant × loss rate, averaging windows
     over [seeds].
 
-    @raise Invalid_argument if [duration] does not exceed {!warmup}
-    (the measured interval would be empty). *)
+    @raise Invalid_argument as {!Fig7.measure}. *)
 val run :
   ?variants:Core.Variant.t list ->
   ?loss_rates:float list ->
   ?seeds:int64 list ->
   ?duration:float ->
-  ?rwnd:int ->
   ?rrr_level:float ->
   unit ->
   outcome

@@ -30,13 +30,7 @@ let topology ~hops =
       Net.Dumbbell.bottleneck_delay = Sim.Units.ms 16.0;
     }
   in
-  let spec, endpoints =
-    Net.Topology.parking_lot ~hops ~long_flows ~cross_per_hop ~config ()
-  in
-  Scenario.graph ~bottleneck:"bottleneck0" ~loss_link:"bottleneck0"
-    ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-    ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-    ~spec ~endpoints ()
+  Scenario.parking_lot ~hops ~long_flows ~cross_per_hop ~config
 
 let run_case ~seed ~duration ~hops variant =
   let flows = long_flows + (hops * cross_per_hop) in

@@ -9,9 +9,9 @@ let all =
          loss bursts under drop-tail gateways";
       run =
         (fun ~seed ->
-          Fig5.report (Fig5.run ~drops:3 ~seed ())
+          Fig5.report (Fig5.run ~drops:3 ~seed Fig5.paper_flows)
           ^ "\n"
-          ^ Fig5.report (Fig5.run ~drops:6 ~seed ()));
+          ^ Fig5.report (Fig5.run ~drops:6 ~seed Fig5.paper_flows));
     };
     {
       name = "fig5-background";
@@ -98,7 +98,8 @@ let all =
       run =
         (fun ~seed ->
           Fig5.report
-            (Fig5.run ~drops:6 ~variants:Core.Variant.[ Sack; Fack; Rr ] ~seed ()));
+            (Fig5.run ~drops:6 ~seed
+               (List.map Scenario.flow Core.Variant.[ Sack; Fack; Rr ])));
     };
     {
       name = "vegas";
@@ -198,11 +199,9 @@ let all =
       run =
         (fun ~seed ->
           Fig5.report
-            (Fig5.run ~drops:6
-               ~variants:
-                 Core.Variant.
-                   [ Tahoe; Reno; Newreno; Sack; Rr; Relentless; Rrr ]
-               ~seed ()));
+            (Fig5.run ~drops:6 ~seed
+               (Fig5.paper_flows
+               @ List.map Scenario.flow Core.Variant.[ Relentless; Rrr ])));
     };
     {
       name = "fig6-bench";

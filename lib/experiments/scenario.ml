@@ -111,6 +111,15 @@ let graph ?bottleneck ?loss_link ?ack_loss_link ?(flap_links = []) ~spec
   Graph
     { graph = spec; endpoints; bottleneck; loss_link; ack_loss_link; flap_links }
 
+let parking_lot ~hops ~long_flows ~cross_per_hop ~config =
+  let spec, endpoints =
+    Net.Topology.parking_lot ~hops ~long_flows ~cross_per_hop ~config ()
+  in
+  graph ~bottleneck:"bottleneck0" ~loss_link:"bottleneck0"
+    ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
+    ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
+    ~spec ~endpoints ()
+
 type spec = {
   topology : topology;
   flows : flow_spec list;
@@ -711,10 +720,3 @@ let tracefile t =
     List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
   in
   String.concat "\n" (List.map snd ordered) ^ "\n"
-
-let first_drop_time t ~flow =
-  let rec scan = function
-    | [] -> None
-    | drop :: rest -> if drop.flow = flow then Some drop.time else scan rest
-  in
-  scan t.drop_log

@@ -127,6 +127,18 @@ val graph :
   unit ->
   topology
 
+(** [parking_lot ~hops ~long_flows ~cross_per_hop ~config] is
+    {!Net.Topology.parking_lot} as a {!graph}: its first hop
+    ([bottleneck0]) is the bottleneck and the loss link, the last
+    hop's reverse link ([rbottleneck<hops-1>]) the ACK-loss link, and
+    the first hop in both directions the flap links. *)
+val parking_lot :
+  hops:int ->
+  long_flows:int ->
+  cross_per_hop:int ->
+  config:Net.Dumbbell.config ->
+  topology
+
 (** [faults_fit topology faults] is [false] when [faults] asks for what
     [topology] cannot realise: an [asym] clause needs the dumbbell's
     reverse trunk. {!run} raises [Invalid_argument] on such a spec. *)
@@ -299,9 +311,6 @@ val fault_drops : t -> int
     gateway, or a graph's designated [bottleneck] link. [None] when the
     bottleneck queue is not RED (or a graph named none). *)
 val red_stats : t -> Net.Red.drop_stats option
-
-(** [first_drop_time t ~flow] is when the flow first lost a packet. *)
-val first_drop_time : t -> flow:int -> float option
 
 (** [rtt_estimate t] is the nominal no-queueing round-trip time of the
     topology for an [mss]-sized data packet and its ACK, including

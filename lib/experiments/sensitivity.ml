@@ -6,11 +6,11 @@ type cell = {
   sack_bps : float;
 }
 
-type outcome = { drops : int; cells : cell list }
+type outcome = { cells : cell list }
 
-let params = { Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
+let drops = 6
 
-let measure ~drops ~buffer ~bottleneck_delay variant =
+let goodput ~buffer ~bottleneck_delay variant =
   let config =
     {
       (Net.Dumbbell.paper_config ~flows:1) with
@@ -18,37 +18,25 @@ let measure ~drops ~buffer ~bottleneck_delay variant =
       bottleneck_delay;
     }
   in
-  let rules =
-    List.init drops (fun i -> { Net.Loss.flow = 0; seq = 33 + i; occurrence = 1 })
-  in
-  let t =
-    Scenario.run
-      (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:[ Scenario.flow variant ] ~params
-         ~forced_drops:rules ())
-  in
-  let t0 =
-    match Scenario.first_drop_time t ~flow:0 with
-    | Some time -> time
-    | None -> failwith "Sensitivity: drops did not occur"
-  in
   (* Scale the measurement window with the RTT so slow paths get the
      same number of round trips to recover in. *)
   let rtt =
-    Scenario.rtt_estimate config ~mss:params.Tcp.Params.mss
-      ~ack_size:params.Tcp.Params.ack_size
+    Scenario.rtt_estimate config ~mss:Tcp.Params.default.mss
+      ~ack_size:Tcp.Params.default.ack_size
   in
-  Scenario.goodput_bps t ~flow:0 ~t0 ~t1:(t0 +. (15.0 *. rtt))
+  (Fig5.measure ~drops ~window:(15.0 *. rtt)
+     (Scenario.run
+        (Fig5.scenario ~config ~drops ~seed:7L (Scenario.flow variant))))
+    .throughput_bps
 
-let run ?(drops = 6) ?(buffers = [ 4; 8; 16; 25 ])
+let run ?(buffers = [ 4; 8; 16; 25 ])
     ?(delays = [ Sim.Units.ms 48.0; Sim.Units.ms 96.0; Sim.Units.ms 192.0 ]) () =
   let cells =
     List.concat_map
       (fun buffer ->
         List.map
           (fun bottleneck_delay ->
-            let goodput variant =
-              measure ~drops ~buffer ~bottleneck_delay variant
-            in
+            let goodput = goodput ~buffer ~bottleneck_delay in
             {
               buffer;
               bottleneck_delay;
@@ -59,7 +47,7 @@ let run ?(drops = 6) ?(buffers = [ 4; 8; 16; 25 ])
           delays)
       buffers
   in
-  { drops; cells }
+  { cells }
 
 let ordering_holds outcome =
   List.for_all (fun cell -> cell.rr_bps > cell.newreno_bps) outcome.cells
@@ -95,5 +83,5 @@ let report outcome =
      robustness check: RR > New-Reno in every cell, RR ~ SACK throughout\n\
      (ordering holds: %b)\n\n\
      %s"
-    outcome.drops (ordering_holds outcome)
+    drops (ordering_holds outcome)
     (Stats.Text_table.render ~header rows)

@@ -2,11 +2,12 @@
     RR ≥ New-Reno on bursty loss, close to SACK — survive away from the
     single Table 3 operating point?
 
-    The 6-loss Figure 5 scenario is re-run across a grid of gateway
-    buffer sizes and bottleneck propagation delays; each cell reports
-    the RR/New-Reno and RR/SACK goodput ratios. A reproduction that only
-    holds at one parameter point is a coincidence; this sweep is the
-    robustness check. *)
+    The 6-loss Figure 5 burst ({!Fig5.scenario}) is re-run across a grid
+    of gateway buffer sizes and bottleneck propagation delays, its
+    goodput measured over 15 RTTs from the first drop ({!Fig5.measure});
+    each cell reports the RR/New-Reno and RR/SACK goodput ratios. A
+    reproduction that only holds at one parameter point is a
+    coincidence; this sweep is the robustness check. *)
 
 type cell = {
   buffer : int;  (** gateway buffer, packets *)
@@ -16,12 +17,11 @@ type cell = {
   sack_bps : float;
 }
 
-type outcome = { drops : int; cells : cell list }
+type outcome = { cells : cell list }
 
 (** [run ()] sweeps buffers {4, 8, 16, 25} × one-way delays
     {48, 96, 192} ms on the 6-loss burst scenario. *)
-val run :
-  ?drops:int -> ?buffers:int list -> ?delays:float list -> unit -> outcome
+val run : ?buffers:int list -> ?delays:float list -> unit -> outcome
 
 (** [report outcome] renders the grid with ratio columns. *)
 val report : outcome -> string

@@ -5,26 +5,18 @@
     mechanism."
 
     The Vegas implementation exposes its three mechanisms independently,
-    so the claim is directly testable: a 3-loss burst recovery scenario
-    is run for Reno, full Vegas, Vegas with only the recovery mechanism
-    (fine-grained retransmission), and Vegas with only the
-    congestion-avoidance mechanism. If [8] is right — and the paper's
-    premise holds — the recovery-only configuration captures most of
-    full Vegas' gain over Reno, while the avoidance-only one behaves
-    like Reno. *)
+    so the claim is directly testable: the 3-loss Figure 5 burst
+    ({!Fig5.run}) is run for Reno, full Vegas, Vegas with only the
+    recovery mechanism (fine-grained retransmission), and Vegas with
+    only the congestion-avoidance mechanism, one row each, labelled
+    ["reno"], ["vegas (full)"], ["vegas recovery only"] and
+    ["vegas avoidance only"]. If [8] is right — and the paper's premise
+    holds — the recovery-only configuration captures most of full
+    Vegas' gain over Reno, while the avoidance-only one behaves like
+    Reno. *)
 
-type row = {
-  label : string;
-  throughput_bps : float;  (** over the recovery window *)
-  recovery_seconds : float option;
-  timeouts : int;
-}
-
-type outcome = { drops : int; rows : row list }
-
-(** [run ()] executes the four configurations on the Figure 5-style
-    burst scenario. *)
-val run : ?drops:int -> ?seed:int64 -> unit -> outcome
+(** [run ()] executes the four configurations. *)
+val run : ?seed:int64 -> unit -> Fig5.outcome
 
 (** [report outcome] renders the decomposition. *)
-val report : outcome -> string
+val report : Fig5.outcome -> string

@@ -20,12 +20,10 @@ let of_flaps pairs =
   in
   { transitions = build (-1.0) pairs }
 
-let periodic ?first ~period ~down_for ~until () =
+let periodic ~period ~down_for ~until () =
   if period <= 0.0 then invalid_arg "Schedule.periodic: period <= 0";
   if down_for <= 0.0 || down_for >= period then
     invalid_arg "Schedule.periodic: need 0 < down_for < period";
-  let first = Option.value first ~default:period in
-  if first < 0.0 then invalid_arg "Schedule.periodic: negative first";
   (* An outage straddling [until] still emits its restore, clamped to
      [until]: a driver that runs the engine exactly to the schedule
      horizon (Scenario runs [run_until ~time:duration]) then executes
@@ -38,7 +36,7 @@ let periodic ?first ~period ~down_for ~until () =
       (down_at, Float.min (down_at +. down_for) until)
       :: build (down_at +. period)
   in
-  of_flaps (build first)
+  of_flaps (build period)
 
 let random ~rng ~mean_up ~mean_down ~until () =
   if mean_up <= 0.0 || mean_down <= 0.0 then

@@ -30,19 +30,17 @@ val is_empty : t -> bool
     are strictly increasing, and all times are non-negative. *)
 val of_flaps : (float * float) list -> t
 
-(** [periodic ?first ~period ~down_for ~until ()] takes the link down
-    for [down_for] seconds once every [period] seconds, starting at
-    [first] (default [period]), until [until] — e.g. a cellular handoff
+(** [periodic ~period ~down_for ~until ()] takes the link down for
+    [down_for] seconds once every [period] seconds, starting at
+    [period], until [until] — e.g. a cellular handoff
     every few seconds. No outage *starts* at or after [until]; an
     outage that straddles [until] still emits its matching restore,
     clamped to [until] itself, so a driver that runs the engine to the
     schedule horizon always executes it — the link never ends a
     schedule administratively down.
 
-    @raise Invalid_argument unless [0 < down_for < period] and
-    [first >= 0]. *)
-val periodic :
-  ?first:float -> period:float -> down_for:float -> until:float -> unit -> t
+    @raise Invalid_argument unless [0 < down_for < period]. *)
+val periodic : period:float -> down_for:float -> until:float -> unit -> t
 
 (** [random ~rng ~mean_up:u ~mean_down:d ~until ()] alternates
     exponentially distributed up times (mean [u]) and down times (mean

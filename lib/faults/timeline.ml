@@ -95,7 +95,7 @@ let of_string s =
       | exception Invalid_argument msg -> Error msg)
     | _ -> Error (Printf.sprintf "invalid timeline %S" s)
 
-let fading ?first ~period ~base_bps ~levels ~until () =
+let fading ~period ~base_bps ~levels ~until () =
   if period <= 0.0 then invalid_arg "Timeline.fading: period <= 0";
   if base_bps <= 0.0 then invalid_arg "Timeline.fading: base_bps <= 0";
   if levels = [] then invalid_arg "Timeline.fading: no levels";
@@ -103,8 +103,6 @@ let fading ?first ~period ~base_bps ~levels ~until () =
     (fun level ->
       if level <= 0.0 then invalid_arg "Timeline.fading: level <= 0")
     levels;
-  let first = Option.value first ~default:period in
-  if first < 0.0 then invalid_arg "Timeline.fading: negative first";
   let levels = Array.of_list levels in
   let rec build i at =
     if at >= until then []
@@ -113,7 +111,7 @@ let fading ?first ~period ~base_bps ~levels ~until () =
         delay = None }
       :: build (i + 1) (at +. period)
   in
-  of_steps (build 0 first)
+  of_steps (build 0 period)
 
 (* A handover is an outage plus a rate step: the link cuts for [gap]
    seconds every [period] (queued packets are burst-lost under the
@@ -122,7 +120,7 @@ let fading ?first ~period ~base_bps ~levels ~until () =
    plain data here; [Injector.flap_link] and [Injector.vary_link]
    compose them on a live link. Restores (and their rate steps) that
    straddle [until] are clamped exactly as in {!Schedule.periodic}. *)
-let handover ?first ~period ~gap ~base_bps ~levels ~until () =
+let handover ~period ~gap ~base_bps ~levels ~until () =
   if gap <= 0.0 || gap >= period then
     invalid_arg "Timeline.handover: need 0 < gap < period";
   if base_bps <= 0.0 then invalid_arg "Timeline.handover: base_bps <= 0";
@@ -132,7 +130,7 @@ let handover ?first ~period ~gap ~base_bps ~levels ~until () =
       if level <= 0.0 then invalid_arg "Timeline.handover: level <= 0")
     levels;
   let schedule =
-    Schedule.periodic ?first ~period ~down_for:gap ~until ()
+    Schedule.periodic ~period ~down_for:gap ~until ()
   in
   let levels = Array.of_list levels in
   let steps =

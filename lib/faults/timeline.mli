@@ -43,16 +43,15 @@ val of_string : string -> (t, string) result
     through {!of_string} is the identity. *)
 val to_string : t -> string
 
-(** [fading ?first ~period ~base_bps ~levels ~until ()] models a
+(** [fading ~period ~base_bps ~levels ~until ()] models a
     multi-level fading channel: every [period] seconds (starting at
-    [first], default [period]) the rate steps to
+    [period]) the rate steps to
     [base_bps *. l] for the next [l] in the cyclic [levels] list.
     Delays are untouched.
 
     @raise Invalid_argument unless [period > 0], [base_bps > 0], and
     [levels] is a non-empty list of positive factors. *)
 val fading :
-  ?first:float ->
   period:float ->
   base_bps:float ->
   levels:float list ->
@@ -60,7 +59,7 @@ val fading :
   unit ->
   t
 
-(** [handover ?first ~period ~gap ~base_bps ~levels ~until ()] models a
+(** [handover ~period ~gap ~base_bps ~levels ~until ()] models a
     cellular handover: every [period] seconds the link cuts for [gap]
     seconds (the returned {!Schedule.t}, normally applied with
     [`Drop_queued] for burst loss) and service resumes at the next
@@ -71,7 +70,6 @@ val fading :
     @raise Invalid_argument unless [0 < gap < period], [base_bps > 0],
     and [levels] is a non-empty list of positive factors. *)
 val handover :
-  ?first:float ->
   period:float ->
   gap:float ->
   base_bps:float ->

@@ -243,7 +243,10 @@ let scan t =
 
 let start_flow t flow = send_new t flow
 
-let start t ?(stagger = 0.0) ?(scan_interval = 0.05) () =
+(* Seconds between timeout scans. *)
+let scan_interval = 0.05
+
+let start t ?(stagger = 0.0) () =
   if stagger <= 0.0 then
     for flow = 0 to t.n - 1 do
       start_flow t flow

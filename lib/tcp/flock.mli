@@ -40,12 +40,12 @@ val create :
   unit ->
   t
 
-(** [start t ?stagger ?scan_interval ()] opens every flow with an
-    unbounded source (the paper's persistent FTP). Flow [i] starts at
+(** [start t ?stagger ()] opens every flow with an unbounded source
+    (the paper's persistent FTP). Flow [i] starts at
     [i * stagger / flows] (default [stagger = 0.]: all at time 0, via a
     single chained event rather than one event per flow), and the
-    timeout scan fires every [scan_interval] seconds (default 50 ms). *)
-val start : t -> ?stagger:float -> ?scan_interval:float -> unit -> unit
+    timeout scan fires every 50 ms. *)
+val start : t -> ?stagger:float -> unit -> unit
 
 (** [deliver_data t packet] runs the receiver slot of the packet's
     flow: cumulative ACK generation and the reorder bitmap. *)

@@ -11,7 +11,6 @@ type t = {
   initial_rto : float;
   smooth_start : bool;
   limited_transmit : bool;
-  tick : float;
   rto_estimator : Rto.estimator;
   rrr_level : float;
 }
@@ -30,7 +29,6 @@ let default =
     initial_rto = 3.0;
     smooth_start = false;
     limited_transmit = false;
-    tick = 0.0;
     rto_estimator = Rto.Jacobson;
     rrr_level = 0.5;
   }
@@ -47,6 +45,5 @@ let validate t =
     invalid_arg "Params: need 0 < min_rto <= max_rto";
   if t.initial_rto < t.min_rto then invalid_arg "Params: initial_rto < min_rto";
   if t.initial_rto > t.max_rto then invalid_arg "Params: initial_rto > max_rto";
-  if t.tick < 0.0 then invalid_arg "Params: negative tick";
   if not (t.rrr_level > 0.0 && t.rrr_level < 1.0) then
     invalid_arg "Params: rrr_level out of (0, 1)"

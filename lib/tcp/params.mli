@@ -28,10 +28,6 @@ type t = {
           on each of the first two duplicate ACKs, so tiny windows can
           still muster the three dup ACKs fast retransmit needs. Off by
           default (not part of the paper's senders). *)
-  tick : float;
-      (** timer granularity in seconds (ns-2's [tcpTick_]); 0 = exact
-          clocks (default). Non-zero values emulate the classic coarse
-          500 ms/100 ms TCP timers. *)
   rto_estimator : Rto.estimator;
       (** the retransmission-timeout prediction algorithm
           ({!Rto.estimator}); {!Rto.Jacobson} — the Jacobson/Karels

@@ -1,12 +1,15 @@
+(* SACK blocks per ACK, and how long a delayed ACK may wait. *)
+let max_sack_blocks = 3
+
+let delack_timeout = 0.1
+
 type t = {
   engine : Sim.Engine.t;
   flow : int;
   emit : Net.Packet.t -> unit;
   sack : bool;
-  max_sack_blocks : int;
   ack_size : int;
   delayed_ack : bool;
-  delack_timeout : float;
   mutable next_expected : int;
   out_of_order : Seqset.t;
   mutable last_block : (int * int) option;  (* block of most recent arrival *)
@@ -46,7 +49,7 @@ let sack_blocks t =
     in
     List.map
       (fun (first, last) -> (first, last + 1))
-      (take t.max_sack_blocks ordered)
+      (take max_sack_blocks ordered)
   end
 
 let send_ack t =
@@ -61,20 +64,16 @@ let send_ack t =
   in
   t.emit packet
 
-let create ~engine ~flow ~emit ?(sack = false) ?(max_sack_blocks = 3)
-    ?(ack_size = 40) ?(delayed_ack = false) ?(delack_timeout = 0.1) () =
-  if max_sack_blocks < 1 then invalid_arg "Receiver.create: max_sack_blocks";
-  if delack_timeout <= 0.0 then invalid_arg "Receiver.create: delack_timeout";
+let create ~engine ~flow ~emit ?(sack = false) ?(ack_size = 40)
+    ?(delayed_ack = false) () =
   let t =
     {
       engine;
       flow;
       emit;
       sack;
-      max_sack_blocks;
       ack_size;
       delayed_ack;
-      delack_timeout;
       next_expected = 0;
       out_of_order = Seqset.create ();
       last_block = None;
@@ -103,7 +102,7 @@ let ack_in_order t =
     if t.delack_pending then send_ack t
     else begin
       t.delack_pending <- true;
-      Sim.Timer.restart timer ~after:t.delack_timeout
+      Sim.Timer.restart timer ~after:delack_timeout
     end
 
 let deliver t packet =

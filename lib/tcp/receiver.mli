@@ -3,29 +3,26 @@
     As in the paper's setup, the receiver by default acknowledges
     {e every} data packet immediately — the delayed-ACK mechanism is
     off, and an out-of-sequence arrival triggers an immediate duplicate
-    ACK (§2.2). With [sack] enabled, ACKs carry up to [max_sack_blocks]
-    SACK blocks, the block containing the most recent arrival first.
+    ACK (§2.2). With [sack] enabled, ACKs carry up to 3 SACK blocks,
+    the block containing the most recent arrival first.
 
     With [delayed_ack] enabled (an extension; the §4 model's constant C
     "lumps the ACK strategy"), in-order arrivals are acknowledged every
-    second segment or after [delack_timeout], per RFC 1122/5681; gaps,
+    second segment or after 100 ms, per RFC 1122/5681; gaps,
     duplicates and hole-filling arrivals are still ACKed immediately. *)
 
 type t
 
-(** [create ~engine ~flow ~emit ?sack ?max_sack_blocks ?ack_size
-    ?delayed_ack ?delack_timeout ()] returns a sink that sends ACKs
-    through [emit]. [delayed_ack] defaults to [false] (the paper's
-    setting); [delack_timeout] to 0.1 s. *)
+(** [create ~engine ~flow ~emit ?sack ?ack_size ?delayed_ack ()]
+    returns a sink that sends ACKs through [emit]. [delayed_ack]
+    defaults to [false] (the paper's setting). *)
 val create :
   engine:Sim.Engine.t ->
   flow:int ->
   emit:(Net.Packet.t -> unit) ->
   ?sack:bool ->
-  ?max_sack_blocks:int ->
   ?ack_size:int ->
   ?delayed_ack:bool ->
-  ?delack_timeout:float ->
   unit ->
   t
 

@@ -25,24 +25,20 @@ type t = {
   min_rto : float;
   max_rto : float;
   initial_rto : float;
-  tick : float;
   algorithm : estimator;
   mutable estimate : estimate option;
   mutable backoff_factor : float;
 }
 
-let create ~min_rto ~max_rto ~initial_rto ?(tick = 0.0)
-    ?(estimator = Jacobson) () =
+let create ~min_rto ~max_rto ~initial_rto ?(estimator = Jacobson) () =
   if
     min_rto <= 0.0 || max_rto < min_rto || initial_rto < min_rto
     || initial_rto > max_rto
   then invalid_arg "Rto.create: inconsistent bounds";
-  if tick < 0.0 then invalid_arg "Rto.create: negative tick";
   {
     min_rto;
     max_rto;
     initial_rto;
-    tick;
     algorithm = estimator;
     estimate = None;
     backoff_factor = 1.0;
@@ -57,15 +53,8 @@ let gains = function
   | Jacobson | Fixed | Rfc793 -> (8.0, 4.0)
   | Agile -> (4.0, 2.0)
 
-(* Coarse clock: measurements land on tick boundaries, never below one
-   tick. *)
-let quantize t rtt =
-  if t.tick <= 0.0 then rtt
-  else Float.max t.tick (Float.round (rtt /. t.tick) *. t.tick)
-
 let sample t rtt =
   if rtt < 0.0 then invalid_arg "Rto.sample: negative RTT";
-  let rtt = quantize t rtt in
   (match t.estimate with
   | None -> t.estimate <- Some { srtt = rtt; rttvar = rtt /. 2.0 }
   | Some e ->
@@ -101,25 +90,16 @@ let value t =
   (* Backoff doubles the effective (already clamped) timeout, so a
      1-second floor backs off 1, 2, 4, ... as classic TCP does. *)
   let base = Float.max t.min_rto predicted in
-  let v = Float.min t.max_rto (base *. t.backoff_factor) in
-  if t.tick <= 0.0 then v
-  else
-    (* Clamp again after rounding up to the tick: [max_rto] is a hard
-       ceiling, even when it does not fall on a tick boundary. *)
-    Float.min t.max_rto (ceil (v /. t.tick) *. t.tick)
+  Float.min t.max_rto (base *. t.backoff_factor)
 
 let fine_timeout t =
   match t.estimate with
   | None -> t.initial_rto
   | Some e ->
-    (* The raw prediction, honouring the coarse clock and the hard
-       ceiling but not [min_rto] or backoff: fine-grained retransmission
-       exists precisely to act before the conservative coarse minimum,
-       yet a clamped or ticked configuration must never see a finer
-       timeout than its clock can express. *)
-    let v = Float.min t.max_rto (predict t e) in
-    if t.tick <= 0.0 then v
-    else Float.min t.max_rto (Float.max t.tick (ceil (v /. t.tick) *. t.tick))
+    (* The raw prediction under the hard ceiling, but without [min_rto]
+       or backoff: fine-grained retransmission exists precisely to act
+       before the conservative coarse minimum. *)
+    Float.min t.max_rto (predict t e)
 
 let backoff t =
   t.backoff_factor <- Float.min (t.backoff_factor *. 2.0) 64.0

@@ -7,8 +7,7 @@
     Timeout Algorithms for Packet Retransmissions" (cs/9809097): a
     non-adaptive constant, a mean-only exponential average, and
     mean-plus-deviation tracking at two gain settings. All share the
-    same clamping ([min_rto]/[max_rto]), coarse-clock quantization and
-    backoff machinery — only the RTT smoothing gains and the
+    same clamping ([min_rto]/[max_rto]) and backoff machinery — only the RTT smoothing gains and the
     estimate-to-timeout rule differ. *)
 
 (** The timeout-prediction algorithm:
@@ -40,21 +39,17 @@ val estimator_of_string : string -> (estimator, string) result
 
 type t
 
-(** [create ~min_rto ~max_rto ~initial_rto ?tick ?estimator ()] starts
-    with no RTT estimate and an RTO of [initial_rto], which must lie
-    within [\[min_rto, max_rto\]]. A non-zero [tick] emulates the
-    classic coarse clock (ns-2's [tcpTick_], BSD's 500 ms timer): RTT
-    samples are rounded to the nearest tick (at least one) and timeout
-    values up to a tick boundary. [tick] defaults to 0 — exact timing.
-    [estimator] defaults to {!Jacobson}.
+(** [create ~min_rto ~max_rto ~initial_rto ?estimator ()] starts with
+    no RTT estimate and an RTO of [initial_rto], which must lie within
+    [\[min_rto, max_rto\]]. Clocks are exact: samples and timeouts are
+    not rounded to a timer tick. [estimator] defaults to {!Jacobson}.
 
     @raise Invalid_argument unless
-      [0 < min_rto <= initial_rto <= max_rto] and [tick >= 0]. *)
+      [0 < min_rto <= initial_rto <= max_rto]. *)
 val create :
   min_rto:float ->
   max_rto:float ->
   initial_rto:float ->
-  ?tick:float ->
   ?estimator:estimator ->
   unit ->
   t
@@ -72,11 +67,8 @@ val value : t -> float
 
 (** [fine_timeout t] is the estimator's raw timeout prediction for
     fine-grained (sub-RTO) retransmission checks, e.g. Vegas: no
-    backoff and no [min_rto] floor, but still quantized up to the
-    coarse clock and capped at [max_rto] — a clamped or ticked
-    configuration can never obtain a finer timeout than the real RTO
-    machinery could express. Before the first sample it is
-    [initial_rto]. *)
+    backoff and no [min_rto] floor, but still capped at [max_rto].
+    Before the first sample it is [initial_rto]. *)
 val fine_timeout : t -> float
 
 (** [backoff t] doubles the timeout (exponential backoff), saturating at

@@ -115,7 +115,7 @@ let create ~engine ~params ~flow ~emit ~timeout_action () =
       rto =
         Rto.create ~min_rto:params.Params.min_rto
           ~max_rto:params.Params.max_rto
-          ~initial_rto:params.Params.initial_rto ~tick:params.Params.tick
+          ~initial_rto:params.Params.initial_rto
           ~estimator:params.Params.rto_estimator ();
       rtx_timer = None;
       timed = None;

@@ -9,13 +9,15 @@ type mechanisms = {
 let full =
   { fine_retransmit = true; rtt_based_avoidance = true; cautious_slow_start = true }
 
-type thresholds = { alpha : float; beta : float; gamma : float }
+(* The classic backlog thresholds, in segments. *)
+let alpha = 1.0
 
-let default_thresholds = { alpha = 1.0; beta = 3.0; gamma = 1.0 }
+let beta = 3.0
+
+let gamma = 1.0
 
 type state = {
   mechanisms : mechanisms;
-  thresholds : thresholds;
   (* Last transmission time of each outstanding segment, for the
      fine-grained timeout check. *)
   send_times : (int, float) Hashtbl.t;
@@ -26,10 +28,9 @@ type state = {
   mutable last_cut : float;  (* window reduced at most once per RTT *)
 }
 
-let fresh_state ~mechanisms ~thresholds =
+let fresh_state ~mechanisms =
   {
     mechanisms;
-    thresholds;
     send_times = Hashtbl.create 64;
     base_rtt = infinity;
     last_rtt = 0.0;
@@ -47,9 +48,7 @@ let backlog state base =
 (* The fine-grained timeout comes from the sender's own RTO estimator
    ([Rto.fine_timeout]): no backoff and no [min_rto] floor — acting
    before the conservative coarse minimum is the whole point — but the
-   coarse-clock quantization and the [max_rto] ceiling still apply, so a
-   ticked or clamped configuration can never hand Vegas a finer timeout
-   than the real RTO machinery could express. *)
+   [max_rto] ceiling still applies. *)
 let fine_timeout base = Rto.fine_timeout base.rto
 
 (* Vegas reduces the window by a quarter on a fine-grained loss signal,
@@ -101,9 +100,9 @@ let measure_rtt state base ~ackno =
   | None -> ()
 
 let forget_acked state ~ackno =
-  Hashtbl.iter
-    (fun seq _ -> if seq <= ackno then Hashtbl.remove state.send_times seq)
-    (Hashtbl.copy state.send_times)
+  Hashtbl.filter_map_inplace
+    (fun seq sent_at -> if seq <= ackno then None else Some sent_at)
+    state.send_times
 
 (* Per-RTT window adjustment (congestion avoidance) and the slow-start
    grow/hold toggle. *)
@@ -111,11 +110,11 @@ let epoch_actions state base =
   let diff = backlog state base in
   (match base.phase with
   | Congestion_avoidance when state.mechanisms.rtt_based_avoidance ->
-    if diff < state.thresholds.alpha then set_cwnd base (cwnd base +. 1.0)
-    else if diff > state.thresholds.beta then
+    if diff < alpha then set_cwnd base (cwnd base +. 1.0)
+    else if diff > beta then
       set_cwnd base (Float.max (cwnd base -. 1.0) 2.0)
   | Slow_start when state.mechanisms.cautious_slow_start ->
-    if diff > state.thresholds.gamma then begin
+    if diff > gamma then begin
       (* The pipe is filling: leave slow start now. *)
       set_ssthresh base (Float.max (cwnd base) 2.0);
       base.phase <- Congestion_avoidance
@@ -177,9 +176,8 @@ let timeout state base =
   state.last_cut <- neg_infinity;
   timeout_common base
 
-let create_with ~engine ~params ~flow ~emit ~mechanisms
-    ?(thresholds = default_thresholds) () =
-  let state = fresh_state ~mechanisms ~thresholds in
+let create_with ~engine ~params ~flow ~emit ~mechanisms () =
+  let state = fresh_state ~mechanisms in
   let emit_recording packet =
     if Net.Packet.is_data packet then
       Hashtbl.replace state.send_times (Net.Packet.seq_exn packet)

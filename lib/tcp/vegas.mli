@@ -15,10 +15,10 @@
       reduced by a quarter only once per RTT of losses;
     - {b RTT-based congestion avoidance}: once per RTT, the expected
       ([cwnd/baseRTT]) and actual ([cwnd/RTT]) rates are compared; the
-      window grows by one if the backlog estimate is below [alpha],
-      shrinks by one if above [beta], and holds otherwise;
+      window grows by one if the backlog estimate is below α = 1
+      segment, shrinks by one if above β = 3, and holds otherwise;
     - {b cautious slow start}: the window doubles only every other RTT,
-      and slow start ends as soon as the backlog exceeds [gamma].
+      and slow start ends as soon as the backlog exceeds γ = 1.
 
     Each mechanism can be disabled to fall back to the Reno behaviour. *)
 
@@ -31,12 +31,6 @@ type mechanisms = {
 (** All three on — full Vegas. *)
 val full : mechanisms
 
-(** Vegas parameters: backlog thresholds in segments. *)
-type thresholds = { alpha : float; beta : float; gamma : float }
-
-(** The classic 1/3 (actually α=1, β=3, γ=1) setting. *)
-val default_thresholds : thresholds
-
 (** [create ~engine ~params ~flow ~emit ()] builds a full Vegas
     sender. *)
 val create :
@@ -47,14 +41,13 @@ val create :
   unit ->
   Agent.t
 
-(** [create_with ~mechanisms ~thresholds] selects mechanisms
-    individually (for the [8]-style decomposition). *)
+(** [create_with ~mechanisms] selects mechanisms individually (for the
+    [8]-style decomposition). *)
 val create_with :
   engine:Sim.Engine.t ->
   params:Params.t ->
   flow:int ->
   emit:(Net.Packet.t -> unit) ->
   mechanisms:mechanisms ->
-  ?thresholds:thresholds ->
   unit ->
   Agent.t

@@ -150,7 +150,7 @@ let saturated_link () =
    may allocate. *)
 let rto_value () =
   let rto =
-    Tcp.Rto.create ~min_rto:0.2 ~max_rto:64.0 ~initial_rto:3.0 ~tick:0.1 ()
+    Tcp.Rto.create ~min_rto:0.2 ~max_rto:64.0 ~initial_rto:3.0 ()
   in
   Tcp.Rto.sample rto 0.25;
   Tcp.Rto.backoff rto;
@@ -200,5 +200,15 @@ let suite =
                ( "audit 1-in-8, JSONL trace",
                  traced_fig7 ~trace_format:`Jsonl ~audit_sample:8 );
              ]);
+        (* Vegas keeps a send-time table; forgetting the acked entries
+           must not copy it on every new ACK. *)
+        Alcotest.test_case
+          "figure 7 point as Vegas, no auditor: <= 80 words/segment" `Quick
+          (check_budget ~budget:80.0 (fun () ->
+               segments (fun () ->
+                   {
+                     (fig7 ~audit_sample:0 ()) with
+                     Scenario.flows = [ Scenario.flow Core.Variant.Vegas ];
+                   })));
       ] );
   ]

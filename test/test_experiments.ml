@@ -2,12 +2,10 @@
    and exhibits its qualitative claim. Kept small enough for CI. *)
 
 let find_row outcome variant =
-  List.find
-    (fun row -> row.Experiments.Fig5.variant = variant)
-    outcome.Experiments.Fig5.rows
+  List.assoc (Core.Variant.name variant) outcome.Experiments.Fig5.rows
 
 let test_fig5_shape () =
-  let outcome = Experiments.Fig5.run ~drops:6 () in
+  let outcome = Experiments.Fig5.run ~drops:6 Experiments.Fig5.paper_flows in
   let bw v = (find_row outcome v).Experiments.Fig5.throughput_bps in
   Alcotest.(check bool) "rr > newreno" true
     (bw Core.Variant.Rr > bw Core.Variant.Newreno);
@@ -23,17 +21,18 @@ let test_fig5_shape () =
     rr.Experiments.Fig5.retransmits
 
 let test_fig5_3drop_recovers () =
-  let outcome = Experiments.Fig5.run ~drops:3 () in
+  let outcome = Experiments.Fig5.run ~drops:3 Experiments.Fig5.paper_flows in
   List.iter
-    (fun row ->
-      Alcotest.(check bool)
-        (Core.Variant.name row.Experiments.Fig5.variant ^ " recovered")
-        true
+    (fun (label, row) ->
+      Alcotest.(check bool) (label ^ " recovered") true
         (row.Experiments.Fig5.recovery_seconds <> None))
     outcome.Experiments.Fig5.rows
 
 let test_fig5_report_renders () =
-  let report = Experiments.Fig5.report (Experiments.Fig5.run ~drops:3 ()) in
+  let report =
+    Experiments.Fig5.report
+      (Experiments.Fig5.run ~drops:3 Experiments.Fig5.paper_flows)
+  in
   Alcotest.(check bool) "mentions figure" true
     (String.length report > 100 && String.sub report 0 8 = "Figure 5")
 
@@ -119,8 +118,7 @@ let test_scenario_flow_count_checked () =
 
 let test_ack_loss_shape () =
   let outcome =
-    Experiments.Ack_loss.run ~rates:[ 0.0; 0.2 ] ~seeds:[ 2L; 19L ]
-      ~variants:Core.Variant.[ Newreno; Rr ] ()
+    Experiments.Ack_loss.run ~rates:[ 0.0; 0.2 ] ~seeds:[ 2L; 19L ] ()
   in
   match outcome.Experiments.Variant_table.rows with
   | [ (_, clean); (_, lossy) ] ->
@@ -278,11 +276,8 @@ let test_table5_limited_transmit_restores_case4 () =
 let test_vegas_claim_shape () =
   let outcome = Experiments.Vegas_claim.run () in
   let goodput label =
-    let row =
-      List.find (fun r -> r.Experiments.Vegas_claim.label = label)
-        outcome.Experiments.Vegas_claim.rows
-    in
-    row.Experiments.Vegas_claim.throughput_bps
+    (List.assoc label outcome.Experiments.Fig5.rows)
+      .Experiments.Fig5.throughput_bps
   in
   (* [8]'s claim: the recovery mechanism carries the gain. *)
   Alcotest.(check bool) "full vegas > reno" true
@@ -321,14 +316,14 @@ let test_sensitivity_ordering () =
 
 let test_ablation_runs () =
   let outcome = Experiments.Ablation.run ~drops:3 () in
-  Alcotest.(check int) "four designs" 4 (List.length outcome.Experiments.Ablation.rows);
+  Alcotest.(check int) "four designs" 4 (List.length outcome.Experiments.Fig5.rows);
   List.iter
-    (fun row ->
+    (fun (label, row) ->
       Alcotest.(check bool)
-        (row.Experiments.Ablation.label ^ " produced throughput")
+        (label ^ " produced throughput")
         true
-        (row.Experiments.Ablation.throughput_bps > 0.0))
-    outcome.Experiments.Ablation.rows
+        (row.Experiments.Fig5.throughput_bps > 0.0))
+    outcome.Experiments.Fig5.rows
 
 let test_modelcheck_relentless_tolerance () =
   (* Acceptance gate: Relentless sits within 15% of the arxiv
@@ -388,18 +383,19 @@ let test_nan_level_and_deviation () =
    would measure nothing and read as a -100% deviation. *)
 let test_modelcheck_refuses_warmup_horizon () =
   List.iter
-    (fun duration ->
+    (fun (duration, reason) ->
       Alcotest.check_raises
         (Printf.sprintf "duration %g is refused" duration)
-        (Invalid_argument
-           (Printf.sprintf
-              "Modelcheck.run: duration %g must exceed the 5 s warm-up"
-              duration))
+        (Invalid_argument (Printf.sprintf "--duration %g: %s" duration reason))
         (fun () ->
           ignore
             (Experiments.Modelcheck.run ~variants:[ Core.Variant.Rr ]
                ~loss_rates:[ 0.01 ] ~seeds:[ 3L ] ~duration ())))
-    [ 3.0; Experiments.Modelcheck.warmup; Float.nan ]
+    [
+      (3.0, "must exceed the 5 s warm-up");
+      (Experiments.Fig7.warmup, "must exceed the 5 s warm-up");
+      (Float.nan, "must be finite and >= 0");
+    ]
 
 (* The asym clause needs the dumbbell's reverse trunk: one predicate
    decides, for the CLI's up-front check and for [Scenario.run]. *)

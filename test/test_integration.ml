@@ -171,25 +171,11 @@ let test_rr_beats_newreno_on_burst () =
   (* The paper's headline, as an invariant: with a 6-loss burst, RR's
      goodput over the recovery window beats New-Reno's. *)
   let goodput variant =
-    let rules =
-      List.init 6 (fun i -> { Net.Loss.flow = 0; seq = 33 + i; occurrence = 1 })
-    in
-    let spec =
-      Experiments.Scenario.make
-        ~topology:(Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-        ~flows:[ Experiments.Scenario.flow variant ]
-        ~params:{ Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
-        ~seed:5L ~forced_drops:rules ()
-    in
-    let t = Experiments.Scenario.run spec in
-    let t0 =
-      match Experiments.Scenario.first_drop_time t ~flow:0 with
-      | Some time -> time
-      | None -> Alcotest.fail "no drop"
-    in
-    Stats.Metrics.effective_throughput_bps
-      t.Experiments.Scenario.results.(0).Experiments.Scenario.trace ~mss ~t0
-      ~t1:(t0 +. 3.0)
+    (Experiments.Fig5.measure ~drops:6 ~window:3.0
+       (Experiments.Scenario.run
+          (Experiments.Fig5.scenario ~drops:6 ~seed:5L
+             (Experiments.Scenario.flow variant))))
+      .Experiments.Fig5.throughput_bps
   in
   let rr = goodput Core.Variant.Rr in
   let newreno = goodput Core.Variant.Newreno in
@@ -200,17 +186,11 @@ let test_rr_beats_newreno_on_burst () =
 let test_rr_no_timeout_on_burst () =
   (* 6 losses in one window must be absorbed by one recovery episode,
      without a retransmission timeout. *)
-  let rules =
-    List.init 6 (fun i -> { Net.Loss.flow = 0; seq = 33 + i; occurrence = 1 })
+  let t =
+    Experiments.Scenario.run
+      (Experiments.Fig5.scenario ~drops:6 ~seed:5L
+         (Experiments.Scenario.flow Core.Variant.Rr))
   in
-  let spec =
-    Experiments.Scenario.make
-      ~topology:(Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-      ~flows:[ Experiments.Scenario.flow Core.Variant.Rr ]
-      ~params:{ Tcp.Params.default with initial_ssthresh = 16.0; rwnd = 20 }
-      ~seed:5L ~forced_drops:rules ()
-  in
-  let t = Experiments.Scenario.run spec in
   let counters =
     t.Experiments.Scenario.results.(0).Experiments.Scenario.agent
       .Tcp.Agent.base.Tcp.Sender_common.counters

@@ -4,7 +4,7 @@
 
 type sent_ack = { ackno : int; sack : (int * int) list }
 
-let make ?(sack = false) ?max_sack_blocks () =
+let make ?(sack = false) () =
   let engine = Sim.Engine.create () in
   let acks = ref [] in
   let receiver =
@@ -13,7 +13,7 @@ let make ?(sack = false) ?max_sack_blocks () =
         match Net.Packet.kind p with
         | Net.Packet.Ack { ackno; sack } -> acks := { ackno; sack } :: !acks
         | Net.Packet.Data _ -> Alcotest.fail "receiver emitted data")
-      ~sack ?max_sack_blocks ()
+      ~sack ()
   in
   (receiver, acks)
 
@@ -69,10 +69,10 @@ let test_sack_blocks () =
   | _ -> Alcotest.fail "expected cumulative jump"
 
 let test_sack_block_cap () =
-  let receiver, acks = make ~sack:true ~max_sack_blocks:2 () in
+  let receiver, acks = make ~sack:true () in
   deliver receiver [ 2; 4; 6; 8 ];
   match !acks with
-  | { sack; _ } :: _ -> Alcotest.(check int) "capped" 2 (List.length sack)
+  | { sack; _ } :: _ -> Alcotest.(check int) "capped" 3 (List.length sack)
   | [] -> Alcotest.fail "no ack"
 
 let test_no_sack_by_default () =
@@ -91,7 +91,7 @@ let make_delack () =
         match Net.Packet.kind p with
         | Net.Packet.Ack { ackno; sack } -> acks := { ackno; sack } :: !acks
         | Net.Packet.Data _ -> Alcotest.fail "data")
-      ~delayed_ack:true ~delack_timeout:0.1 ()
+      ~delayed_ack:true ()
   in
   (engine, receiver, acks)
 

@@ -1,6 +1,6 @@
 (* RTT estimation and retransmission-timeout tests (Jacobson/Karels). *)
 
-let make ?tick () = Tcp.Rto.create ~min_rto:1.0 ~max_rto:64.0 ~initial_rto:3.0 ?tick ()
+let make () = Tcp.Rto.create ~min_rto:1.0 ~max_rto:64.0 ~initial_rto:3.0 ()
 
 let close = Alcotest.(check (float 1e-9))
 
@@ -81,54 +81,10 @@ let test_initial_bounds () =
   let at_min = Tcp.Rto.create ~min_rto:1.0 ~max_rto:2.0 ~initial_rto:1.0 () in
   close "initial = min is accepted" 1.0 (Tcp.Rto.value at_min)
 
-let test_tick_quantization () =
-  let rto = make ~tick:0.5 () in
-  (* Samples land on tick boundaries: 0.2 rounds to one tick (0.5). *)
-  Tcp.Rto.sample rto 0.2;
-  (match Tcp.Rto.srtt rto with
-  | Some srtt -> close "sample quantized up" 0.5 srtt
-  | None -> Alcotest.fail "srtt");
-  (* 0.7 rounds to 0.5; srtt update uses the quantized value. *)
-  let rto2 = make ~tick:0.5 () in
-  Tcp.Rto.sample rto2 0.7;
-  (match Tcp.Rto.srtt rto2 with
-  | Some srtt -> close "nearest tick" 0.5 srtt
-  | None -> Alcotest.fail "srtt");
-  (* The timeout itself lands on tick boundaries. *)
-  let v = Tcp.Rto.value rto in
-  close "value on a boundary" 0.0 (Float.rem v 0.5);
-  (* tick = 0 leaves samples exact. *)
-  let exact = make () in
-  Tcp.Rto.sample exact 0.2;
-  match Tcp.Rto.srtt exact with
-  | Some srtt -> close "exact clock" 0.2 srtt
-  | None -> Alcotest.fail "srtt"
-
-let test_tick_invalid () =
-  Alcotest.check_raises "negative tick"
-    (Invalid_argument "Rto.create: negative tick") (fun () ->
-      ignore (make ~tick:(-0.1) ()))
-
-let test_tick_respects_max () =
-  (* max_rto off a tick boundary: quantization used to round the
-     clamped value back up past the ceiling (1.2 -> 1.5). One backoff
-     takes the base 1.0 to 2.0, the ceiling clamps it to 1.2, and the
-     tick must not round that back up. *)
-  let rto =
-    Tcp.Rto.create ~min_rto:0.5 ~max_rto:1.2 ~initial_rto:1.0 ~tick:0.5 ()
-  in
-  Tcp.Rto.backoff rto;
-  close "capped, not re-rounded" 1.2 (Tcp.Rto.value rto);
-  (* Further backoff pressure cannot push it over either. *)
-  for _ = 1 to 10 do
-    Tcp.Rto.backoff rto
-  done;
-  Alcotest.(check bool) "still capped" true (Tcp.Rto.value rto <= 1.2)
-
 (* -- the pluggable estimator family (Jain, cs/9809097) -- *)
 
-let fine ?tick estimator =
-  Tcp.Rto.create ~min_rto:0.2 ~max_rto:8.0 ~initial_rto:0.5 ?tick ~estimator ()
+let fine estimator =
+  Tcp.Rto.create ~min_rto:0.2 ~max_rto:8.0 ~initial_rto:0.5 ~estimator ()
 
 let test_estimator_names () =
   List.iter
@@ -189,28 +145,20 @@ let test_fine_timeout () =
   Tcp.Rto.backoff rto;
   close "backoff does not leak into the fine timer" 0.3
     (Tcp.Rto.fine_timeout rto);
-  (* A coarse clock quantizes it up; the ceiling still wins. *)
-  let ticked = fine ~tick:0.5 Tcp.Rto.Jacobson in
-  Tcp.Rto.sample ticked 0.6;
-  (* sample quantizes to 0.5: prediction 0.5 + 4*0.25 = 1.5, on-tick. *)
-  close "tick-aligned" 1.5 (Tcp.Rto.fine_timeout ticked);
+  (* The ceiling still applies: 0.6 + 4*0.3 = 1.8 is capped at 1.2. *)
   let capped =
-    Tcp.Rto.create ~min_rto:0.2 ~max_rto:1.2 ~initial_rto:0.5 ~tick:0.5 ()
+    Tcp.Rto.create ~min_rto:0.2 ~max_rto:1.2 ~initial_rto:0.5 ()
   in
   Tcp.Rto.sample capped 0.6;
-  close "ceiling beats the tick round-up" 1.2 (Tcp.Rto.fine_timeout capped)
+  close "capped at max_rto" 1.2 (Tcp.Rto.fine_timeout capped)
 
 let prop_rto_bounded =
   QCheck2.Test.make ~name:"rto stays within [min,max] for every estimator"
     QCheck2.Gen.(
-      triple
-        (list (float_bound_inclusive 10.0))
-        (oneofl [ 0.0; 0.1; 0.3; 0.5; 0.7 ])
-        (oneofl Tcp.Rto.estimators))
-    (fun (samples, tick, estimator) ->
+      pair (list (float_bound_inclusive 10.0)) (oneofl Tcp.Rto.estimators))
+    (fun (samples, estimator) ->
       let rto =
-        Tcp.Rto.create ~min_rto:1.0 ~max_rto:64.0 ~initial_rto:3.0 ~tick
-          ~estimator ()
+        Tcp.Rto.create ~min_rto:1.0 ~max_rto:64.0 ~initial_rto:3.0 ~estimator ()
       in
       List.iter (fun s -> Tcp.Rto.sample rto s) samples;
       let v = Tcp.Rto.value rto in
@@ -228,9 +176,6 @@ let suite =
         Alcotest.test_case "sample resets backoff" `Quick test_sample_resets_backoff;
         Alcotest.test_case "invalid" `Quick test_invalid;
         Alcotest.test_case "initial bounds" `Quick test_initial_bounds;
-        Alcotest.test_case "tick quantization" `Quick test_tick_quantization;
-        Alcotest.test_case "tick invalid" `Quick test_tick_invalid;
-        Alcotest.test_case "tick respects max" `Quick test_tick_respects_max;
         Alcotest.test_case "estimator names" `Quick test_estimator_names;
         Alcotest.test_case "fixed never adapts" `Quick test_fixed_never_adapts;
         Alcotest.test_case "rfc793 = 2*srtt" `Quick test_rfc793_is_twice_srtt;
