@@ -160,6 +160,9 @@ expect '--duration nan: must be finite and > 0' fig6 --duration nan
 expect '--duration -1: must be finite and > 0' fig6 --duration=-1
 expect '--duration 0: must be finite and > 0' fig6 --duration 0
 expect '--duration 0: must be finite and > 0' fig6 --duration 0 --csv out
+expect '--duration 2: must exceed 2.5 s, when the last flow starts' fig6 --duration 2
+expect '--duration 2.5: must exceed 2.5 s, when the last flow starts' fig6 --duration 2.5
+expect '--duration 2: must exceed 2.5 s, when the last flow starts' fig6 --duration 2 --csv out
 
 # modelcheck: the models' domain, the horizon and the RRR level.
 expect '--rrr-level nan: must be inside (0, 1)' modelcheck --rrr-level nan --variants rrr --loss 0.01 --seeds 1 --duration 10 --check 0.2

@@ -619,9 +619,8 @@ let run_term =
       (fun cr ->
         let sent = Workload.Cbr.sent cr.Experiments.Scenario.source in
         Printf.printf
-          "cross flow %d (%s, %.0f bps): %d packet(s) sent, %d delivered\n"
+          "cross flow %d (cbr, %.0f bps): %d packet(s) sent, %d delivered\n"
           cr.Experiments.Scenario.cross_flow
-          cr.Experiments.Scenario.cross.Experiments.Scenario.cross_label
           cr.Experiments.Scenario.cross.Experiments.Scenario.rate_bps sent
           cr.Experiments.Scenario.received)
       t.Experiments.Scenario.cross_results;

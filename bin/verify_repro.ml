@@ -19,6 +19,8 @@ let fig5_bw outcome variant =
 
 let kbps x = Printf.sprintf "%.1f Kbps" (x /. 1000.0)
 
+let cells = Experiments.Variant_table.cells
+
 let () =
   (* Re-record the settled-artifact digest table (below) after an
      intentional report change: paste this output over the list. *)
@@ -163,12 +165,10 @@ let () =
   let sync = Experiments.Sync.run ~variants:[ Core.Variant.Reno ] () in
   claim ~section:"ext" ~name:"drop-tail synchronizes losses; RED does not"
     (fun () ->
-      match sync.Experiments.Sync.rows with
-      | [ droptail; red ] ->
-        ( droptail.Experiments.Sync.sync_index
-          > 2.0 *. red.Experiments.Sync.sync_index,
-          Printf.sprintf "sync %.2f vs %.2f" droptail.Experiments.Sync.sync_index
-            red.Experiments.Sync.sync_index )
+      match cells sync.Experiments.Sync.table Core.Variant.Reno with
+      | [ (_, droptail); (_, red) ] ->
+        ( droptail.(0) > 2.0 *. red.(0),
+          Printf.sprintf "sync %.2f vs %.2f" droptail.(0) red.(0) )
       | _ -> (false, "unexpected rows"));
   let vegas = Experiments.Vegas_claim.run () in
   claim ~section:"ext" ~name:"Vegas' gain is its recovery (ref [8])" (fun () ->
@@ -183,22 +183,16 @@ let () =
   let rtt = Experiments.Rtt_fairness.run ~variants:[ Core.Variant.Rr ] () in
   claim ~section:"ext" ~name:"equal-RTT RR converges to fair share (section 5)"
     (fun () ->
-      match rtt.Experiments.Rtt_fairness.rows with
-      | [ row ] ->
-        ( row.Experiments.Rtt_fairness.equal_rtt_jain > 0.95,
-          Printf.sprintf "Jain %.3f" row.Experiments.Rtt_fairness.equal_rtt_jain )
+      match cells rtt.Experiments.Rtt_fairness.table Core.Variant.Rr with
+      | [ (_, rr) ] -> (rr.(0) > 0.95, Printf.sprintf "Jain %.3f" rr.(0))
       | _ -> (false, "unexpected rows"));
   let two_way = Experiments.Two_way.run () in
   claim ~section:"ext" ~name:"two-way traffic hurts; RR degrades less (ref [22])"
     (fun () ->
       let penalty variant =
-        let row =
-          List.find (fun r -> r.Experiments.Two_way.variant = variant)
-            two_way.Experiments.Two_way.rows
-        in
-        1.0
-        -. (row.Experiments.Two_way.two_way_goodput_bps
-           /. row.Experiments.Two_way.one_way_goodput_bps)
+        match cells two_way variant with
+        | [ (_, m) ] -> 1.0 -. (m.(1) /. m.(0))
+        | _ -> nan
       in
       let reno = penalty Core.Variant.Reno and rr = penalty Core.Variant.Rr in
       ( reno > 0.05 && rr > 0.05 && rr <= reno,
@@ -207,12 +201,10 @@ let () =
   let smooth = Experiments.Smooth.run ~variants:[ Core.Variant.Rr ] () in
   claim ~section:"ext" ~name:"Smooth-Start sheds start-up losses (ref [21])"
     (fun () ->
-      match smooth.Experiments.Smooth.rows with
-      | [ plain; damped ] ->
-        ( damped.Experiments.Smooth.startup_drops
-          <= plain.Experiments.Smooth.startup_drops,
-          Printf.sprintf "%d -> %d drops" plain.Experiments.Smooth.startup_drops
-            damped.Experiments.Smooth.startup_drops )
+      match cells smooth Core.Variant.Rr with
+      | [ (false, plain); (true, damped) ] ->
+        ( damped.(1) <= plain.(1),
+          Printf.sprintf "%.0f -> %.0f drops" plain.(1) damped.(1) )
       | _ -> (false, "unexpected rows"));
 
   let sensitivity = Experiments.Sensitivity.run () in

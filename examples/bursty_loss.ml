@@ -29,27 +29,28 @@ let () =
           (Sim.Engine.now engine)
           (Net.Packet.seq_exn packet);
         Option.iter
-          (fun topology -> Net.Dumbbell.count_drop topology packet)
+          (fun topology -> Net.Topology.count_drop topology packet)
           !topology_cell)
       next
   in
   let topology =
-    Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 5L)
-      ~taps:[ ("gateway", wrap_bottleneck) ]
-      ()
+    Net.Dumbbell.topology
+      (Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 5L)
+         ~taps:[ ("gateway", wrap_bottleneck) ]
+         ())
   in
   topology_cell := Some topology;
   let agent, handle =
     Core.Rr.create ~engine ~params ~flow:0
-      ~emit:(Net.Dumbbell.inject_data topology ~flow:0)
+      ~emit:(Net.Topology.inject_data topology ~flow:0)
       ~ablation:Core.Rr.paper_design ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0
-      ~emit:(Net.Dumbbell.inject_ack topology ~flow:0)
+      ~emit:(Net.Topology.inject_ack topology ~flow:0)
       ()
   in
-  Net.Dumbbell.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
+  Net.Topology.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
 
   (* Narrate by observing the recovery state around every delivered
      ACK. *)
@@ -65,7 +66,7 @@ let () =
         view.Core.Rr.actnum view.Core.Rr.ndup view.Core.Rr.exit_point
         view.Core.Rr.further_losses
   in
-  Net.Dumbbell.on_ack topology ~flow:0 (fun packet ->
+  Net.Topology.on_ack topology ~flow:0 (fun packet ->
       agent.Tcp.Agent.deliver_ack packet;
       let now = Sim.Engine.now engine in
       (match (Core.Rr.inspect handle, !previous) with

@@ -11,7 +11,8 @@ let () =
   let engine = Sim.Engine.create () in
   let config = Net.Dumbbell.paper_config ~flows:1 in
   let topology =
-    Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 1L) ()
+    Net.Dumbbell.topology
+      (Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 1L) ())
   in
   (* Default parameters: the advertised window is effectively unbounded,
      so slow start overshoots the 28-packet pipe and RR gets real bursty
@@ -22,16 +23,16 @@ let () =
      at host S1; ACKs come back through [on_ack]. *)
   let agent, _handle =
     Core.Rr.create ~engine ~params ~flow:0
-      ~emit:(Net.Dumbbell.inject_data topology ~flow:0)
+      ~emit:(Net.Topology.inject_data topology ~flow:0)
       ~ablation:Core.Rr.paper_design ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0
-      ~emit:(Net.Dumbbell.inject_ack topology ~flow:0)
+      ~emit:(Net.Topology.inject_ack topology ~flow:0)
       ()
   in
-  Net.Dumbbell.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
-  Net.Dumbbell.on_ack topology ~flow:0 agent.Tcp.Agent.deliver_ack;
+  Net.Topology.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
+  Net.Topology.on_ack topology ~flow:0 agent.Tcp.Agent.deliver_ack;
 
   let trace = Stats.Flow_trace.attach agent in
   Workload.Ftp.persistent ~engine ~agent ~at:0.0;
@@ -50,7 +51,7 @@ let () =
   Format.printf "  segments acked %d@." (base.Tcp.Sender_common.una + 1);
   Format.printf "  counters       %a@." Tcp.Counters.pp
     base.Tcp.Sender_common.counters;
-  Format.printf "  drops at gw    %d@." (Net.Dumbbell.drops_of_flow topology 0);
+  Format.printf "  drops at gw    %d@." (Net.Topology.drops_of_flow topology 0);
   Format.printf "  recoveries     %d entered, %d clean exits@."
     (List.length trace.Stats.Flow_trace.recovery_entries)
     (List.length trace.Stats.Flow_trace.recovery_exits)

@@ -50,10 +50,6 @@ let default_flush_at = 1 lsl 16
      11 reorder         strref path, extra:i63le(timebits), packet
      14 rate_change     strref link, bps:f64le bits
      15 delay_change    strref link, delay:i63le(timebits)
-     12 journal         str ev, varint nfields,
-                          nfields * (str key, vtag:u8, value)
-                          vtag 0 = zigzag int, 1 = float as i64le bits,
-                          2 = str, 3 = bool:u8
      13 strdef          varint id, str
      packet := varint flow, is_data:u8, zigzag seq_or_ackno, varint uid
      str    := varint length, bytes
@@ -338,71 +334,6 @@ let attach_injector t injector =
       | Faults.Injector.Delay_change { link; delay } ->
         emit_delay_change t ~time ~link ~delay)
 
-(* -- generic journal events --
-
-   The campaign layer reuses the tracer as its buffered JSONL writer
-   for run journals; events there carry wall-clock stamps and ad-hoc
-   fields, so the rendering has to escape arbitrary strings (exception
-   messages, digests) rather than trusting printf literals. *)
-
-type field = Int of int | Float of float | Str of string | Bool of bool
-
-let add_json_string buffer s =
-  Buffer.add_char buffer '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.add_char buffer '"'
-
-let journal_event t ~time ~ev fields =
-  match t.mode with
-  | Jsonl ->
-    let buffer = Buffer.create 96 in
-    add_json_string buffer ev;
-    List.iter
-      (fun (key, value) ->
-        Buffer.add_char buffer ',';
-        add_json_string buffer key;
-        Buffer.add_char buffer ':';
-        match value with
-        | Int i -> Buffer.add_string buffer (string_of_int i)
-        | Float f -> Buffer.add_string buffer (Printf.sprintf "%g" f)
-        | Str s -> add_json_string buffer s
-        | Bool b -> Buffer.add_string buffer (if b then "true" else "false"))
-      fields;
-    line t {|{"t":%.6f,"ev":%s}|} time (Buffer.contents buffer)
-  | Binary b ->
-    bin_begin b 12 ~time;
-    add_str b.scratch ev;
-    add_varint b.scratch (List.length fields);
-    List.iter
-      (fun (key, value) ->
-        add_str b.scratch key;
-        match value with
-        | Int i ->
-          Buffer.add_char b.scratch '\x00';
-          add_varint b.scratch (zigzag i)
-        | Float f ->
-          Buffer.add_char b.scratch '\x01';
-          Buffer.add_int64_le b.scratch (Int64.bits_of_float f)
-        | Str s ->
-          Buffer.add_char b.scratch '\x02';
-          add_str b.scratch s
-        | Bool flag ->
-          Buffer.add_char b.scratch '\x03';
-          Buffer.add_char b.scratch (if flag then '\x01' else '\x00'))
-      fields;
-    bin_end t b
-
 let flush t =
   drain t;
   flush t.out
@@ -589,24 +520,6 @@ let export ~input ~output =
         let link = strref cur in
         let delay = cur_time cur in
         emit_delay_change jt ~time ~link ~delay
-      | 12 ->
-        let time = cur_time cur in
-        let ev = cur_str cur in
-        let nfields = cur_varint cur in
-        let fields =
-          List.init nfields (fun _ ->
-              let key = cur_str cur in
-              let value =
-                match byte cur with
-                | 0 -> Int (unzigzag (cur_varint cur))
-                | 1 -> Float (Int64.float_of_bits (cur_i64 cur))
-                | 2 -> Str (cur_str cur)
-                | 3 -> Bool (byte cur <> 0)
-                | tag -> corrupt "unknown journal value tag %d" tag
-              in
-              (key, value))
-        in
-        journal_event jt ~time ~ev fields
       | 13 ->
         let id = cur_varint cur in
         Hashtbl.replace strings id (cur_str cur)

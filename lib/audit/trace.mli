@@ -67,25 +67,6 @@ val attach_queue : t -> engine:Sim.Engine.t -> name:string -> Net.Queue_disc.t -
     v} *)
 val attach_injector : t -> Faults.Injector.t -> unit
 
-(** {1 Journal events}
-
-    The campaign layer reuses the tracer as the buffered JSONL writer
-    behind sweep run journals; unlike the simulation events above,
-    journal events are wall-clock stamped and carry ad-hoc fields. *)
-
-(** A journal field value; [Str] payloads are JSON-escaped on write. *)
-type field = Int of int | Float of float | Str of string | Bool of bool
-
-(** [journal_event t ~time ~ev fields] appends one event line
-
-    {v
-    {"t":<time>,"ev":"<ev>","<key>":<value>,...}
-    v}
-
-    with the fields in the order given. The line is staged like every
-    other trace line — call {!flush} to make it durable. *)
-val journal_event : t -> time:float -> ev:string -> (string * field) list -> unit
-
 (** [flush t] drains the staging buffer and flushes the underlying
     channel. *)
 val flush : t -> unit

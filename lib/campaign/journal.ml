@@ -1,58 +1,60 @@
-type t = { path : string; out : out_channel; trace : Audit.Trace.t }
+type t = { path : string; out : out_channel }
 
 let schema = "rr-sim-journal/1"
 
 let path t = t.path
 
 let event t ?(fields = []) ev =
-  Audit.Trace.journal_event t.trace ~time:(Unix.gettimeofday ()) ~ev fields;
+  output_string t.out
+    (Json.to_string
+       (Json.Obj
+          (("t", Json.Num (Unix.gettimeofday ())) :: ("ev", Json.Str ev)
+          :: fields)));
+  output_char t.out '\n';
   (* One flush per event: journal durability is the whole point — a
      record must survive the parent dying right after it is written. *)
-  Audit.Trace.flush t.trace
+  flush t.out
+
+let int n = Json.Num (float_of_int n)
 
 let open_channel ~append path =
   let flags =
     [ Open_wronly; Open_creat; (if append then Open_append else Open_trunc) ]
   in
-  let out = open_out_gen flags 0o644 path in
-  { path; out; trace = Audit.Trace.create ~out () }
+  { path; out = open_out_gen flags 0o644 path }
 
 let start ~path ~sweep ~total =
   let t = open_channel ~append:false path in
   event t "sweep_start"
     ~fields:
       [
-        ("schema", Audit.Trace.Str schema);
-        ("sweep", Audit.Trace.Str sweep);
-        ("total", Audit.Trace.Int total);
+        ("schema", Json.Str schema);
+        ("sweep", Json.Str sweep);
+        ("total", int total);
       ];
   t
 
 let settled t ~digest =
-  event t "job_settled" ~fields:[ ("digest", Audit.Trace.Str digest) ]
+  event t "job_settled" ~fields:[ ("digest", Json.Str digest) ]
 
 let failed t ~digest ~failure =
   event t "job_failed"
-    ~fields:
-      [ ("digest", Audit.Trace.Str digest); ("failure", Audit.Trace.Str failure) ]
+    ~fields:[ ("digest", Json.Str digest); ("failure", Json.Str failure) ]
 
 let retry t ~digest ~attempt ~failure =
   event t "job_retry"
     ~fields:
       [
-        ("digest", Audit.Trace.Str digest);
-        ("attempt", Audit.Trace.Int attempt);
-        ("failure", Audit.Trace.Str failure);
+        ("digest", Json.Str digest);
+        ("attempt", int attempt);
+        ("failure", Json.Str failure);
       ]
 
 let finish t ~settled ~failed ~interrupted =
   event t (if interrupted then "sweep_interrupted" else "sweep_complete")
-    ~fields:
-      [ ("settled", Audit.Trace.Int settled); ("failed", Audit.Trace.Int failed) ]
+    ~fields:[ ("settled", int settled); ("failed", int failed) ]
 
-let close t =
-  Audit.Trace.flush t.trace;
-  close_out_noerr t.out
+let close t = close_out_noerr t.out
 
 type snapshot = {
   sweep : string;
@@ -147,9 +149,9 @@ let resume ~path ~sweep =
       event t "sweep_resume"
         ~fields:
           [
-            ("sweep", Audit.Trace.Str sweep);
-            ("settled", Audit.Trace.Int (List.length snapshot.settled));
-            ("failed", Audit.Trace.Int (List.length snapshot.failed));
+            ("sweep", Json.Str sweep);
+            ("settled", int (List.length snapshot.settled));
+            ("failed", int (List.length snapshot.failed));
           ];
       Ok (t, snapshot)
     end

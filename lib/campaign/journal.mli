@@ -2,7 +2,7 @@
 
     The journal lives next to the result cache (by convention
     [_campaign/journal.jsonl]) and records every job's terminal state
-    the moment it settles, one {!Audit.Trace.journal_event} line per
+    the moment it settles, one {!Json.to_string} object per line and
     record, flushed eagerly — so an interrupted or crashed campaign
     leaves an exact account of what finished, what failed and why:
 

@@ -5,11 +5,12 @@ let drops = 4
 let run ?(rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ])
     ?(seeds = [ 2L; 19L; 47L; 83L; 151L ]) () =
   Variant_table.run ~rows:rates ~variants:Core.Variant.[ Newreno; Sack; Rr ]
-    ~seeds
-    ~scenario:(fun ack_loss variant ~seed ->
-      Fig5.scenario ~ack_loss ~drops ~seed (Scenario.flow variant))
-    ~measure:(fun _ t ->
-      let m = Fig5.measure ~drops ~window:4.0 t in
+    ~seeds (fun ack_loss variant ~seed ->
+      let m =
+        Fig5.measure ~drops ~window:4.0
+          (Scenario.run
+             (Fig5.scenario ~ack_loss ~drops ~seed (Scenario.flow variant)))
+      in
       [| m.throughput_bps; float_of_int m.timeouts |])
 
 let report outcome =

@@ -19,18 +19,19 @@ let faults_of_ratio ratio =
   if ratio <= 1.0 then Faults.Spec.none
   else { Faults.Spec.none with Faults.Spec.asym = Some ratio }
 
-let scenario ratio variant ~seed =
-  Scenario.make
-    ~topology:(Scenario.dumbbell config)
-    ~flows:
-      (List.init flows (fun flow ->
-           {
-             (Scenario.flow variant) with
-             Scenario.start = 0.2 *. float_of_int flow;
-           }))
-    ~params ~seed ~duration ~faults:(faults_of_ratio ratio) ()
-
-let measure _ t =
+let cell ratio variant ~seed =
+  let t =
+    Scenario.run
+      (Scenario.make
+         ~topology:(Scenario.dumbbell config)
+         ~flows:
+           (List.init flows (fun flow ->
+                {
+                  (Scenario.flow variant) with
+                  Scenario.start = 0.2 *. float_of_int flow;
+                }))
+         ~params ~seed ~duration ~faults:(faults_of_ratio ratio) ())
+  in
   let goodput =
     Stats.Metrics.mean
       (List.init flows (fun flow ->
@@ -49,10 +50,9 @@ let measure _ t =
   in
   [| goodput; float_of_int timeouts; float_of_int ack_drops |]
 
-let run ?(ratios = [ 1.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0 ])
-    ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ]) ()
-    =
-  Variant_table.run ~rows:ratios ~variants ~seeds ~scenario ~measure
+let run () =
+  Variant_table.run ~rows:[ 1.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0 ]
+    ~variants:Core.Variant.[ Newreno; Sack; Rr ] ~seeds:[ 7L; 29L ] cell
 
 let report outcome =
   Printf.sprintf

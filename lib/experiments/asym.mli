@@ -20,13 +20,8 @@ type outcome = float Variant_table.t
 (** [run ()] measures New-Reno, SACK and RR across forward:reverse
     ratios 1 to 200 (the paper-path collapse point sits past 50:1,
     where even cumulative-ACK thinning can no longer cover the
-    reverse-channel deficit). *)
-val run :
-  ?ratios:float list ->
-  ?variants:Core.Variant.t list ->
-  ?seeds:int64 list ->
-  unit ->
-  outcome
+    reverse-channel deficit), over seeds 7 and 29. *)
+val run : unit -> outcome
 
 (** [report outcome] renders the comparison. *)
 val report : outcome -> string

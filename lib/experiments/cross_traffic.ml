@@ -2,11 +2,10 @@ type outcome = float Variant_table.t
 
 let duration = 20.0
 
-let config share =
-  Net.Dumbbell.paper_config ~flows:(if share > 0.0 then 2 else 1)
-
-let scenario share variant ~seed =
-  let config = config share in
+let cell share variant ~seed =
+  let config =
+    Net.Dumbbell.paper_config ~flows:(if share > 0.0 then 2 else 1)
+  in
   let cross =
     if share > 0.0 then
       [
@@ -16,13 +15,14 @@ let scenario share variant ~seed =
       ]
     else []
   in
-  Scenario.make ~topology:(Scenario.dumbbell config)
-    ~flows:[ Scenario.flow variant ] ~seed ~duration ~cross ()
-
-let measure share t =
+  let t =
+    Scenario.run
+      (Scenario.make ~topology:(Scenario.dumbbell config)
+         ~flows:[ Scenario.flow variant ] ~seed ~duration ~cross ())
+  in
   let throughput = Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration in
   let residual =
-    (1.0 -. share) *. (config share).Net.Dumbbell.bottleneck_bandwidth_bps
+    (1.0 -. share) *. config.Net.Dumbbell.bottleneck_bandwidth_bps
   in
   let delivered =
     if share > 0.0 then
@@ -39,10 +39,8 @@ let measure share t =
     delivered;
   |]
 
-let run ?(shares = [ 0.0; 0.25; 0.5 ])
-    ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 41L ]) ()
-    =
-  Variant_table.run ~rows:shares ~variants ~seeds ~scenario ~measure
+let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) () =
+  Variant_table.run ~rows:[ 0.0; 0.25; 0.5 ] ~variants ~seeds:[ 7L; 41L ] cell
 
 let percent x = Printf.sprintf "%.0f%%" (100.0 *. x)
 

@@ -104,16 +104,13 @@ type background_row = {
   b_timeouts : int;
 }
 
-type background_outcome = {
-  file_bytes : int;
-  target_start : float;
-  b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_row list }
 
 let background_target_start = 2.0
 
-let run_background ?(file_bytes = 100_000) ?(variants = paper_variants)
-    ?(seed = 7L) () =
+let background_file_bytes = 100_000
+
+let run_background ?(variants = paper_variants) ?(seed = 7L) () =
   let b_rows =
     List.map
       (fun variant ->
@@ -121,7 +118,7 @@ let run_background ?(file_bytes = 100_000) ?(variants = paper_variants)
           {
             (Scenario.flow variant) with
             Scenario.start = background_target_start;
-            source = Scenario.File_bytes file_bytes;
+            source = Scenario.File_bytes background_file_bytes;
           }
           :: List.init 2 (fun i ->
                  {
@@ -148,14 +145,15 @@ let run_background ?(file_bytes = 100_000) ?(variants = paper_variants)
           transfer_seconds;
           effective_throughput_bps =
             Option.map
-              (fun seconds -> float_of_int (8 * file_bytes) /. seconds)
+              (fun seconds ->
+                float_of_int (8 * background_file_bytes) /. seconds)
               transfer_seconds;
           target_drops = Scenario.drops t ~flow:0;
           b_timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
         })
       variants
   in
-  { file_bytes; target_start = background_target_start; b_rows }
+  { b_rows }
 
 let report_background outcome =
   let header =
@@ -190,7 +188,7 @@ let report_background outcome =
      DIFFERENT loss pattern (see 'target drops') — drop-tail phase\n\
      effects dominate; the forced-drop mode is the controlled comparison\n\n\
      %s"
-    (outcome.file_bytes / 1000)
+    (background_file_bytes / 1000)
     (Stats.Text_table.render ~header rows)
 
 let report outcome =

@@ -111,16 +111,12 @@ type background_row = {
   b_timeouts : int;
 }
 
-type background_outcome = {
-  file_bytes : int;
-  target_start : float;
-  b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_row list }
 
 (** [run_background ()] runs the 3-flow setup per variant (all three
-    flows use the same recovery mechanism, as in §3.3's convention). *)
+    flows use the same recovery mechanism, as in §3.3's convention),
+    the measured connection sending 100 KB from 2 s. *)
 val run_background :
-  ?file_bytes:int ->
   ?variants:Core.Variant.t list ->
   ?seed:int64 ->
   unit ->

@@ -39,9 +39,16 @@ let run_variant ~seed ~duration variant =
   in
   Scenario.run (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:flow_specs ~params ~seed ~duration ())
 
+(* The mean goodput is over all flows, so every flow must have started:
+   an empty measuring span would count as zero. *)
 let validate ~duration =
   if not (Float.is_finite duration && duration > 0.0) then
-    invalid_arg (Printf.sprintf "--duration %g: must be finite and > 0" duration)
+    invalid_arg (Printf.sprintf "--duration %g: must be finite and > 0" duration);
+  let last_start = start_time (flows - 1) in
+  if duration <= last_start then
+    invalid_arg
+      (Printf.sprintf "--duration %g: must exceed %g s, when the last flow starts"
+         duration last_start)
 
 let run ?(variants = paper_variants) ?(seed = 11L) ?(duration = 6.0) () =
   validate ~duration;

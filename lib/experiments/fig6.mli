@@ -28,9 +28,12 @@ type result = {
 type outcome = { duration : float; results : result list }
 
 (** [validate ~duration] is {!run}'s check of its horizon, for a caller
-    that refuses a bad value before it creates any output.
+    that refuses a bad value before it creates any output. The mean
+    goodput averages every flow, so the horizon must pass the last
+    flow's start at 2.5 s.
 
-    @raise Invalid_argument ["--duration D: must be finite and > 0"]. *)
+    @raise Invalid_argument ["--duration D: must be finite and > 0"], or
+    ["--duration D: must exceed 2.5 s, when the last flow starts"]. *)
 val validate : duration:float -> unit
 
 (** [run ()] executes the scenario for each variant (default: the

@@ -76,9 +76,12 @@ let spec ~bottleneck_bps ~buffer =
 
 let quantile_points = [ 0.10; 0.50; 0.90; 0.99 ]
 
-let run ?(flows = 50_000) ?(duration = 60.0) ?(seed = 7L)
-    ?(bottleneck_bps = Sim.Units.mbps 100.0) ?(buffer = 1024)
-    ?(stagger = 1.0) ?(params = { Tcp.Params.default with rwnd = 20 }) () =
+let bottleneck_bps = Sim.Units.mbps 100.0
+
+let stagger = 1.0
+
+let run ?(flows = 50_000) ?(duration = 60.0) ?(seed = 7L) ?(buffer = 1024)
+    ?(params = { Tcp.Params.default with rwnd = 20 }) () =
   if flows < 1 then invalid_arg "Many_flow.run: flows < 1";
   if duration <= 0.0 then invalid_arg "Many_flow.run: duration <= 0";
   let engine = Sim.Engine.create () in

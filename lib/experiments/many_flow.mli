@@ -28,18 +28,17 @@ type outcome = {
     [gateway]/[reverse_gateway] trunks. Exposed for tests. *)
 val spec : bottleneck_bps:float -> buffer:int -> Net.Topology.spec
 
-(** [run ()] executes the scenario. Defaults: 50 000 flows, 60 s,
-    100 Mbps bottleneck, 1024-packet drop-tail buffer, flow starts
-    staggered over 1 s, default TCP parameters with [rwnd = 20].
+(** [run ()] executes the scenario on a 100 Mbps bottleneck, flow
+    starts staggered over 1 s. Defaults: 50 000 flows, 60 s,
+    1024-packet drop-tail buffer, default TCP parameters with
+    [rwnd = 20].
 
     @raise Invalid_argument when [flows < 1] or [duration <= 0]. *)
 val run :
   ?flows:int ->
   ?duration:float ->
   ?seed:int64 ->
-  ?bottleneck_bps:float ->
   ?buffer:int ->
-  ?stagger:float ->
   ?params:Tcp.Params.t ->
   unit ->
   outcome

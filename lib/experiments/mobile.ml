@@ -15,30 +15,31 @@ let spec_of s =
   | Ok spec -> spec
   | Error m -> invalid_arg ("Mobile: bad spec " ^ s ^ ": " ^ m)
 
-let scenario (_, buffer, faults) variant ~seed =
+let cell (_, buffer, faults) variant ~seed =
   let config =
     {
       (Net.Dumbbell.paper_config ~flows:1) with
       gateway = Net.Dumbbell.Droptail { capacity = buffer };
     }
   in
-  Scenario.make
-    ~topology:(Scenario.dumbbell config)
-    ~flows:[ Scenario.flow variant ]
-    ~params:{ Tcp.Params.default with rwnd = 64 }
-    ~seed ~duration ~faults ()
-
-let measure _ t =
+  let t =
+    Scenario.run
+      (Scenario.make
+         ~topology:(Scenario.dumbbell config)
+         ~flows:[ Scenario.flow variant ]
+         ~params:{ Tcp.Params.default with rwnd = 64 }
+         ~seed ~duration ~faults ())
+  in
   [|
     Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration;
     float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
     float_of_int (Scenario.fault_drops t);
   |]
 
-let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ])
-    () =
+let run () =
   let fade = spec_of fade_spec and handover = spec_of handover_spec in
-  Variant_table.run ~variants ~seeds ~scenario ~measure
+  Variant_table.run ~variants:Core.Variant.[ Newreno; Sack; Rr ]
+    ~seeds:[ 7L; 29L ]
     ~rows:
       [
         ("clean, paper buffer", 8, Faults.Spec.none);
@@ -47,6 +48,7 @@ let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 7L; 29L ])
         ("fading, deep buffer", 64, fade);
         ("handover, deep buffer", 64, handover);
       ]
+    cell
 
 let report outcome =
   Printf.sprintf

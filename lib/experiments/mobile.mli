@@ -17,9 +17,9 @@
 type outcome = (string * int * Faults.Spec.t) Variant_table.t
 
 (** [run ()] measures New-Reno, SACK and RR across clean / fading /
-    handover conditions, each under paper and deep buffers. *)
-val run :
-  ?variants:Core.Variant.t list -> ?seeds:int64 list -> unit -> outcome
+    handover conditions, each under paper and deep buffers, over seeds
+    7 and 29. *)
+val run : unit -> outcome
 
 (** [report outcome] renders the comparison. *)
 val report : outcome -> string

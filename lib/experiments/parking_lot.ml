@@ -7,17 +7,9 @@
    This is the first experiment to use a general {!Net.Topology} graph
    through {!Scenario} rather than the paper's dumbbell. *)
 
-type row = {
-  variant : Core.Variant.t;
-  hops : int;
-  long_goodput_bps : float;  (* mean over the long flows *)
-  cross_goodput_bps : float;  (* mean over all cross flows *)
-  ratio : float;  (* long / cross *)
-  long_drops : int;
-  cross_drops : int;
-}
+type outcome = int Variant_table.t
 
-type outcome = { duration : float; rows : row list }
+let duration = 30.0
 
 let long_flows = 2
 
@@ -32,7 +24,7 @@ let topology ~hops =
   in
   Scenario.parking_lot ~hops ~long_flows ~cross_per_hop ~config
 
-let run_case ~seed ~duration ~hops variant =
+let cell hops variant ~seed =
   let flows = long_flows + (hops * cross_per_hop) in
   let t =
     Scenario.run
@@ -56,60 +48,37 @@ let run_case ~seed ~duration ~hops variant =
     for flow = lo to hi - 1 do
       sum := !sum + Scenario.drops t ~flow
     done;
-    !sum
+    float_of_int !sum
   in
-  let long_goodput_bps = mean_over 0 long_flows in
-  let cross_goodput_bps = mean_over long_flows flows in
-  {
-    variant;
-    hops;
-    long_goodput_bps;
-    cross_goodput_bps;
-    ratio = long_goodput_bps /. cross_goodput_bps;
-    long_drops = drops_over 0 long_flows;
-    cross_drops = drops_over long_flows flows;
-  }
+  [|
+    mean_over 0 long_flows;
+    mean_over long_flows flows;
+    drops_over 0 long_flows;
+    drops_over long_flows flows;
+  |]
 
-let run ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(hop_counts = [ 1; 3 ])
-    ?(seed = 7L) ?(duration = 30.0) () =
-  {
-    duration;
-    rows =
-      List.concat_map
-        (fun variant ->
-          List.map (fun hops -> run_case ~seed ~duration ~hops variant) hop_counts)
-        variants;
-  }
+let run ?(seed = 7L) () =
+  Variant_table.run ~rows:[ 1; 3 ] ~variants:Core.Variant.[ Newreno; Sack; Rr ]
+    ~seeds:[ seed ] cell
 
 let report outcome =
-  let header =
-    [
-      "variant";
-      "hops";
-      "long (Kbps)";
-      "cross (Kbps)";
-      "long/cross";
-      "long drops";
-      "cross drops";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          Core.Variant.name row.variant;
-          string_of_int row.hops;
-          Printf.sprintf "%.1f" (row.long_goodput_bps /. 1e3);
-          Printf.sprintf "%.1f" (row.cross_goodput_bps /. 1e3);
-          Printf.sprintf "%.2f" row.ratio;
-          string_of_int row.long_drops;
-          string_of_int row.cross_drops;
-        ])
-      outcome.rows
-  in
-  Stats.Text_table.render ~header rows
+  Variant_table.render_long
+    ~keys:
+      [
+        ("variant", fun (_, variant) -> Core.Variant.name variant);
+        ("hops", fun (hops, _) -> string_of_int hops);
+      ]
+    ~columns:
+      [
+        Variant_table.kbps "long (Kbps)" 0;
+        Variant_table.kbps "cross (Kbps)" 1;
+        ("long/cross", fun m -> Printf.sprintf "%.2f" (m.(0) /. m.(1)));
+        Variant_table.integer "long drops" 2;
+        Variant_table.integer "cross drops" 3;
+      ]
+    outcome
   ^ Printf.sprintf
       "\n%d long flow(s) over every bottleneck vs %d cross flow(s) per hop, \
        %.0f s: multi-hop flows pay every bottleneck's loss rate, so their \
        share falls as hops grow.\n"
-      long_flows cross_per_hop outcome.duration
+      long_flows cross_per_hop duration

@@ -6,31 +6,19 @@
     every hop's loss rate, so their goodput falls below the single-hop
     flows' share as hops grow. *)
 
-type row = {
-  variant : Core.Variant.t;
-  hops : int;
-  long_goodput_bps : float;  (** mean over the long flows *)
-  cross_goodput_bps : float;  (** mean over all cross flows *)
-  ratio : float;  (** long over cross *)
-  long_drops : int;
-  cross_drops : int;
-}
-
-type outcome = { duration : float; rows : row list }
+(** One row per hop count, 1 and 3. Each cell measures, in this
+    order: the mean goodput (bits/s) of the long flows and of all cross
+    flows, then the drops of the long flows and of the cross flows. *)
+type outcome = int Variant_table.t
 
 (** [topology ~hops] is the {!Scenario.topology} value for a [hops]-
     bottleneck parking lot carrying 2 long and 2-per-hop cross flows,
     with the runner's knobs attached to the first bottleneck. *)
 val topology : hops:int -> Scenario.topology
 
-(** [run ()] measures each variant on each hop count. Defaults:
-    NewReno, SACK and RR on 1 and 3 hops, 30 s, seed 7. *)
-val run :
-  ?variants:Core.Variant.t list ->
-  ?hop_counts:int list ->
-  ?seed:int64 ->
-  ?duration:float ->
-  unit ->
-  outcome
+(** [run ()] measures NewReno, SACK and RR on 1 and 3 hops for 30 s at
+    [seed] (default 7). *)
+val run : ?seed:int64 -> unit -> outcome
 
+(** [report outcome] renders the comparison. *)
 val report : outcome -> string

@@ -2,7 +2,7 @@ type outcome = float Variant_table.t
 
 let duration = 20.0
 
-let scenario prob variant ~seed =
+let cell prob variant ~seed =
   let faults =
     if prob = 0.0 then Faults.Spec.none
     else
@@ -16,11 +16,12 @@ let scenario prob variant ~seed =
             };
       }
   in
-  Scenario.make
-    ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
-    ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ()
-
-let measure _ t =
+  let t =
+    Scenario.run
+      (Scenario.make
+         ~topology:(Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:1))
+         ~flows:[ Scenario.flow variant ] ~seed ~duration ~faults ())
+  in
   let counters = Scenario.counters t ~flow:0 in
   [|
     Scenario.goodput_bps t ~flow:0 ~t0:2.0 ~t1:duration;
@@ -28,10 +29,9 @@ let measure _ t =
     float_of_int counters.Tcp.Counters.timeouts;
   |]
 
-let run ?(probs = [ 0.0; 0.02; 0.05; 0.1 ])
-    ?(variants = Core.Variant.[ Newreno; Sack; Rr ]) ?(seeds = [ 5L; 23L ]) ()
-    =
-  Variant_table.run ~rows:probs ~variants ~seeds ~scenario ~measure
+let run () =
+  Variant_table.run ~rows:[ 0.0; 0.02; 0.05; 0.1 ]
+    ~variants:Core.Variant.[ Newreno; Sack; Rr ] ~seeds:[ 5L; 23L ] cell
 
 let report outcome =
   Printf.sprintf

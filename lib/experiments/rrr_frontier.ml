@@ -1,13 +1,4 @@
-type point = {
-  level : float;
-  aggregate_bps : float;
-  jain : float;
-  rrr_bps : float;
-  reno_bps : float;
-  share : float;
-}
-
-type outcome = { duration : float; loss : float; points : point list }
+type outcome = float Variant_table.t
 
 let duration = 30.0
 
@@ -66,55 +57,30 @@ let run_mixed ~seed ~level =
   | rrr :: renos -> (rrr, Stats.Metrics.mean renos)
   | [] -> assert false
 
-let run ?(levels = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]) ?(seeds = [ 7L; 29L ]) () =
-  let mean = Stats.Metrics.mean in
-  let points =
-    List.map
-      (fun level ->
-        let pods = List.map (fun seed -> run_homogeneous ~seed ~level) seeds in
-        let mixed = List.map (fun seed -> run_mixed ~seed ~level) seeds in
-        let rrr_bps = mean (List.map fst mixed)
-        and reno_bps = mean (List.map snd mixed) in
-        {
-          level;
-          aggregate_bps = mean (List.map fst pods);
-          jain = mean (List.map snd pods);
-          rrr_bps;
-          reno_bps;
-          share = rrr_bps /. reno_bps;
-        })
-      levels
-  in
-  { duration; loss; points }
+let cell level _ ~seed =
+  let aggregate, jain = run_homogeneous ~seed ~level in
+  let rrr, reno = run_mixed ~seed ~level in
+  [| aggregate; jain; rrr; reno |]
+
+let run () =
+  Variant_table.run ~rows:[ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+    ~variants:[ Core.Variant.Rrr ] ~seeds:[ 7L; 29L ] cell
 
 let report outcome =
-  let header =
-    [
-      "level";
-      "4-rrr aggregate (Kbps)";
-      "Jain";
-      "rrr among renos (Kbps)";
-      "reno mean (Kbps)";
-      "rrr/reno";
-    ]
-  in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          Printf.sprintf "%.1f" p.level;
-          Printf.sprintf "%.1f" (p.aggregate_bps /. 1000.0);
-          Printf.sprintf "%.3f" p.jain;
-          Printf.sprintf "%.1f" (p.rrr_bps /. 1000.0);
-          Printf.sprintf "%.1f" (p.reno_bps /. 1000.0);
-          Printf.sprintf "%.2f" p.share;
-        ])
-      outcome.points
-  in
   Printf.sprintf
     "RRR fairness-vs-throughput frontier across the backoff level\n\
      each congestion event multiplies the window by 1 - level (0.5 = Reno)\n\
      left: a pod of 4 RRR flows; right: one RRR among %d Renos (%.0f%% loss)\n\n\
      %s"
-    reno_competitors (100.0 *. outcome.loss)
-    (Stats.Text_table.render ~header rows)
+    reno_competitors (100.0 *. loss)
+    (Variant_table.render_long
+       ~keys:[ ("level", fun (level, _) -> Printf.sprintf "%.1f" level) ]
+       ~columns:
+         [
+           Variant_table.kbps "4-rrr aggregate (Kbps)" 0;
+           ("Jain", fun m -> Printf.sprintf "%.3f" m.(1));
+           Variant_table.kbps "rrr among renos (Kbps)" 2;
+           Variant_table.kbps "reno mean (Kbps)" 3;
+           ("rrr/reno", fun m -> Printf.sprintf "%.2f" (m.(2) /. m.(3)));
+         ]
+       outcome)

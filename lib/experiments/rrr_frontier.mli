@@ -11,19 +11,15 @@
     and Jain fairness inside a homogeneous RRR pod, and the
     goodput share one RRR flow takes against Reno competitors. *)
 
-type point = {
-  level : float;  (** the backoff level l, [Tcp.Params.rrr_level] *)
-  aggregate_bps : float;  (** summed goodput of the 4-flow RRR pod *)
-  jain : float;  (** Jain fairness index inside the pod *)
-  rrr_bps : float;  (** the lone RRR flow's goodput among Renos *)
-  reno_bps : float;  (** its Reno competitors' mean goodput *)
-  share : float;  (** rrr_bps / reno_bps; 1.0 = perfectly fair *)
-}
+(** One row per backoff level l ([Tcp.Params.rrr_level]) 0.1, 0.3,
+    0.5, 0.7 and 0.9, and one variant, RRR. Each cell runs the 4-flow
+    RRR pod, then one RRR flow among 3 Renos, and measures, in this
+    order: the pod's summed goodput (bits/s) and Jain index, the lone
+    RRR flow's goodput and its Reno competitors' mean goodput. *)
+type outcome = float Variant_table.t
 
-type outcome = { duration : float; loss : float; points : point list }
-
-(** [run ()] sweeps levels 0.1, 0.3, 0.5, 0.7 and 0.9. *)
-val run : ?levels:float list -> ?seeds:int64 list -> unit -> outcome
+(** [run ()] sweeps the five levels over seeds 7 and 29. *)
+val run : unit -> outcome
 
 (** [report outcome] renders the frontier. *)
 val report : outcome -> string

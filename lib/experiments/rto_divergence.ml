@@ -7,12 +7,13 @@ type cell = {
   sample : string option;
 }
 
-type outcome = {
-  period : float;
-  down_for : float;
-  min_rto : float;
-  cells : cell list;
-}
+type outcome = cell list
+
+let period = 6.0
+
+let down_for = 2.0
+
+let duration = 30.0
 
 (* The paper's coarse defaults (min 1 s, initial 3 s) clamp every
    estimator to the same floor on the ~200 ms Table 3 path, hiding the
@@ -28,7 +29,7 @@ let params estimator =
     rto_estimator = estimator;
   }
 
-let run_one ~seed ~faults ~duration estimator =
+let run_one ~seed ~faults estimator =
   let params = params estimator in
   let t =
     Scenario.run
@@ -57,8 +58,7 @@ let run_one ~seed ~faults ~duration estimator =
   in
   (throughput, timeouts, monitor)
 
-let run ?(period = 6.0) ?(down_for = 2.0) ?(duration = 30.0)
-    ?(estimators = Tcp.Rto.estimators) ?(seeds = [ 7L; 29L ]) () =
+let run ?(estimators = Tcp.Rto.estimators) ?(seeds = [ 7L; 29L ]) () =
   let faults =
     {
       Faults.Spec.none with
@@ -67,57 +67,53 @@ let run ?(period = 6.0) ?(down_for = 2.0) ?(duration = 30.0)
       flap_policy = `Drop_queued;
     }
   in
-  let cells =
-    List.map
-      (fun estimator ->
-        let runs =
-          List.map (fun seed -> run_one ~seed ~faults ~duration estimator) seeds
-        in
-        let monitors = List.map (fun (_, _, m) -> m) runs in
-        {
-          estimator;
-          throughput_bps =
-            Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
-          timeouts =
-            Stats.Metrics.mean
-              (List.map (fun (_, t, _) -> float_of_int t) runs);
-          divergences =
-            Stats.Metrics.mean
-              (List.map
-                 (fun m -> float_of_int (Audit.Divergence.divergence_count m))
-                 monitors);
-          sync_bursts =
-            Stats.Metrics.mean
-              (List.map
-                 (fun m -> float_of_int (Audit.Divergence.sync_burst_count m))
-                 monitors);
-          sample =
-            (* Prefer an RTO-divergence finding — the rarer, more telling
-               of the two rules — over a synchronization burst. *)
-            (let render f =
-               Printf.sprintf "[%.2fs] %s: %s — %s" f.Audit.Divergence.time
-                 f.Audit.Divergence.subject f.Audit.Divergence.rule
-                 f.Audit.Divergence.detail
-             in
-             let all = List.concat_map Audit.Divergence.findings monitors in
-             match
-               List.find_opt
-                 (fun f -> f.Audit.Divergence.rule = "rto-divergence")
-                 all
-             with
-             | Some f -> Some (render f)
-             | None -> (
-               match all with f :: _ -> Some (render f) | [] -> None));
-        })
-      estimators
-  in
-  { period; down_for; min_rto = (params Tcp.Rto.Jacobson).Tcp.Params.min_rto;
-    cells }
+  List.map
+    (fun estimator ->
+      let runs =
+        List.map (fun seed -> run_one ~seed ~faults estimator) seeds
+      in
+      let monitors = List.map (fun (_, _, m) -> m) runs in
+      {
+        estimator;
+        throughput_bps =
+          Stats.Metrics.mean (List.map (fun (x, _, _) -> x) runs);
+        timeouts =
+          Stats.Metrics.mean
+            (List.map (fun (_, t, _) -> float_of_int t) runs);
+        divergences =
+          Stats.Metrics.mean
+            (List.map
+               (fun m -> float_of_int (Audit.Divergence.divergence_count m))
+               monitors);
+        sync_bursts =
+          Stats.Metrics.mean
+            (List.map
+               (fun m -> float_of_int (Audit.Divergence.sync_burst_count m))
+               monitors);
+        sample =
+          (* Prefer an RTO-divergence finding — the rarer, more telling
+             of the two rules — over a synchronization burst. *)
+          (let render f =
+             Printf.sprintf "[%.2fs] %s: %s — %s" f.Audit.Divergence.time
+               f.Audit.Divergence.subject f.Audit.Divergence.rule
+               f.Audit.Divergence.detail
+           in
+           let all = List.concat_map Audit.Divergence.findings monitors in
+           match
+             List.find_opt
+               (fun f -> f.Audit.Divergence.rule = "rto-divergence")
+               all
+           with
+           | Some f -> Some (render f)
+           | None -> (
+             match all with f :: _ -> Some (render f) | [] -> None));
+      })
+    estimators
 
 let findings outcome =
   List.fold_left
     (fun acc c -> acc +. c.divergences +. c.sync_bursts)
-    0.0 outcome.cells
+    0.0 outcome
 
 let report outcome =
   let header =
@@ -139,10 +135,10 @@ let report outcome =
           Printf.sprintf "%.1f" c.divergences;
           Printf.sprintf "%.1f" c.sync_bursts;
         ])
-      outcome.cells
+      outcome
   in
   let sample =
-    match List.find_map (fun c -> c.sample) outcome.cells with
+    match List.find_map (fun c -> c.sample) outcome with
     | Some s -> "\nexample finding: " ^ s ^ "\n"
     | None -> ""
   in
@@ -153,7 +149,7 @@ let report outcome =
      flags RTO running away from measured RTT and synchronized timeout \
      bursts\n\n\
      %s%s"
-    outcome.down_for outcome.period
-    (1000.0 *. outcome.min_rto)
+    down_for period
+    (1000.0 *. (params Tcp.Rto.Jacobson).Tcp.Params.min_rto)
     (Stats.Text_table.render ~header rows)
     sample

@@ -25,23 +25,14 @@ type cell = {
   sample : string option;  (** one rendered finding, if any run had one *)
 }
 
-type outcome = {
-  period : float;
-  down_for : float;
-  min_rto : float;  (** the fine-timer floor the runs used *)
-  cells : cell list;
-}
+(** One cell per estimator, in [estimators] order. *)
+type outcome = cell list
 
-(** [run ()] measures a 2 s outage every 6 s (default) for every
-    estimator in {!Tcp.Rto.estimators}, two RR flows per run. *)
+(** [run ()] measures a 2 s outage every 6 s over 30 s for every
+    estimator in {!Tcp.Rto.estimators} (default), two RR flows per run,
+    over seeds 7 and 29 (default). *)
 val run :
-  ?period:float ->
-  ?down_for:float ->
-  ?duration:float ->
-  ?estimators:Tcp.Rto.estimator list ->
-  ?seeds:int64 list ->
-  unit ->
-  outcome
+  ?estimators:Tcp.Rto.estimator list -> ?seeds:int64 list -> unit -> outcome
 
 (** [findings outcome] is the total mean finding count across all
     cells — the experiment's acceptance signal (positive means the

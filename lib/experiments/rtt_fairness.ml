@@ -1,12 +1,4 @@
-type row = {
-  variant : Core.Variant.t;
-  equal_rtt_jain : float;
-  hetero_jain : float;
-  hetero_bias : float;
-  goodputs_hetero : float list;
-}
-
-type outcome = { duration : float; rows : row list }
+type outcome = { duration : float; table : unit Variant_table.t }
 
 let flows = 4
 
@@ -23,11 +15,7 @@ let config =
 let hetero_delays =
   [| Sim.Units.ms 1.0; Sim.Units.ms 21.0; Sim.Units.ms 41.0; Sim.Units.ms 61.0 |]
 
-let goodputs ~duration t =
-  List.init flows (fun flow ->
-      Scenario.goodput_bps t ~flow ~t0:10.0 ~t1:duration)
-
-let run_case ~seed ~duration ~variant side_delays =
+let goodputs ~seed ~duration variant side_delays =
   let flow_specs =
     List.init flows (fun flow ->
         {
@@ -40,57 +28,46 @@ let run_case ~seed ~duration ~variant side_delays =
       (Scenario.make ~topology:(Scenario.dumbbell config) ~flows:flow_specs ~params ~seed ~duration
          ?side_delays ())
   in
-  goodputs ~duration t
+  List.init flows (fun flow ->
+      Scenario.goodput_bps t ~flow ~t0:10.0 ~t1:duration)
+
+let cell ~duration () variant ~seed =
+  let equal = goodputs ~seed ~duration variant None in
+  let hetero = goodputs ~seed ~duration variant (Some hetero_delays) in
+  let first = List.nth hetero 0 in
+  let last = List.nth hetero (flows - 1) in
+  Array.of_list
+    (Stats.Metrics.jain_index equal
+    :: Stats.Metrics.jain_index hetero
+    :: (if last > 0.0 then first /. last else infinity)
+    :: hetero)
 
 let run ?(variants = Core.Variant.[ Rr; Reno ]) ?(seed = 41L)
     ?(duration = 120.0) () =
-  let rows =
-    List.map
-      (fun variant ->
-        let equal = run_case ~seed ~duration ~variant None in
-        let hetero = run_case ~seed ~duration ~variant (Some hetero_delays) in
-        let first = List.nth hetero 0 in
-        let last = List.nth hetero (flows - 1) in
-        {
-          variant;
-          equal_rtt_jain = Stats.Metrics.jain_index equal;
-          hetero_jain = Stats.Metrics.jain_index hetero;
-          hetero_bias = (if last > 0.0 then first /. last else infinity);
-          goodputs_hetero = hetero;
-        })
-      variants
-  in
-  { duration; rows }
+  {
+    duration;
+    table =
+      Variant_table.run ~rows:[ () ] ~variants ~seeds:[ seed ] (cell ~duration);
+  }
 
 let report outcome =
-  let header =
-    [
-      "variant";
-      "Jain (equal RTT)";
-      "Jain (hetero RTT)";
-      "short/long bias";
-      "hetero goodputs (Kbps)";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          Core.Variant.name row.variant;
-          Printf.sprintf "%.3f" row.equal_rtt_jain;
-          Printf.sprintf "%.3f" row.hetero_jain;
-          Printf.sprintf "%.1fx" row.hetero_bias;
-          String.concat "/"
-            (List.map
-               (fun g -> Printf.sprintf "%.0f" (g /. 1000.0))
-               row.goodputs_hetero);
-        ])
-      outcome.rows
-  in
   Printf.sprintf
     "RTT fairness (4 flows, drop-tail, %.0f s; paper section 5)\n\
      claim: with equal RTTs RR converges to the fair share (Jain -> 1);\n\
      with unequal RTTs the usual AIMD short-RTT bias appears\n\n\
      %s"
     outcome.duration
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render_long
+       ~keys:[ ("variant", fun (_, variant) -> Core.Variant.name variant) ]
+       ~columns:
+         [
+           ("Jain (equal RTT)", fun m -> Printf.sprintf "%.3f" m.(0));
+           ("Jain (hetero RTT)", fun m -> Printf.sprintf "%.3f" m.(1));
+           ("short/long bias", fun m -> Printf.sprintf "%.1fx" m.(2));
+           ( "hetero goodputs (Kbps)",
+             fun m ->
+               String.concat "/"
+                 (List.init flows (fun flow ->
+                      Printf.sprintf "%.0f" (m.(3 + flow) /. 1000.0))) );
+         ]
+       outcome.table)

@@ -12,16 +12,12 @@
       bandwidth, quantified by the goodput ratio of the fastest to the
       slowest flow. *)
 
-type row = {
-  variant : Core.Variant.t;
-  equal_rtt_jain : float;
-  hetero_jain : float;
-  hetero_bias : float;
-      (** goodput of the shortest-RTT flow / longest-RTT flow *)
-  goodputs_hetero : float list;  (** per flow, ascending RTT *)
-}
-
-type outcome = { duration : float; rows : row list }
+(** One row. Each cell runs equal RTTs, then staggered RTTs, and
+    measures, in this order: Jain's index with equal RTTs, Jain's index
+    with staggered RTTs, the goodput of the shortest-RTT flow over the
+    longest-RTT flow (infinity when the latter is 0), then each flow's
+    goodput (bits/s) with staggered RTTs, by ascending RTT. *)
+type outcome = { duration : float; table : unit Variant_table.t }
 
 (** [run ()] measures RR and Reno (default). *)
 val run :

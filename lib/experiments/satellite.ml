@@ -13,7 +13,7 @@ let satellite_buffer = 100
 
 let satellite_rwnd = 150
 
-let scenario (_, one_way_delay, buffer, rwnd) variant ~seed =
+let cell (_, one_way_delay, buffer, rwnd) variant ~seed =
   let config =
     {
       (Net.Dumbbell.paper_config ~flows:1) with
@@ -21,13 +21,14 @@ let scenario (_, one_way_delay, buffer, rwnd) variant ~seed =
       gateway = Net.Dumbbell.Droptail { capacity = buffer };
     }
   in
-  Scenario.make
-    ~topology:(Scenario.dumbbell config)
-    ~flows:[ Scenario.flow variant ]
-    ~params:{ Tcp.Params.default with rwnd }
-    ~seed ~duration ~uniform_loss:loss ()
-
-let measure _ t =
+  let t =
+    Scenario.run
+      (Scenario.make
+         ~topology:(Scenario.dumbbell config)
+         ~flows:[ Scenario.flow variant ]
+         ~params:{ Tcp.Params.default with rwnd }
+         ~seed ~duration ~uniform_loss:loss ())
+  in
   let counters = Scenario.counters t ~flow:0 in
   [|
     Scenario.goodput_bps t ~flow:0 ~t0:5.0 ~t1:duration;
@@ -35,14 +36,15 @@ let measure _ t =
     float_of_int counters.Tcp.Counters.retransmits;
   |]
 
-let run ?(variants = Core.Variant.[ Tahoe; Newreno; Sack; Rr ])
-    ?(seeds = [ 7L; 29L ]) () =
-  Variant_table.run ~variants ~seeds ~scenario ~measure
+let run () =
+  Variant_table.run ~variants:Core.Variant.[ Tahoe; Newreno; Sack; Rr ]
+    ~seeds:[ 7L; 29L ]
     ~rows:
       [
         ("terrestrial (paper)", 0.096, 8, 20);
         ("satellite", satellite_delay, satellite_buffer, satellite_rwnd);
       ]
+    cell
 
 let report outcome =
   let bottleneck_bps =

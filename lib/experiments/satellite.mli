@@ -19,9 +19,8 @@
 type outcome = (string * float * int * int) Variant_table.t
 
 (** [run ()] measures Tahoe, New-Reno, SACK and RR on the paper's
-    96 ms path and a 500 ms satellite path. *)
-val run :
-  ?variants:Core.Variant.t list -> ?seeds:int64 list -> unit -> outcome
+    96 ms path and a 500 ms satellite path, over seeds 7 and 29. *)
+val run : unit -> outcome
 
 (** [report outcome] renders the comparison. *)
 val report : outcome -> string

@@ -39,24 +39,14 @@ let flow ?(start = 0.0) ?(source = Infinite) ?(direction = Net.Dumbbell.Forward)
   }
 
 type cross = {
-  cross_label : string;
   rate_bps : float;
   packet_bytes : int;
-  cross_start : float;
-  cross_until : float option;
   cross_direction : Net.Dumbbell.direction;
 }
 
-let cbr ?(label = "cbr") ?(packet_bytes = 1000) ?(start = 0.0) ?until
-    ?(direction = Net.Dumbbell.Forward) ~rate_bps () =
-  {
-    cross_label = label;
-    rate_bps;
-    packet_bytes;
-    cross_start = start;
-    cross_until = until;
-    cross_direction = direction;
-  }
+let cbr ?(packet_bytes = 1000) ?(direction = Net.Dumbbell.Forward) ~rate_bps
+    () =
+  { rate_bps; packet_bytes; cross_direction = direction }
 
 let cross_of_string ~until s =
   let invalid () =
@@ -625,8 +615,7 @@ let run spec =
            let source =
              Workload.Cbr.create ~engine ~flow:cross_flow
                ~rate_bps:cross.rate_bps ~packet_bytes:cross.packet_bytes
-               ~at:cross.cross_start
-               ~until:(Option.value cross.cross_until ~default:spec.duration)
+               ~at:0.0 ~until:spec.duration
                ~emit:(fun packet ->
                  Net.Topology.inject_data topo ~flow:cross_flow packet)
                ()

@@ -58,21 +58,15 @@ val flow :
 (** An unresponsive CBR (UDP-like) cross-traffic source occupying one
     topology slot after the TCP flows. *)
 type cross = {
-  cross_label : string;
   rate_bps : float;
   packet_bytes : int;
-  cross_start : float;
-  cross_until : float option;  (** default: the scenario duration *)
   cross_direction : Net.Dumbbell.direction;
 }
 
-(** [cbr ~rate_bps ()] is a forward CBR source of 1000-byte packets
-    running for the whole scenario. *)
+(** [cbr ~rate_bps ()] is a CBR source of 1000-byte packets (default),
+    forward (default), running for the whole scenario. *)
 val cbr :
-  ?label:string ->
   ?packet_bytes:int ->
-  ?start:float ->
-  ?until:float ->
   ?direction:Net.Dumbbell.direction ->
   rate_bps:float ->
   unit ->

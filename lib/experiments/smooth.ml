@@ -1,12 +1,4 @@
-type row = {
-  variant : Core.Variant.t;
-  smooth : bool;
-  startup_drops : int;
-  timeouts : int;
-  goodput_bps : float;
-}
-
-type outcome = { rows : row list }
+type outcome = bool Variant_table.t
 
 let duration = 20.0
 
@@ -18,7 +10,7 @@ let startup = 5.0
 let params =
   { Tcp.Params.default with initial_ssthresh = 28.0; rwnd = 10_000 }
 
-let run_one ~seed ~smooth variant =
+let cell smooth variant ~seed =
   let t =
     Scenario.run
       (Scenario.make
@@ -35,42 +27,28 @@ let run_one ~seed ~smooth variant =
            && time <= startup)
          t.Scenario.drop_log)
   in
-  {
-    variant;
-    smooth;
-    startup_drops;
-    timeouts = (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
-    goodput_bps = Scenario.goodput_bps t ~flow:0 ~t0:0.0 ~t1:duration;
-  }
+  [|
+    Scenario.goodput_bps t ~flow:0 ~t0:0.0 ~t1:duration;
+    float_of_int startup_drops;
+    float_of_int (Scenario.counters t ~flow:0).Tcp.Counters.timeouts;
+  |]
 
 let run ?(variants = Core.Variant.[ Newreno; Rr ]) ?(seed = 13L) () =
-  let rows =
-    List.concat_map
-      (fun variant ->
-        [ run_one ~seed ~smooth:false variant; run_one ~seed ~smooth:true variant ])
-      variants
-  in
-  { rows }
+  Variant_table.run ~rows:[ false; true ] ~variants ~seeds:[ seed ] cell
 
 let report outcome =
-  let header =
-    [ "variant"; "smooth-start"; "startup drops"; "timeouts"; "goodput (Kbps)" ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          Core.Variant.name row.variant;
-          (if row.smooth then "on" else "off");
-          string_of_int row.startup_drops;
-          string_of_int row.timeouts;
-          Printf.sprintf "%.1f" (row.goodput_bps /. 1000.0);
-        ])
-      outcome.rows
-  in
   Printf.sprintf
     "Smooth-Start extension (paper ref [21]): slow-start overshoot control\n\
      expected shape: smooth-start sheds start-up losses without hurting\n\
      long-run goodput\n\n\
      %s"
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render_long
+       ~keys:
+         [
+           ("variant", fun (_, variant) -> Core.Variant.name variant);
+           ("smooth-start", fun (smooth, _) -> if smooth then "on" else "off");
+         ]
+       ~columns:
+         Variant_table.
+           [ integer "startup drops" 1; integer "timeouts" 2; goodput ]
+       outcome)

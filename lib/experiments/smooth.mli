@@ -9,15 +9,10 @@
     the refinement and reports losses in the start-up phase, timeouts,
     and longer-horizon goodput, for both RR and New-Reno senders. *)
 
-type row = {
-  variant : Core.Variant.t;
-  smooth : bool;
-  startup_drops : int;  (** drops during the first 5 s *)
-  timeouts : int;
-  goodput_bps : float;  (** over the whole 20 s run *)
-}
-
-type outcome = { rows : row list }
+(** One row per Smooth-Start setting, off then on. Each cell measures
+    goodput (bits/s) over the whole 20 s run, drops during the first
+    5 s and timeouts. *)
+type outcome = bool Variant_table.t
 
 (** [run ()] measures the 2×2 grid (variant × smooth-start). *)
 val run : ?variants:Core.Variant.t list -> ?seed:int64 -> unit -> outcome

@@ -1,14 +1,7 @@
-type row = {
-  gateway : string;
-  variant : Core.Variant.t;
-  sync_index : float;
-  loss_events : int;
-  utilization : float;
-  jain : float;
-  queue_cov : float;
+type outcome = {
+  duration : float;
+  table : (string * Net.Dumbbell.gateway) Variant_table.t;
 }
-
-type outcome = { duration : float; rows : row list }
 
 let flows = 10
 
@@ -42,7 +35,7 @@ let synchronization ~rtt drop_log =
   | _ ->
     (Stats.Metrics.mean (List.map fraction events), List.length events)
 
-let run_gateway ~seed ~duration ~variant gateway_label gateway =
+let cell ~duration (_, gateway) variant ~seed =
   let config = { (Net.Dumbbell.paper_config ~flows) with gateway } in
   let flow_specs =
     List.init flows (fun flow ->
@@ -70,63 +63,50 @@ let run_gateway ~seed ~duration ~variant gateway_label gateway =
       Stats.Metrics.coefficient_of_variation (List.map snd steady)
     | None -> 0.0
   in
-  {
-    gateway = gateway_label;
-    variant;
+  [|
     sync_index;
-    loss_events;
-    utilization =
-      List.fold_left ( +. ) 0.0 goodputs
-      /. config.Net.Dumbbell.bottleneck_bandwidth_bps;
-    jain = Stats.Metrics.jain_index goodputs;
+    float_of_int loss_events;
+    List.fold_left ( +. ) 0.0 goodputs
+    /. config.Net.Dumbbell.bottleneck_bandwidth_bps;
+    Stats.Metrics.jain_index goodputs;
     queue_cov;
-  }
+  |]
 
 let run ?(variants = Core.Variant.[ Reno; Rr ]) ?(seed = 31L)
     ?(duration = 30.0) () =
-  let rows =
-    List.concat_map
-      (fun variant ->
-        [
-          run_gateway ~seed ~duration ~variant "drop-tail"
-            (Net.Dumbbell.Droptail { capacity = 25 });
-          run_gateway ~seed ~duration ~variant "red"
-            (Net.Dumbbell.Red { capacity = 25; params = Net.Red.paper_params });
-        ])
-      variants
-  in
-  { duration; rows }
+  {
+    duration;
+    table =
+      Variant_table.run ~variants ~seeds:[ seed ]
+        ~rows:
+          [
+            ("drop-tail", Net.Dumbbell.Droptail { capacity = 25 });
+            ( "red",
+              Net.Dumbbell.Red { capacity = 25; params = Net.Red.paper_params }
+            );
+          ]
+        (cell ~duration);
+  }
 
 let report outcome =
-  let header =
-    [
-      "gateway";
-      "variant";
-      "sync index";
-      "loss events";
-      "utilization";
-      "Jain index";
-      "queue CoV";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          row.gateway;
-          Core.Variant.name row.variant;
-          Printf.sprintf "%.2f" row.sync_index;
-          string_of_int row.loss_events;
-          Printf.sprintf "%.1f%%" (100.0 *. row.utilization);
-          Printf.sprintf "%.3f" row.jain;
-          Printf.sprintf "%.2f" row.queue_cov;
-        ])
-      outcome.rows
-  in
   Printf.sprintf
     "Global synchronization: drop-tail vs RED (10 flows, %.0f s; §3.3)\n\
      expected shape: drop-tail loss events hit a larger fraction of the\n\
      flows at once (higher sync index) than RED's randomized early drops\n\n\
      %s"
     outcome.duration
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render_long
+       ~keys:
+         [
+           ("gateway", fun ((label, _), _) -> label);
+           ("variant", fun (_, variant) -> Core.Variant.name variant);
+         ]
+       ~columns:
+         [
+           ("sync index", fun m -> Printf.sprintf "%.2f" m.(0));
+           Variant_table.integer "loss events" 1;
+           ("utilization", fun m -> Printf.sprintf "%.1f%%" (100.0 *. m.(2)));
+           ("Jain index", fun m -> Printf.sprintf "%.3f" m.(3));
+           ("queue CoV", fun m -> Printf.sprintf "%.2f" m.(4));
+         ]
+       outcome.table)

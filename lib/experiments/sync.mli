@@ -14,19 +14,16 @@
       backlog queued at the measurement-window start also drains);
     - {b Jain's fairness index} over per-flow goodputs. *)
 
-type row = {
-  gateway : string;
-  variant : Core.Variant.t;
-  sync_index : float;
-  loss_events : int;
-  utilization : float;  (** aggregate goodput / bottleneck rate *)
-  jain : float;
-  queue_cov : float;
-      (** coefficient of variation of the bottleneck queue length —
-          synchronized flows make the queue saw-tooth in unison *)
+(** One row per gateway, labelled: drop-tail, then RED, both with a
+    25-packet buffer. Each cell measures, in this order, the
+    synchronization index, the loss events, the utilization
+    (aggregate goodput / bottleneck rate), Jain's index and the
+    coefficient of variation of the bottleneck queue length
+    (synchronized flows make the queue saw-tooth in unison). *)
+type outcome = {
+  duration : float;
+  table : (string * Net.Dumbbell.gateway) Variant_table.t;
 }
-
-type outcome = { duration : float; rows : row list }
 
 (** [run ()] measures drop-tail and RED for the given variants (default
     Reno and RR). *)

@@ -19,6 +19,8 @@ let file_bytes = 100_000
 
 let target_start = 4.8
 
+let deadline = 160.0
+
 let config =
   {
     (Net.Dumbbell.paper_config ~flows) with
@@ -43,7 +45,7 @@ let cases_spec =
    phases spread across one RTT and averaged. *)
 let phases = [ 0.0; 0.03; 0.06; 0.09; 0.12; 0.15; 0.18; 0.21 ]
 
-let run_instance ~params ~seed ~deadline ~background ~target ~phase =
+let run_instance ~params ~seed ~background ~target ~phase =
   let flow_specs =
     List.init flows (fun flow ->
         if flow = target_flow then
@@ -95,11 +97,11 @@ let run_instance ~params ~seed ~deadline ~background ~target ~phase =
   in
   (transfer_delay, loss_rate, mean_background, counters.Tcp.Counters.timeouts)
 
-let run_case ~params ~seed ~deadline (label, background, target) =
+let run_case ~params ~seed (label, background, target) =
   let instances =
     List.map
       (fun phase ->
-        run_instance ~params ~seed ~deadline ~background ~target ~phase)
+        run_instance ~params ~seed ~background ~target ~phase)
       phases
   in
   let n = float_of_int (List.length instances) in
@@ -127,11 +129,10 @@ let run_case ~params ~seed ~deadline (label, background, target) =
       int_of_float (Float.round (mean (fun (_, _, _, t) -> float_of_int t)));
   }
 
-let run ?(seed = 23L) ?(deadline = 160.0) ?(limited_transmit = false)
-    ?(cases = cases_spec) () =
+let run ?(seed = 23L) ?(limited_transmit = false) ?(cases = cases_spec) () =
   let params = { params with Tcp.Params.limited_transmit } in
   {
-    cases = List.map (run_case ~params ~seed ~deadline) cases;
+    cases = List.map (run_case ~params ~seed) cases;
     fair_share_bps =
       config.Net.Dumbbell.bottleneck_bandwidth_bps /. float_of_int flows;
   }

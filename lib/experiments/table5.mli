@@ -32,9 +32,10 @@ type case = {
 
 type outcome = { cases : case list; fair_share_bps : float }
 
-(** [run ()] executes all four cases, each averaged over eight
-    target-start phases (drop-tail networks of equal-RTT flows are
-    deterministic and strongly phase-biased — see DESIGN.md). With
+(** [run ()] executes all four cases over a 160 s horizon, each
+    averaged over eight target-start phases (drop-tail networks of
+    equal-RTT flows are deterministic and strongly phase-biased — see
+    DESIGN.md). With
     [limited_transmit], all senders use RFC 3042, which restores
     fast-retransmit viability at the tiny per-flow windows this
     20-flow scenario forces. [cases] overrides the paper's four
@@ -43,7 +44,6 @@ type outcome = { cases : case list; fair_share_bps : float }
     Relentless and RRR against Reno. *)
 val run :
   ?seed:int64 ->
-  ?deadline:float ->
   ?limited_transmit:bool ->
   ?cases:(string * Core.Variant.t * Core.Variant.t) list ->
   unit ->

@@ -1,13 +1,4 @@
-type row = {
-  variant : Core.Variant.t;
-  one_way_goodput_bps : float;
-  two_way_goodput_bps : float;
-  ack_drops : int;
-  forward_timeouts : int;
-  backward_goodput_bps : float;
-}
-
-type outcome = { duration : float; rows : row list }
+type outcome = unit Variant_table.t
 
 let forward_flows = 2
 
@@ -29,8 +20,8 @@ let goodput ~duration t flow =
 
 let mean values = Stats.Metrics.mean values
 
-let run_one_way ~seed ~duration ~variant =
-  let t =
+let cell ~duration () variant ~seed =
+  let one_way =
     Scenario.run
       (Scenario.make
          ~topology:(Scenario.dumbbell (config ~flows:forward_flows))
@@ -42,9 +33,6 @@ let run_one_way ~seed ~duration ~variant =
                 }))
          ~params ~seed ~duration ())
   in
-  mean (List.init forward_flows (goodput ~duration t))
-
-let run_two_way ~seed ~duration ~variant =
   let flows = forward_flows + backward_flows in
   let flow_specs =
     List.init flows (fun flow ->
@@ -75,60 +63,19 @@ let run_two_way ~seed ~duration ~variant =
       (fun acc flow -> acc + (Scenario.counters t ~flow).Tcp.Counters.timeouts)
       0 forward
   in
-  ( mean (List.map (goodput ~duration t) forward),
-    mean (List.map (goodput ~duration t) backward),
-    ack_drops,
-    timeouts )
+  [|
+    mean (List.init forward_flows (goodput ~duration one_way));
+    mean (List.map (goodput ~duration t) forward);
+    float_of_int ack_drops;
+    float_of_int timeouts;
+    mean (List.map (goodput ~duration t) backward);
+  |]
 
 let run ?(variants = Core.Variant.[ Reno; Rr ]) ?(seed = 53L)
     ?(duration = 40.0) () =
-  let rows =
-    List.map
-      (fun variant ->
-        let one_way = run_one_way ~seed ~duration ~variant in
-        let two_way, backward, ack_drops, forward_timeouts =
-          run_two_way ~seed ~duration ~variant
-        in
-        {
-          variant;
-          one_way_goodput_bps = one_way;
-          two_way_goodput_bps = two_way;
-          ack_drops;
-          forward_timeouts;
-          backward_goodput_bps = backward;
-        })
-      variants
-  in
-  { duration; rows }
+  Variant_table.run ~rows:[ () ] ~variants ~seeds:[ seed ] (cell ~duration)
 
 let report outcome =
-  let header =
-    [
-      "variant";
-      "fwd goodput 1-way (Kbps)";
-      "fwd goodput 2-way (Kbps)";
-      "penalty";
-      "ACK drops";
-      "fwd timeouts";
-      "bwd goodput (Kbps)";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          Core.Variant.name row.variant;
-          Printf.sprintf "%.1f" (row.one_way_goodput_bps /. 1000.0);
-          Printf.sprintf "%.1f" (row.two_way_goodput_bps /. 1000.0);
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. (1.0 -. (row.two_way_goodput_bps /. row.one_way_goodput_bps)));
-          string_of_int row.ack_drops;
-          string_of_int row.forward_timeouts;
-          Printf.sprintf "%.1f" (row.backward_goodput_bps /. 1000.0);
-        ])
-      outcome.rows
-  in
   Printf.sprintf
     "Two-way traffic (paper reference [22]): %d forward vs %d backward flows\n\
      expected shape: reverse-direction data compresses and drops the\n\
@@ -136,4 +83,17 @@ let report outcome =
      baseline even though the forward trunk itself is no more loaded\n\n\
      %s"
     forward_flows backward_flows
-    (Stats.Text_table.render ~header rows)
+    (Variant_table.render_long
+       ~keys:[ ("variant", fun (_, variant) -> Core.Variant.name variant) ]
+       ~columns:
+         [
+           Variant_table.kbps "fwd goodput 1-way (Kbps)" 0;
+           Variant_table.kbps "fwd goodput 2-way (Kbps)" 1;
+           ( "penalty",
+             fun m -> Printf.sprintf "%.0f%%" (100.0 *. (1.0 -. (m.(1) /. m.(0))))
+           );
+           Variant_table.integer "ACK drops" 2;
+           Variant_table.integer "fwd timeouts" 3;
+           Variant_table.kbps "bwd goodput (Kbps)" 4;
+         ]
+       outcome)

@@ -10,16 +10,12 @@
     Reno and RR senders; §2.3's claim that RR tolerates ACK loss
     gracefully gets an ecological test here. *)
 
-type row = {
-  variant : Core.Variant.t;
-  one_way_goodput_bps : float;  (** mean over forward flows, no reverse data *)
-  two_way_goodput_bps : float;  (** same flows against backward traffic *)
-  ack_drops : int;  (** ACKs lost in the two-way run *)
-  forward_timeouts : int;  (** forward-flow timeouts in the two-way run *)
-  backward_goodput_bps : float;  (** mean over backward flows *)
-}
-
-type outcome = { duration : float; rows : row list }
+(** One row. Each cell runs the forward flows alone, then against
+    backward traffic, and measures, in this order: the forward flows'
+    mean goodput (bits/s) alone and against backward traffic, the ACKs
+    lost and the forward flows' timeouts in the two-way run, and the
+    backward flows' mean goodput. *)
+type outcome = unit Variant_table.t
 
 (** [run ()] measures both directions for each variant (default Reno
     and RR). *)

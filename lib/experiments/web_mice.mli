@@ -9,24 +9,14 @@
     a recovery scheme that monopolizes the queue would win the first
     while inflating the second. *)
 
-type cell = {
-  variant : Core.Variant.t;  (** the bulk flow's variant *)
-  throughput_bps : float;  (** mean bulk goodput over seeds *)
-  timeouts : float;  (** mean bulk RTO expiries *)
-  mice_finished : float;  (** mean bursts completed across all mice *)
-  mice_completion : float;  (** mean burst completion time, seconds *)
-}
+(** One row. Each cell measures, in this order: the bulk flow's
+    goodput (bits/s) and RTO expiries, the bursts completed across all
+    mice and their mean completion time in seconds. *)
+type outcome = unit Variant_table.t
 
-type outcome = { mice_flows : int; cells : cell list }
-
-(** [run ()] measures each variant as the bulk flow against
-    [mice_flows] (default 2) New-Reno mice sources. *)
-val run :
-  ?mice_flows:int ->
-  ?variants:Core.Variant.t list ->
-  ?seeds:int64 list ->
-  unit ->
-  outcome
+(** [run ()] measures New-Reno, SACK and RR as the bulk flow against 2
+    New-Reno mice sources, over seeds 7 and 31. *)
+val run : unit -> outcome
 
 (** [report outcome] renders the comparison. *)
 val report : outcome -> string

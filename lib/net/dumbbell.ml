@@ -40,22 +40,4 @@ let create ~engine ~config ~rng ?(taps = []) ?on_drop ?side_delays
 
 let topology t = t.topo
 
-let count_drop t packet = Topology.count_drop t.topo packet
-
-let drops_of_flow t flow = Topology.drops_of_flow t.topo flow
-
-let total_drops t = Topology.total_drops t.topo
-
-let inject_data t ~flow packet = Topology.inject_data t.topo ~flow packet
-
-let inject_ack t ~flow packet = Topology.inject_ack t.topo ~flow packet
-
-let on_data t ~flow handler = Topology.on_data t.topo ~flow handler
-
-let on_ack t ~flow handler = Topology.on_ack t.topo ~flow handler
-
-let bottleneck_queue t = Topology.queue t.topo "gateway"
-
 let queues t = t.queues
-
-let red_stats t = Topology.red_stats t.topo "gateway"

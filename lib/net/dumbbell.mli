@@ -4,7 +4,8 @@
     return over a symmetric reverse path. Congestion is engineered at
     R1's outbound (forward bottleneck) queue, which is the gateway
     discipline under test; all other queues are generously provisioned
-    drop-tails. *)
+    drop-tails. The dumbbell is a {!Topology} graph; [t] pairs that
+    graph with the naming order of its queues. *)
 
 type gateway = Dumbbell_config.gateway =
   | Droptail of { capacity : int }
@@ -67,47 +68,14 @@ val create :
   unit ->
   t
 
-(** [topology t] is the underlying graph — the attachment point for
-    taps or faults on arbitrary links, and the per-packet path callers
-    can drive directly. *)
+(** [topology t] is the underlying graph: callers inject packets,
+    register delivery handlers, read the drop ledger and look up the
+    gateway's queue and RED statistics (link ["gateway"]) through
+    {!Topology} on it. *)
 val topology : t -> Topology.t
-
-(** [inject_data t ~flow packet] is sender [flow] putting a packet on
-    its access link. *)
-val inject_data : t -> flow:int -> Packet.t -> unit
-
-(** [inject_ack t ~flow packet] is receiver [flow] sending an ACK back. *)
-val inject_ack : t -> flow:int -> Packet.t -> unit
-
-(** [on_data t ~flow handler] registers the receiver-side delivery
-    callback for [flow]. *)
-val on_data : t -> flow:int -> (Packet.t -> unit) -> unit
-
-(** [on_ack t ~flow handler] registers the sender-side ACK delivery
-    callback for [flow]. *)
-val on_ack : t -> flow:int -> (Packet.t -> unit) -> unit
-
-(** [bottleneck_queue t] is the gateway discipline under test. *)
-val bottleneck_queue : t -> Queue_disc.t
 
 (** [queues t] names every queue discipline in the topology — the
     gateway under test first ("gateway"), then the reverse gateway and
     the per-flow access/exit buffers — so auditors and tracers can
     {!Queue_disc.subscribe} to all of them. *)
 val queues : t -> (string * Queue_disc.t) list
-
-(** [red_stats t] classifies RED drops when the gateway is RED. *)
-val red_stats : t -> Red.drop_stats option
-
-(** [count_drop t packet] records a drop of [packet] against its flow in
-    the topology-wide ledger. Queue drops are recorded automatically;
-    pass this as [on_drop] to {!Loss} wrappers so injected losses land
-    in the same ledger. *)
-val count_drop : t -> Packet.t -> unit
-
-(** [drops_of_flow t flow] is the number of that flow's packets dropped
-    anywhere in the topology (including injected losses). *)
-val drops_of_flow : t -> int -> int
-
-(** [total_drops t] sums {!drops_of_flow} over all flows. *)
-val total_drops : t -> int

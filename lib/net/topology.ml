@@ -1,4 +1,4 @@
-type queue_spec =
+type queue_spec = Dumbbell_config.gateway =
   | Droptail of { capacity : int }
   | Red of { capacity : int; params : Red.params }
 
@@ -377,11 +377,6 @@ let red_stats t name = Hashtbl.find_opt t.red (link_index t name)
 
 let droptail capacity = Droptail { capacity }
 
-let gateway_queue (config : Dumbbell_config.t) =
-  match config.gateway with
-  | Dumbbell_config.Droptail { capacity } -> Droptail { capacity }
-  | Dumbbell_config.Red { capacity; params } -> Red { capacity; params }
-
 let dumbbell ~(config : Dumbbell_config.t) ?side_delays ?directions () =
   if config.flows < 1 then invalid_arg "Dumbbell.create: flows < 1";
   (match side_delays with
@@ -433,7 +428,7 @@ let dumbbell ~(config : Dumbbell_config.t) ?side_delays ?directions () =
             to_node = "r2";
             bandwidth_bps = config.bottleneck_bandwidth_bps;
             delay = config.bottleneck_delay;
-            queue = gateway_queue config;
+            queue = config.gateway;
           } );
         ( "reverse_gateway",
           {
@@ -526,7 +521,7 @@ let parking_lot ~hops ~long_flows ~cross_per_hop ~(config : Dumbbell_config.t)
             to_node = g (j + 1);
             bandwidth_bps = config.bottleneck_bandwidth_bps;
             delay = config.bottleneck_delay;
-            queue = gateway_queue config;
+            queue = config.gateway;
           } ))
     @ List.init hops (fun j ->
           ( Printf.sprintf "rbottleneck%d" j,
@@ -613,7 +608,7 @@ let fat_tree ~pods ~hosts_per_pod ~(config : Dumbbell_config.t) () =
             to_node = "core";
             bandwidth_bps = config.bottleneck_bandwidth_bps;
             delay = config.bottleneck_delay;
-            queue = gateway_queue config;
+            queue = config.gateway;
           } ))
     @ pod_list (fun p ->
           ( Printf.sprintf "down%d" p,
@@ -622,7 +617,7 @@ let fat_tree ~pods ~hosts_per_pod ~(config : Dumbbell_config.t) () =
               to_node = agg p;
               bandwidth_bps = config.bottleneck_bandwidth_bps;
               delay = config.bottleneck_delay;
-              queue = gateway_queue config;
+              queue = config.gateway;
             } ))
   in
   let host_links =

@@ -18,7 +18,7 @@
     {!set_ack_dispatch} instead of one handler per flow. *)
 
 (** Queue discipline attached to a link's entry. *)
-type queue_spec =
+type queue_spec = Dumbbell_config.gateway =
   | Droptail of { capacity : int }
   | Red of { capacity : int; params : Red.params }
 

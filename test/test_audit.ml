@@ -8,6 +8,15 @@
 
 let packet ~uid ~seq = Net.Packet.data ~uid ~flow:0 ~seq ~size_bytes:1000 ~born:0.0
 
+(* [enqueue_events tracer ~name n] traces [n] packets accepted by a
+   fresh drop-tail queue labelled [name], all at time 0. *)
+let enqueue_events tracer ~name n =
+  let disc = Net.Droptail.create ~capacity:n () in
+  Audit.Trace.attach_queue tracer ~engine:(Sim.Engine.create ()) ~name disc;
+  for i = 1 to n do
+    ignore (disc.Net.Queue_disc.enqueue (packet ~uid:i ~seq:i) : bool)
+  done
+
 let rules auditor =
   List.map (fun v -> v.Audit.Auditor.rule) (Audit.Auditor.violations auditor)
 
@@ -443,25 +452,25 @@ let test_binary_trace_corruption () =
   check_corrupt "bad magic" ("JUNK" ^ data);
   check_corrupt "truncated record" (String.sub data 0 (String.length data - 1));
   check_corrupt "empty file" "";
-  (* Varints that reach the sign bit, so a length or count would decode
-     negative: a record length, a strdef string length and a journal
-     field count. *)
+  (* Varints that reach the sign bit, so a length would decode
+     negative: a record length and a strdef string length; and a record
+     whose tag, 12, no writer emits. *)
   let negative = String.make 8 '\xff' ^ "\x7f" in
   check_corrupt "negative record length" ("RRTB\x01" ^ negative);
   check_corrupt "negative string length"
     ("RRTB\x01\x0c\x0d\x00" ^ negative ^ "\x00");
-  check_corrupt "negative journal field count"
+  check_corrupt "unknown record tag"
     ("RRTB\x01\x13\x0c" ^ String.make 8 '\x00' ^ "\x00" ^ negative);
   (* A record past 64 KiB is read a chunk at a time: a length of 2^40
-     with nothing after it is refused without being allocated, and a
-     journal line holding a 100 kB string exports byte for byte. *)
+     with nothing after it is refused without being allocated, and the
+     strdef of a queue named by a 100 kB string exports byte for
+     byte. *)
   check_corrupt "huge record length" "RRTB\x01\x80\x80\x80\x80\x80\x20";
-  let journal format =
+  let long_name format =
     let path = Filename.temp_file "rr_trace" ".long" in
     Out_channel.with_open_bin path (fun out ->
         let t = Audit.Trace.create ~format ~out () in
-        Audit.Trace.journal_event t ~time:1.0 ~ev:"job"
-          [ ("s", Audit.Trace.Str (String.make 100_000 'x')) ];
+        enqueue_events t ~name:(String.make 100_000 'x') 1;
         Audit.Trace.flush t);
     let bytes = read_file path in
     Sys.remove path;
@@ -469,7 +478,7 @@ let test_binary_trace_corruption () =
   in
   Alcotest.(check bool)
     "a 100 kB record exports byte-identical" true
-    (String.equal (journal `Jsonl) (export_string (journal `Binary)));
+    (String.equal (long_name `Jsonl) (export_string (long_name `Binary)));
   (* A healthy stream through the same harness still exports. *)
   ignore (export_string data : string)
 
@@ -509,12 +518,7 @@ let test_trace_flush_sizing () =
   (match Audit.Trace.create ~flush_at:0 ~out:stdout () with
   | _ -> Alcotest.fail "flush_at 0 must be rejected"
   | exception Invalid_argument _ -> ());
-  let emit tracer n =
-    for i = 1 to n do
-      Audit.Trace.journal_event tracer ~time:(float_of_int i) ~ev:"probe"
-        [ ("i", Audit.Trace.Int i) ]
-    done
-  in
+  let emit tracer n = enqueue_events tracer ~name:"probe" n in
   (* A tiny threshold drains to the channel mid-stream, without an
      explicit flush; the 64 KiB default keeps everything staged. *)
   let tiny_path = Filename.temp_file "rr_flush" ".jsonl" in

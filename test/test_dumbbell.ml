@@ -13,17 +13,17 @@ let build ?(flows = 2) ?taps () =
       ~config:(Net.Dumbbell.paper_config ~flows)
       ~rng:(Sim.Rng.create 1L) ?taps ()
   in
-  (engine, topology)
+  (engine, Net.Dumbbell.topology topology)
 
 let test_data_path () =
   let engine, topology = build () in
   let got = ref [] in
-  Net.Dumbbell.on_data topology ~flow:0 (fun p ->
+  Net.Topology.on_data topology ~flow:0 (fun p ->
       got := (0, Net.Packet.seq_exn p) :: !got);
-  Net.Dumbbell.on_data topology ~flow:1 (fun p ->
+  Net.Topology.on_data topology ~flow:1 (fun p ->
       got := (1, Net.Packet.seq_exn p) :: !got);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 10);
-  Net.Dumbbell.inject_data topology ~flow:1 (data ~flow:1 20);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 10);
+  Net.Topology.inject_data topology ~flow:1 (data ~flow:1 20);
   Sim.Engine.run engine;
   Alcotest.(check bool) "flow 0 delivered" true (List.mem (0, 10) !got);
   Alcotest.(check bool) "flow 1 delivered" true (List.mem (1, 20) !got);
@@ -32,8 +32,8 @@ let test_data_path () =
 let test_data_latency () =
   let engine, topology = build ~flows:1 () in
   let at = ref 0.0 in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> at := Sim.Engine.now engine);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 1);
+  Net.Topology.on_data topology ~flow:0 (fun _ -> at := Sim.Engine.now engine);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 1);
   Sim.Engine.run engine;
   (* access (0.8ms tx + 1ms) + bottleneck (10ms tx + 96ms) + exit access
      (0.8ms tx + 1ms) = 109.6 ms. *)
@@ -42,30 +42,30 @@ let test_data_latency () =
 let test_ack_path () =
   let engine, topology = build () in
   let got = ref [] in
-  Net.Dumbbell.on_ack topology ~flow:1 (fun p ->
+  Net.Topology.on_ack topology ~flow:1 (fun p ->
       match Net.Packet.kind p with
       | Net.Packet.Ack { ackno; _ } -> got := ackno :: !got
       | Net.Packet.Data _ -> Alcotest.fail "data on ack path");
-  Net.Dumbbell.on_ack topology ~flow:0 (fun _ -> Alcotest.fail "wrong flow");
-  Net.Dumbbell.inject_ack topology ~flow:1 (ack ~flow:1 33);
+  Net.Topology.on_ack topology ~flow:0 (fun _ -> Alcotest.fail "wrong flow");
+  Net.Topology.inject_ack topology ~flow:1 (ack ~flow:1 33);
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "ack delivered" [ 33 ] !got
 
 let test_drop_ledger () =
   let engine, topology = build ~flows:1 () in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> ());
+  Net.Topology.on_data topology ~flow:0 (fun _ -> ());
   (* Overflow the 8-packet bottleneck queue with a burst (access link is
      12.5x faster than the bottleneck, so the queue fills). *)
   for i = 1 to 60 do
-    Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 i)
+    Net.Topology.inject_data topology ~flow:0 (data ~flow:0 i)
   done;
   Sim.Engine.run engine;
   Alcotest.(check bool)
-    (Printf.sprintf "drops %d recorded" (Net.Dumbbell.drops_of_flow topology 0))
+    (Printf.sprintf "drops %d recorded" (Net.Topology.drops_of_flow topology 0))
     true
-    (Net.Dumbbell.drops_of_flow topology 0 > 0);
-  Alcotest.(check int) "total = flow" (Net.Dumbbell.drops_of_flow topology 0)
-    (Net.Dumbbell.total_drops topology)
+    (Net.Topology.drops_of_flow topology 0 > 0);
+  Alcotest.(check int) "total = flow" (Net.Topology.drops_of_flow topology 0)
+    (Net.Topology.total_drops topology)
 
 let test_gateway_tap () =
   let seen = ref [] in
@@ -75,33 +75,34 @@ let test_gateway_tap () =
   in
   let engine, topology = build ~flows:1 ~taps:[ ("gateway", wrap) ] () in
   let delivered = ref 0 in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> incr delivered);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 5);
+  Net.Topology.on_data topology ~flow:0 (fun _ -> incr delivered);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 5);
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "wrapper saw the packet" [ 5 ] !seen;
   Alcotest.(check int) "still delivered" 1 !delivered
 
 let test_count_drop () =
   let _, topology = build ~flows:2 () in
-  Net.Dumbbell.count_drop topology (data ~flow:1 1);
-  Net.Dumbbell.count_drop topology (data ~flow:1 2);
-  Alcotest.(check int) "ledger" 2 (Net.Dumbbell.drops_of_flow topology 1);
-  Alcotest.(check int) "other flow untouched" 0 (Net.Dumbbell.drops_of_flow topology 0)
+  Net.Topology.count_drop topology (data ~flow:1 1);
+  Net.Topology.count_drop topology (data ~flow:1 2);
+  Alcotest.(check int) "ledger" 2 (Net.Topology.drops_of_flow topology 1);
+  Alcotest.(check int) "other flow untouched" 0 (Net.Topology.drops_of_flow topology 0)
 
 let test_side_delays () =
   let engine = Sim.Engine.create () in
   let topology =
-    Net.Dumbbell.create ~engine
-      ~config:(Net.Dumbbell.paper_config ~flows:2)
-      ~rng:(Sim.Rng.create 1L)
-      ~side_delays:[| 0.001; 0.051 |]
-      ()
+    Net.Dumbbell.topology
+      (Net.Dumbbell.create ~engine
+         ~config:(Net.Dumbbell.paper_config ~flows:2)
+         ~rng:(Sim.Rng.create 1L)
+         ~side_delays:[| 0.001; 0.051 |]
+         ())
   in
   let arrivals = Array.make 2 0.0 in
   for flow = 0 to 1 do
-    Net.Dumbbell.on_data topology ~flow (fun _ ->
+    Net.Topology.on_data topology ~flow (fun _ ->
         arrivals.(flow) <- Sim.Engine.now engine);
-    Net.Dumbbell.inject_data topology ~flow (data ~flow 1)
+    Net.Topology.inject_data topology ~flow (data ~flow 1)
   done;
   Sim.Engine.run engine;
   (* Two access hops per direction: the slow flow pays 2 * 50 ms more
@@ -130,12 +131,13 @@ let test_red_gateway_exposed () =
     }
   in
   let topology =
-    Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 1L) ()
+    Net.Dumbbell.topology
+      (Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 1L) ())
   in
   Alcotest.(check bool) "red stats available" true
-    (Net.Dumbbell.red_stats topology <> None);
+    (Net.Topology.red_stats topology "gateway" <> None);
   Alcotest.(check string) "queue kind" "red"
-    (Net.Dumbbell.bottleneck_queue topology).Net.Queue_disc.name
+    (Net.Topology.queue topology "gateway").Net.Queue_disc.name
 
 let suite =
   [

@@ -142,31 +142,30 @@ let test_sync_shape () =
   let outcome =
     Experiments.Sync.run ~variants:[ Core.Variant.Reno ] ~duration:20.0 ()
   in
-  match outcome.Experiments.Sync.rows with
-  | [ droptail; red ] ->
-    Alcotest.(check string) "order" "drop-tail" droptail.Experiments.Sync.gateway;
+  match
+    Experiments.Variant_table.cells outcome.Experiments.Sync.table
+      Core.Variant.Reno
+  with
+  | [ ((gateway, _), droptail); (_, red) ] ->
+    Alcotest.(check string) "order" "drop-tail" gateway;
     Alcotest.(check bool)
-      (Printf.sprintf "droptail sync %.2f > red %.2f"
-         droptail.Experiments.Sync.sync_index red.Experiments.Sync.sync_index)
+      (Printf.sprintf "droptail sync %.2f > red %.2f" droptail.(0) red.(0))
       true
-      (droptail.Experiments.Sync.sync_index > red.Experiments.Sync.sync_index);
+      (droptail.(0) > red.(0));
     Alcotest.(check bool) "red spreads losses over more events" true
-      (red.Experiments.Sync.loss_events > droptail.Experiments.Sync.loss_events)
+      (red.(1) > droptail.(1))
   | _ -> Alcotest.fail "two rows expected"
 
 let test_smooth_shape () =
   let outcome = Experiments.Smooth.run ~variants:[ Core.Variant.Rr ] () in
-  match outcome.Experiments.Smooth.rows with
-  | [ plain; smooth ] ->
-    Alcotest.(check bool) "flag wiring" true
-      ((not plain.Experiments.Smooth.smooth) && smooth.Experiments.Smooth.smooth);
+  match Experiments.Variant_table.cells outcome Core.Variant.Rr with
+  | [ (plain_flag, plain); (smooth_flag, smooth) ] ->
+    Alcotest.(check bool) "flag wiring" true ((not plain_flag) && smooth_flag);
     Alcotest.(check bool)
-      (Printf.sprintf "smooth start-up drops %d <= plain %d"
-         smooth.Experiments.Smooth.startup_drops
-         plain.Experiments.Smooth.startup_drops)
+      (Printf.sprintf "smooth start-up drops %.0f <= plain %.0f" smooth.(1)
+         plain.(1))
       true
-      (smooth.Experiments.Smooth.startup_drops
-      <= plain.Experiments.Smooth.startup_drops)
+      (smooth.(1) <= plain.(1))
   | _ -> Alcotest.fail "two rows expected"
 
 let test_fig7_delack_model_constant () =
@@ -234,12 +233,10 @@ let test_sync_queue_cov_positive () =
     Experiments.Sync.run ~variants:[ Core.Variant.Reno ] ~duration:15.0 ()
   in
   List.iter
-    (fun row ->
-      Alcotest.(check bool)
-        (row.Experiments.Sync.gateway ^ " queue varies")
-        true
-        (row.Experiments.Sync.queue_cov > 0.0))
-    outcome.Experiments.Sync.rows
+    (fun ((gateway, _), means) ->
+      Alcotest.(check bool) (gateway ^ " queue varies") true (means.(4) > 0.0))
+    (Experiments.Variant_table.cells outcome.Experiments.Sync.table
+       Core.Variant.Reno)
 
 let test_fig5_background_runs () =
   let outcome =
@@ -291,17 +288,17 @@ let test_rtt_fairness_shape () =
   let outcome =
     Experiments.Rtt_fairness.run ~variants:[ Core.Variant.Rr ] ~duration:60.0 ()
   in
-  match outcome.Experiments.Rtt_fairness.rows with
-  | [ row ] ->
+  match
+    Experiments.Variant_table.cells outcome.Experiments.Rtt_fairness.table
+      Core.Variant.Rr
+  with
+  | [ ((), rr) ] ->
     (* §5: RR converges to the fair share when RTTs are equal. *)
     Alcotest.(check bool)
-      (Printf.sprintf "equal-RTT Jain %.3f ~ 1"
-         row.Experiments.Rtt_fairness.equal_rtt_jain)
+      (Printf.sprintf "equal-RTT Jain %.3f ~ 1" rr.(0))
       true
-      (row.Experiments.Rtt_fairness.equal_rtt_jain > 0.95);
-    Alcotest.(check bool) "hetero RTTs are less fair" true
-      (row.Experiments.Rtt_fairness.hetero_jain
-      <= row.Experiments.Rtt_fairness.equal_rtt_jain)
+      (rr.(0) > 0.95);
+    Alcotest.(check bool) "hetero RTTs are less fair" true (rr.(1) <= rr.(0))
   | _ -> Alcotest.fail "one row expected"
 
 let test_sensitivity_ordering () =

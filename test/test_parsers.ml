@@ -387,45 +387,30 @@ let sample trace =
   Buffer.contents kept
 
 (* Five seconds of two faulted, lossy flows under a handover and a
-   delay step, which write every scenario record kind, sampled; then a
-   journal line with a field of each type. *)
+   delay step, which write every record kind, sampled. *)
 let recorded_trace =
   lazy
     (let faults =
        Result.get_ok
          (Faults.Spec.of_string "flap:0.8+0.3,drop,reorder:0.2,handover:1+0.2")
      in
-     let scenario =
-       record (fun out ->
-           ignore
-             (Experiments.Scenario.run
-                (Experiments.Scenario.make
-                   ~topology:
-                     (Experiments.Scenario.dumbbell
-                        (Net.Dumbbell.paper_config ~flows:2))
-                   ~flows:
-                     Experiments.Scenario.
-                       [ flow Core.Variant.Rr; flow Core.Variant.Rr ]
-                   ~params:{ Tcp.Params.default with rwnd = 32 }
-                   ~seed:7L ~duration:5.0 ~uniform_loss:0.05 ~faults
-                   ~link_schedule:
-                     (Result.get_ok (Faults.Timeline.of_string "@0.5+-+0.15"))
-                   ~trace_out:out ~trace_format:`Binary ())
-               : Experiments.Scenario.t))
-     in
-     let journal =
-       record (fun out ->
-           let t = Audit.Trace.create ~format:`Binary ~out () in
-           Audit.Trace.journal_event t ~time:0.5 ~ev:"job"
-             Audit.Trace.
-               [
-                 ("n", Int (-3)); ("x", Float 0.25); ("s", Str "a\"b");
-                 ("ok", Bool true);
-               ];
-           Audit.Trace.flush t)
-     in
-     let skip = String.length magic in
-     sample scenario ^ String.sub journal skip (String.length journal - skip))
+     sample
+       (record (fun out ->
+            ignore
+              (Experiments.Scenario.run
+                 (Experiments.Scenario.make
+                    ~topology:
+                      (Experiments.Scenario.dumbbell
+                         (Net.Dumbbell.paper_config ~flows:2))
+                    ~flows:
+                      Experiments.Scenario.
+                        [ flow Core.Variant.Rr; flow Core.Variant.Rr ]
+                    ~params:{ Tcp.Params.default with rwnd = 32 }
+                    ~seed:7L ~duration:5.0 ~uniform_loss:0.05 ~faults
+                    ~link_schedule:
+                      (Result.get_ok (Faults.Timeline.of_string "@0.5+-+0.15"))
+                    ~trace_out:out ~trace_format:`Binary ())
+                : Experiments.Scenario.t))))
 
 (* [mutations text] are [text] cut short, or with one byte dropped,
    flipped or spliced in. *)

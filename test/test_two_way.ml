@@ -72,17 +72,13 @@ let test_ack_compression_shape () =
   let outcome =
     Experiments.Two_way.run ~variants:[ Core.Variant.Reno ] ~duration:25.0 ()
   in
-  match outcome.Experiments.Two_way.rows with
-  | [ row ] ->
+  match Experiments.Variant_table.cells outcome Core.Variant.Reno with
+  | [ ((), reno) ] ->
     Alcotest.(check bool)
-      (Printf.sprintf "two-way %.0f < one-way %.0f"
-         row.Experiments.Two_way.two_way_goodput_bps
-         row.Experiments.Two_way.one_way_goodput_bps)
+      (Printf.sprintf "two-way %.0f < one-way %.0f" reno.(1) reno.(0))
       true
-      (row.Experiments.Two_way.two_way_goodput_bps
-      < row.Experiments.Two_way.one_way_goodput_bps);
-    Alcotest.(check bool) "acks were lost" true
-      (row.Experiments.Two_way.ack_drops > 0)
+      (reno.(1) < reno.(0));
+    Alcotest.(check bool) "acks were lost" true (reno.(2) > 0.0)
   | _ -> Alcotest.fail "one row expected"
 
 let suite =
