@@ -94,5 +94,6 @@ pin sync
 # their defaults.
 pin fig5 --drops 4 --window 2 --seed 11
 pin ablation --drops 3
+pin fig6 --duration 2.7 --variant rr --csv out
 pin fig7 --runs 2 --duration 30 --delack
 pin modelcheck --variants rr,rrr --loss 0.01,0.03 --seeds 2 --duration 30 --rrr-level 0.3

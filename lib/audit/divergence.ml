@@ -153,22 +153,3 @@ let sync_burst_count t = t.sync_bursts
 let finding_count t = t.divergences + t.sync_bursts
 
 let quiet t = finding_count t = 0
-
-let report t =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "divergence audit: %d finding(s) — %d RTO-divergence, %d \
-        synchronized-timeout burst(s)\n"
-       (finding_count t) t.divergences t.sync_bursts);
-  List.iter
-    (fun f ->
-      Buffer.add_string buffer
-        (Printf.sprintf "  [%.6f] %s: %s — %s\n" f.time f.subject f.rule
-           f.detail))
-    (findings t);
-  if finding_count t > max_recorded then
-    Buffer.add_string buffer
-      (Printf.sprintf "  … %d further finding(s) not recorded\n"
-         (finding_count t - max_recorded));
-  Buffer.contents buffer

@@ -50,11 +50,5 @@ val divergence_count : t -> int
 (** Total findings of the ["timeout-sync"] rule. *)
 val sync_burst_count : t -> int
 
-(** All findings, both rules. *)
-val finding_count : t -> int
-
 (** [quiet t] — no findings at all. *)
 val quiet : t -> bool
-
-(** Human-readable summary, one line per recorded finding. *)
-val report : t -> string

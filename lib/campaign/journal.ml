@@ -1,19 +1,17 @@
-type t = { path : string; out : out_channel }
+type t = out_channel
 
 let schema = "rr-sim-journal/1"
 
-let path t = t.path
-
 let event t ?(fields = []) ev =
-  output_string t.out
+  output_string t
     (Json.to_string
        (Json.Obj
           (("t", Json.Num (Unix.gettimeofday ())) :: ("ev", Json.Str ev)
           :: fields)));
-  output_char t.out '\n';
+  output_char t '\n';
   (* One flush per event: journal durability is the whole point — a
      record must survive the parent dying right after it is written. *)
-  flush t.out
+  flush t
 
 let int n = Json.Num (float_of_int n)
 
@@ -21,7 +19,7 @@ let open_channel ~append path =
   let flags =
     [ Open_wronly; Open_creat; (if append then Open_append else Open_trunc) ]
   in
-  { path; out = open_out_gen flags 0o644 path }
+  open_out_gen flags 0o644 path
 
 let start ~path ~sweep ~total =
   let t = open_channel ~append:false path in
@@ -54,7 +52,7 @@ let finish t ~settled ~failed ~interrupted =
   event t (if interrupted then "sweep_interrupted" else "sweep_complete")
     ~fields:[ ("settled", int settled); ("failed", int failed) ]
 
-let close t = close_out_noerr t.out
+let close t = close_out_noerr t
 
 type snapshot = {
   sweep : string;

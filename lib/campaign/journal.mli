@@ -26,9 +26,6 @@ type t
     [sweep_start] header for a fresh campaign of [total] jobs. *)
 val start : path:string -> sweep:string -> total:int -> t
 
-(** The journal's file path. *)
-val path : t -> string
-
 (** Per-job records; each call appends one line and flushes it. *)
 
 val settled : t -> digest:string -> unit

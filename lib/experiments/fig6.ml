@@ -113,7 +113,7 @@ let report outcome =
       outcome.results
   in
   Printf.sprintf
-    "Figure 6 (RED gateway, 10 staggered flows, %.0f s)\n\
+    "Figure 6 (RED gateway, 10 staggered flows, %g s)\n\
      paper shape: RR achieves the highest effective throughput;\n\
      RR > SACK > New-Reno > Tahoe, New-Reno stalling on bursty loss\n\n\
      %s"

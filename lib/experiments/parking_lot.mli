@@ -11,11 +11,6 @@
     flows, then the drops of the long flows and of the cross flows. *)
 type outcome = int Variant_table.t
 
-(** [topology ~hops] is the {!Scenario.topology} value for a [hops]-
-    bottleneck parking lot carrying 2 long and 2-per-hop cross flows,
-    with the runner's knobs attached to the first bottleneck. *)
-val topology : hops:int -> Scenario.topology
-
 (** [run ()] measures NewReno, SACK and RR on 1 and 3 hops for 30 s at
     [seed] (default 7). *)
 val run : ?seed:int64 -> unit -> outcome

@@ -66,7 +66,7 @@ let flap_link t ~name ~policy ?(on_drop = fun _ -> ()) link schedule =
   in
   List.iter
     (fun { Schedule.at; up } ->
-      Sim.Engine.schedule_unit_at t.engine ~time:at (fun () ->
+      Sim.Engine.schedule_at t.engine ~time:at (fun () ->
           Net.Link.set_up link up;
           if up then emit t (Link_up { link = name })
           else begin
@@ -85,7 +85,7 @@ let flap_link t ~name ~policy ?(on_drop = fun _ -> ()) link schedule =
 let vary_link t ~name link timeline =
   List.iter
     (fun { Timeline.at; rate; delay } ->
-      Sim.Engine.schedule_unit_at t.engine ~time:at (fun () ->
+      Sim.Engine.schedule_at t.engine ~time:at (fun () ->
           (match rate with
           | Some bps ->
             Net.Link.set_rate link bps;
@@ -109,7 +109,7 @@ let reorder t ~path ~rng ~prob ~max_extra next =
       let extra = max_extra *. (1.0 -. Sim.Rng.float rng) in
       t.reordered <- t.reordered + 1;
       emit t (Reordered { path; packet; extra });
-      Sim.Engine.schedule_unit t.engine ~delay:extra (fun () -> next packet)
+      Sim.Engine.schedule_after t.engine ~delay:extra (fun () -> next packet)
     end
     else next packet
 
@@ -123,4 +123,4 @@ let jitter t ~rng ~max_jitter next =
     let at = Float.max (now +. Sim.Rng.float_range rng ~lo:0.0 ~hi:max_jitter) !horizon in
     horizon := at;
     t.jittered <- t.jittered + 1;
-    Sim.Engine.schedule_unit_at t.engine ~time:at (fun () -> next packet)
+    Sim.Engine.schedule_at t.engine ~time:at (fun () -> next packet)

@@ -1,5 +1,3 @@
-let default_level = 0.5
-
 let check_level level =
   if level <= 0.0 || level >= 1.0 then
     invalid_arg "Rrr: level out of (0, 1)"

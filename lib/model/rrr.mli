@@ -18,9 +18,6 @@
     the model tests pin. Smaller levels trade a slower [1 / sqrt
     level] growth of the window for gentler rate cuts. *)
 
-(** [default_level] is [0.5], the Reno-equivalent congestion level. *)
-val default_level : float
-
 (** [window ~level ~loss_rate] is the mean steady-state window in
     segments.
 

@@ -3,8 +3,7 @@
    start serving the next one) and once when propagation completes (hand
    the packet to [dst]). The record and its single closure are recycled
    through a per-link free list, so the steady-state per-packet cost is
-   two no-handle engine events and zero link-side allocations — where it
-   used to be two fresh nested closures plus two cancellable handles. *)
+   two engine events and zero link-side allocations. *)
 
 type delivery = {
   mutable packet : Packet.t;
@@ -110,7 +109,7 @@ let rec transmit_next t =
         end
       in
       let now = time_of_bits (Sim.Engine.now_bits t.engine) in
-      Sim.Engine.schedule_unit_at_bits t.engine
+      Sim.Engine.schedule_at_bits t.engine
         ~bits:(bits_of_time (now +. tx_time))
         d.fire
     end
@@ -124,7 +123,7 @@ and fire_delivery t d =
     let exit = bits_of_time (now +. t.delay) in
     let at = if exit > t.last_arrival_bits then exit else t.last_arrival_bits in
     t.last_arrival_bits <- at;
-    Sim.Engine.schedule_unit_at_bits t.engine ~bits:at d.fire;
+    Sim.Engine.schedule_at_bits t.engine ~bits:at d.fire;
     transmit_next t
   end
   else begin

@@ -8,34 +8,18 @@
      non-negative times the mapping is exact and order-isomorphic, so
      the queue compares and stores plain ints — no boxed float per
      event.
-   - A handle is an int packing (generation, slot). Slots are recycled
-     through a free list the moment an event fires or a cancelled
-     event drains; the generation check makes a stale handle's
-     [cancel] a no-op instead of a misfire. Everything recycles — a
-     steady-state run allocates nothing per event, and an engine
-     holding 100k pending events costs six flat arrays rather than
-     100k heap records for the GC to trace and promote.
+   - Every event is fire-and-forget: nothing in the simulator cancels
+     one ([Sim.Timer] re-arms lazily instead), so a slot needs no
+     handle or state and recycles through a free list the moment its
+     event fires. Everything recycles — a steady-state run allocates
+     nothing per event, and an engine holding 100k pending events
+     costs five flat arrays rather than 100k heap records for the GC
+     to trace and promote.
    - The queue is an ns-2-style calendar queue (Brown 1988) that is
      intrusive over the arena: bucket chains and the free list thread
      through the [qnext] array. *)
 
-type handle = int
-
 let no_slot = -1
-
-(* Handle layout: (gen land gen_mask) lsl slot_bits lor slot. *)
-let slot_bits = 31
-
-let slot_mask = (1 lsl slot_bits) - 1
-
-let gen_mask = (1 lsl 31) - 1
-
-(* Meta layout: gen lsl 2 lor state; states below. *)
-let state_mask = 3
-
-let pending_tag = 0
-
-let cancelled_tag = 2
 
 let nop () = ()
 
@@ -94,7 +78,6 @@ type t = {
   (* Parallel per-slot arrays; [cap] is their common length and slots
      [0, high) have been handed out at least once. *)
   mutable fire : (unit -> unit) array;
-  mutable meta : int array;
   mutable time_bits : int array;
   mutable qseq : int array;
   mutable vbucket : int array;
@@ -106,10 +89,6 @@ type t = {
   mutable free_head : int;
   queue : cal;
   mutable clock_bits : int;
-  mutable stopped : bool;
-  (* Live (non-cancelled, non-fired) events, so [pending] and callers
-     are not fooled by lazily-deleted cancellations still queued. *)
-  mutable live : int;
   mutable next_seq : int;
 }
 
@@ -135,7 +114,6 @@ let grow_arena t =
     fresh
   in
   t.fire <- fire;
-  t.meta <- copy t.meta;
   t.time_bits <- copy t.time_bits;
   t.qseq <- copy t.qseq;
   t.vbucket <- copy t.vbucket;
@@ -155,13 +133,9 @@ let[@inline] alloc_slot t =
     s
   end
 
-(* Bump the generation so stale handles to this slot die, drop the
-   closure reference, park on the free list. Setting the low state
-   bits before the increment both carries into the generation field
-   and leaves the fresh state at zero (= pending). *)
+(* Drop the closure reference and park the slot on the free list. *)
 let[@inline] free_slot t s =
   Array.unsafe_set t.fire s nop;
-  Array.unsafe_set t.meta s ((Array.unsafe_get t.meta s lor state_mask) + 1);
   Array.unsafe_set t.qnext s t.free_head;
   t.free_head <- s
 
@@ -516,7 +490,6 @@ let cal_pop_if_before t c ~limit_bits =
 let create () =
   {
     fire = Array.make initial_cap nop;
-    meta = Array.make initial_cap 0;
     time_bits = Array.make initial_cap 0;
     qseq = Array.make initial_cap 0;
     vbucket = Array.make initial_cap 0;
@@ -526,8 +499,6 @@ let create () =
     free_head = no_slot;
     queue = cal_create ();
     clock_bits = bits_of_time 0.0;
-    stopped = false;
-    live = 0;
     next_seq = 0;
   }
 
@@ -535,114 +506,76 @@ let now t = time_of_bits t.clock_bits
 
 let now_bits t = t.clock_bits
 
-(* Claim a slot, arm it as pending (generation preserved) at the time
-   whose encoding is [bits], and enqueue it. Taking the already-encoded
-   time keeps the whole schedule path free of float values that would
-   otherwise be boxed at each internal call boundary. *)
+(* Claim a slot, arm it at the time whose encoding is [bits], and
+   enqueue it. Taking the already-encoded time keeps the whole schedule
+   path free of float values that would otherwise be boxed at each
+   internal call boundary. *)
 let[@inline] arm t bits fire =
   let s = alloc_slot t in
   Array.unsafe_set t.fire s fire;
   Array.unsafe_set t.time_bits s bits;
   Array.unsafe_set t.qseq s t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  cal_push t t.queue s;
-  s
+  cal_push t t.queue s
 
 (* Validate and encode a firing time. The [time >= 0.0] guard also
    excludes NaN; the bit encoding is only meaningful for non-negative
-   times. *)
+   times. Inlined, so the float never crosses a call. *)
 let[@inline] checked_bits t time =
   let bits = bits_of_time time in
   if not (time >= 0.0) || bits < t.clock_bits then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
-         (now t));
+      (Printf.sprintf "Engine.schedule_at: time %g is NaN or before now %g"
+         time (now t));
   bits
 
-let[@inline] pack_handle t s =
-  ((Array.unsafe_get t.meta s lsr 2) land gen_mask) lsl slot_bits lor s
-
-let schedule_at t ~time fire = pack_handle t (arm t (checked_bits t time) fire)
+let schedule_at t ~time fire = arm t (checked_bits t time) fire
 
 let schedule_after t ~delay fire =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
-  let time = now t +. delay in
-  pack_handle t (arm t (checked_bits t time) fire)
-
-let schedule_unit_at t ~time fire =
-  ignore (arm t (checked_bits t time) fire : int)
+  if not (delay >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule_after: delay %g is negative or NaN"
+         delay);
+  arm t (checked_bits t (now t +. delay)) fire
 
 (* An encoding past [infinity_bits] is a NaN; one below the clock is in
    the past. Callers encode [now + d] themselves, so this test is all
    that stands between a NaN delay and the queue. *)
-let schedule_unit_at_bits t ~bits fire =
+let schedule_at_bits t ~bits fire =
   if bits < t.clock_bits || bits > infinity_bits then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_unit_at_bits: time %g is NaN or before now %g"
+      (Printf.sprintf
+         "Engine.schedule_at_bits: time %g is NaN or before now %g"
          (time_of_bits bits) (now t));
-  ignore (arm t bits fire : int)
+  arm t bits fire
 
 let bits_after t ~delay =
   if not (delay >= 0.0) then
     invalid_arg "Engine.bits_after: delay is negative or NaN";
   bits_of_time (now t +. delay)
 
-let schedule_unit t ~delay fire =
-  if delay < 0.0 then invalid_arg "Engine.schedule_unit: negative delay";
-  let time = now t +. delay in
-  ignore (arm t (checked_bits t time) fire : int)
-
-let cancel t handle =
-  let s = handle land slot_mask in
-  if s < t.high then begin
-    let meta = Array.unsafe_get t.meta s in
-    if
-      meta land state_mask = pending_tag
-      && (meta lsr 2) land gen_mask = handle lsr slot_bits
-    then begin
-      (* Lazy delete: mark it dead and let the queue drain it; the
-         slot recycles (and the generation bumps) at that point. *)
-      Array.unsafe_set t.meta s
-        ((meta land lnot state_mask) lor cancelled_tag);
-      t.live <- t.live - 1
-    end
-  end
-
-let pending t = t.live
+let pending t = t.queue.csize
 
 let scheduled t = t.next_seq
 
-(* Fire (or silently drain, if cancelled) a slot popped from the
-   queue. The slot is released before the callback runs so the
-   callback's own scheduling reuses it immediately. *)
-let[@inline] fire_slot t s =
-  if Array.unsafe_get t.meta s land state_mask = pending_tag then begin
-    t.live <- t.live - 1;
-    t.clock_bits <- Array.unsafe_get t.time_bits s;
-    let fire = Array.unsafe_get t.fire s in
-    free_slot t s;
-    fire ()
-  end
-  else free_slot t s
-
-(* The drain loop is a direct allocation-free pop per event. *)
+(* The drain loop is a direct allocation-free pop per event. The slot
+   is released before its callback runs, so the callback's own
+   scheduling reuses it immediately. *)
 let drain t ~limit_bits =
   let q = t.queue in
   let rec loop () =
-    if not t.stopped then begin
-      let s = cal_pop_if_before t q ~limit_bits in
-      if s <> no_slot then begin
-        fire_slot t s;
-        loop ()
-      end
+    let s = cal_pop_if_before t q ~limit_bits in
+    if s <> no_slot then begin
+      t.clock_bits <- Array.unsafe_get t.time_bits s;
+      let fire = Array.unsafe_get t.fire s in
+      free_slot t s;
+      fire ();
+      loop ()
     end
   in
   loop ()
 
-let run t =
-  t.stopped <- false;
-  drain t ~limit_bits:infinity_bits
+let run t = drain t ~limit_bits:infinity_bits
 
 (* The bit encoding is monotone only for non-negative times: NaN would
    never bound the drain, and -T would stand for +T. *)
@@ -650,12 +583,6 @@ let run_until t ~time =
   if not (time >= 0.0) then
     invalid_arg
       (Printf.sprintf "Engine.run_until: time %g is negative or NaN" time);
-  t.stopped <- false;
   let limit_bits = bits_of_time time in
   drain t ~limit_bits;
-  (* A stop mid-run leaves the clock at the last fired event; advancing
-     it to [time] anyway would fabricate an idle period that never ran. *)
-  if (not t.stopped) && limit_bits > t.clock_bits then
-    t.clock_bits <- limit_bits
-
-let stop t = t.stopped <- true
+  if limit_bits > t.clock_bits then t.clock_bits <- limit_bits

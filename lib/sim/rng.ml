@@ -40,8 +40,6 @@ let int t n =
   in
   draw ()
 
-let bool t = Int64.(logand (bits64 t) 1L) = 1L
-
 let bernoulli t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 

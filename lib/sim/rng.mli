@@ -29,9 +29,6 @@ val float_range : t -> lo:float -> hi:float -> float
 (** [int t n] draws uniformly from [\[0, n)]. Requires [n > 0]. *)
 val int : t -> int -> int
 
-(** [bool t] draws a fair coin flip. *)
-val bool : t -> bool
-
 (** [bernoulli t p] returns [true] with probability [p] (clamped to
     [\[0, 1\]]). *)
 val bernoulli : t -> float -> bool

@@ -7,9 +7,7 @@
    since the clock has advanced — only moves the logical [expiry]; the
    queue entry already outstanding fires first, notices the deadline
    moved, and re-queues itself for the remainder. Queue traffic drops
-   from one entry per restart to one per expiry interval, and the
-   entries that are pushed go through the engine's recyclable no-handle
-   path.
+   from one entry per restart to one per expiry interval.
 
    [epoch] identifies the authoritative queue entry: cancel, start and
    an earlier-deadline restart bump it, so any entry still in the queue
@@ -46,7 +44,7 @@ let expiry t =
 let rec enqueue t =
   let epoch = t.epoch in
   t.queued_bits <- t.expiry_bits;
-  Engine.schedule_unit_at_bits t.engine ~bits:t.expiry_bits (fun () ->
+  Engine.schedule_at_bits t.engine ~bits:t.expiry_bits (fun () ->
       fired t epoch)
 
 and fired t epoch =

@@ -5,7 +5,7 @@ let sample ~engine ~probe ~interval ~until =
     let now = Sim.Engine.now engine in
     Series.add series ~time:now ~value:(float_of_int (probe ()));
     if now +. interval <= until then
-      Sim.Engine.schedule_unit engine ~delay:interval tick
+      Sim.Engine.schedule_after engine ~delay:interval tick
   in
-  Sim.Engine.schedule_unit engine ~delay:0.0 tick;
+  Sim.Engine.schedule_after engine ~delay:0.0 tick;
   series

@@ -29,8 +29,6 @@ let add t x =
     end
   end
 
-let count t = t.seen
-
 let retained t = Stdlib.min t.seen (Array.length t.sample)
 
 let ensure_sorted t =
@@ -47,7 +45,8 @@ let rank_of n q =
   Stdlib.max 0 (Stdlib.min (n - 1) rank)
 
 let quantile t q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Reservoir.quantile: q outside [0, 1]";
+  if not (q >= 0.0 && q <= 1.0) then
+    invalid_arg "Reservoir.quantiles: q outside [0, 1]";
   let n = retained t in
   if n = 0 then nan
   else begin

@@ -20,16 +20,9 @@ val create : capacity:int -> rng:Sim.Rng.t -> unit -> t
     probability [capacity/seen]. *)
 val add : t -> float -> unit
 
-(** [count t] is the number of observations offered (not retained). *)
-val count : t -> int
+(** [quantiles t qs] estimates each [q]-quantile ([0 <= q <= 1]) from
+    the retained sample by nearest-rank on the sorted reservoir, sorting
+    once; [nan] when empty.
 
-(** [quantile t q] estimates the [q]-quantile ([0 <= q <= 1]) from the
-    retained sample by nearest-rank on the sorted reservoir; [nan] when
-    empty.
-
-    @raise Invalid_argument when [q] is outside [0, 1]. *)
-val quantile : t -> float -> float
-
-(** [quantiles t qs] sorts once and reads each rank — use this for a
-    percentile table. *)
+    @raise Invalid_argument when a [q] is outside [0, 1]. *)
 val quantiles : t -> float list -> float list

@@ -17,11 +17,6 @@ type t = {
 (** [of_list values] summarises the sample. *)
 val of_list : float list -> t
 
-(** [t_critical df] is the two-sided 95% Student-t critical value for
-    [df] degrees of freedom (normal quantile beyond the table), shared
-    with the streaming {!Welford} accumulator. *)
-val t_critical : int -> float
-
 (** [to_string ?scale t] renders ["mean +- ci95"] with both values
     multiplied by [scale] (default 1), e.g. [scale:0.001] for
     Kbps-from-bps columns. *)

@@ -2,64 +2,17 @@ type t = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float;  (* sum of squared deviations from the mean *)
-  mutable min : float;
-  mutable max : float;
 }
 
-let create () = { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan }
+let create () = { n = 0; mean = 0.0; m2 = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.n = 1 then begin
-    t.min <- x;
-    t.max <- x
-  end
-  else begin
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-  end
-
-let count t = t.n
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let mean t = if t.n = 0 then nan else t.mean
 
 let stddev t =
   if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-
-let min t = t.min
-
-let max t = t.max
-
-let summary t =
-  if t.n = 0 then Summary.of_list []
-  else if t.n = 1 then Summary.of_list [ t.mean ]
-  else begin
-    let stddev = stddev t in
-    let nf = float_of_int t.n in
-    let ci95 = Summary.t_critical (t.n - 1) *. stddev /. sqrt nf in
-    { Summary.n = t.n; mean = t.mean; stddev; ci95 }
-  end
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let nf = float_of_int n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
-    in
-    {
-      n;
-      mean;
-      m2;
-      min = Stdlib.min a.min b.min;
-      max = Stdlib.max a.max b.max;
-    }
-  end

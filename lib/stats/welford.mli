@@ -16,26 +16,9 @@ val create : unit -> t
     and poison the moments, as they would a list summary. *)
 val add : t -> float -> unit
 
-(** [count t] is the number of observations folded in. *)
-val count : t -> int
-
 (** [mean t] is the running mean; [nan] when empty. *)
 val mean : t -> float
 
-(** [stddev t] is the sample (n-1) standard deviation; [0.] when
-    [count t < 2]. *)
+(** [stddev t] is the sample (n-1) standard deviation; [0.] with fewer
+    than two observations. *)
 val stddev : t -> float
-
-(** [min t] / [max t]; [nan] when empty. *)
-val min : t -> float
-
-val max : t -> float
-
-(** [summary t] collapses the accumulator into the record the campaign
-    reporters print, with the same Student-t confidence half-width as
-    {!Summary.of_list}. *)
-val summary : t -> Summary.t
-
-(** [merge a b] is an accumulator equivalent to having folded both
-    streams into one (Chan's parallel update). *)
-val merge : t -> t -> t

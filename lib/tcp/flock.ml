@@ -257,7 +257,7 @@ let start t ?(stagger = 0.0) () =
     let rec start_next flow =
       if flow < t.n then begin
         start_flow t flow;
-        Sim.Engine.schedule_unit t.engine ~delay:gap (fun () ->
+        Sim.Engine.schedule_after t.engine ~delay:gap (fun () ->
             start_next (flow + 1))
       end
     in
@@ -265,9 +265,9 @@ let start t ?(stagger = 0.0) () =
   end;
   let rec tick () =
     scan t;
-    Sim.Engine.schedule_unit t.engine ~delay:scan_interval tick
+    Sim.Engine.schedule_after t.engine ~delay:scan_interval tick
   in
-  Sim.Engine.schedule_unit t.engine ~delay:scan_interval tick
+  Sim.Engine.schedule_after t.engine ~delay:scan_interval tick
 
 (* -- observability --------------------------------------------------- *)
 
@@ -275,7 +275,6 @@ let acked_segments t flow = t.una.(flow)
 
 let retransmits t flow = t.retrans.(flow)
 
-let timeouts t flow = t.n_timeouts.(flow)
 
 let cwnd t flow = t.cwnd.(flow)
 

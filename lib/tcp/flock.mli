@@ -64,8 +64,6 @@ val acked_segments : t -> int -> int
 
 val retransmits : t -> int -> int
 
-val timeouts : t -> int -> int
-
 val cwnd : t -> int -> float
 
 (** [goodput_bps t flow ~duration] is acked payload bits per second. *)

@@ -28,7 +28,7 @@ let rec tick t =
   t.emit packet;
   let next = now +. t.interval in
   if next < t.until then
-    Sim.Engine.schedule_unit_at t.engine ~time:next (fun () -> tick t)
+    Sim.Engine.schedule_at t.engine ~time:next (fun () -> tick t)
 
 let period ~rate_bps ~packet_bytes =
   Sim.Units.bits_of_bytes packet_bytes /. rate_bps
@@ -50,5 +50,5 @@ let create ~engine ~flow ~rate_bps ~packet_bytes ~at ~until ~emit () =
     { engine; flow; packet_bytes; interval; until; emit; uid = 0; sent = 0 }
   in
   if at < until then
-    Sim.Engine.schedule_unit_at engine ~time:at (fun () -> tick t);
+    Sim.Engine.schedule_at engine ~time:at (fun () -> tick t);
   t

@@ -79,7 +79,7 @@ and finish_burst t ~started ~segments =
   in
   let next = finished +. think in
   if next < p.until then
-    Sim.Engine.schedule_unit_at t.engine ~time:next (fun () -> start_burst t)
+    Sim.Engine.schedule_at t.engine ~time:next (fun () -> start_burst t)
 
 let create ~engine ~agent ~rng profile =
   if profile.size_shape <= 1.0 || profile.think_shape <= 1.0 then
@@ -100,6 +100,6 @@ let create ~engine ~agent ~rng profile =
       completions = [];
     }
   in
-  Sim.Engine.schedule_unit_at engine ~time:profile.start (fun () ->
+  Sim.Engine.schedule_at engine ~time:profile.start (fun () ->
       start_burst t);
   t

@@ -15,49 +15,32 @@ type t = {
   mutable now : float;
   mutable next : int;
   mutable events : (unit -> unit) Events.t;
-  mutable stopped : bool;
 }
 
-type handle = float * int
-
-let create () =
-  { now = 0.0; next = 0; events = Events.empty; stopped = false }
+let create () = { now = 0.0; next = 0; events = Events.empty }
 
 let now t = t.now
 
 let schedule_at t ~time fire =
   if time < t.now then invalid_arg "Reference_queue.schedule_at: past";
-  let key = (time, t.next) in
-  t.next <- t.next + 1;
-  t.events <- Events.add key fire t.events;
-  key
+  t.events <- Events.add (time, t.next) fire t.events;
+  t.next <- t.next + 1
 
 let schedule_after t ~delay fire = schedule_at t ~time:(t.now +. delay) fire
-
-let schedule_unit_at t ~time fire = ignore (schedule_at t ~time fire : handle)
-
-let schedule_unit t ~delay fire = schedule_unit_at t ~time:(t.now +. delay) fire
-
-let cancel t key = t.events <- Events.remove key t.events
 
 let pending t = Events.cardinal t.events
 
 let rec drain t ~limit =
   match Events.min_binding_opt t.events with
-  | Some (((time, _) as key), fire) when time <= limit && not t.stopped ->
+  | Some (((time, _) as key), fire) when time <= limit ->
     t.events <- Events.remove key t.events;
     t.now <- time;
     fire ();
     drain t ~limit
   | Some _ | None -> ()
 
-let run t =
-  t.stopped <- false;
-  drain t ~limit:infinity
+let run t = drain t ~limit:infinity
 
 let run_until t ~time =
-  t.stopped <- false;
   drain t ~limit:time;
-  if (not t.stopped) && time > t.now then t.now <- time
-
-let stop t = t.stopped <- true
+  if time > t.now then t.now <- time

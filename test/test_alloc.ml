@@ -109,7 +109,7 @@ let warmed_engine () =
   let engine = Sim.Engine.create () in
   let batch () =
     for i = 1 to 100_000 do
-      Sim.Engine.schedule_unit engine ~delay:(float_of_int (i mod 97)) nop
+      Sim.Engine.schedule_after engine ~delay:(float_of_int (i mod 97)) nop
     done;
     Sim.Engine.run engine
   in

@@ -121,7 +121,7 @@ let flap_fixture ~policy =
   Faults.Injector.subscribe injector (fun ~time:_ event -> events := event :: !events);
   Faults.Injector.flap_link injector ~name:"trunk" ~policy link
     (Faults.Schedule.of_flaps [ (0.015, 1.0) ]);
-  Sim.Engine.schedule_unit_at engine ~time:0.0 (fun () ->
+  Sim.Engine.schedule_at engine ~time:0.0 (fun () ->
       for seq = 1 to 5 do
         Net.Link.send link (packet seq)
       done);
@@ -165,7 +165,7 @@ let run_wrapped ~seed ~n wrap =
   in
   let consumer = wrap injector rng next in
   for i = 0 to n - 1 do
-    Sim.Engine.schedule_unit_at engine
+    Sim.Engine.schedule_at engine
       ~time:(0.001 *. float_of_int i)
       (fun () -> consumer (packet i))
   done;
@@ -575,12 +575,12 @@ let prop_timeline_link_exactly_once_fifo =
       in
       List.iter
         (fun (at, rate, delay) ->
-          Sim.Engine.schedule_unit_at engine ~time:at (fun () ->
+          Sim.Engine.schedule_at engine ~time:at (fun () ->
               Net.Link.set_rate link rate;
               Net.Link.set_delay link delay))
         steps;
       for i = 0 to offered - 1 do
-        Sim.Engine.schedule_unit_at engine
+        Sim.Engine.schedule_at engine
           ~time:(0.004 *. float_of_int i)
           (fun () -> Net.Link.send link (packet i))
       done;

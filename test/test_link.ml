@@ -72,7 +72,7 @@ let test_work_conserving_after_idle () =
   let engine, link, arrivals = make () in
   Net.Link.send link (packet 1);
   Sim.Engine.run engine;
-  ignore (Sim.Engine.schedule_at engine ~time:1.0 (fun () -> Net.Link.send link (packet 2)));
+  Sim.Engine.schedule_at engine ~time:1.0 (fun () -> Net.Link.send link (packet 2));
   Sim.Engine.run engine;
   match List.rev !arrivals with
   | [ (_, 1); (t2, 2) ] -> Alcotest.(check (float 1e-9)) "restart timing" 1.106 t2
@@ -100,9 +100,8 @@ let prop_conservation =
       List.iteri
         (fun i gap ->
           time := !time +. gap;
-          ignore
-            (Sim.Engine.schedule_at engine ~time:!time (fun () ->
-                 Net.Link.send link (packet i))))
+          Sim.Engine.schedule_at engine ~time:!time (fun () ->
+              Net.Link.send link (packet i)))
         send_gaps;
       Sim.Engine.run engine;
       let dropped = queue.Net.Queue_disc.stats.Net.Queue_disc.dropped in

@@ -164,10 +164,81 @@ let test_mean_and_cov () =
     (Stats.Metrics.coefficient_of_variation [ 1.0; 7.0 ]
     > Stats.Metrics.coefficient_of_variation [ 3.0; 5.0 ])
 
+(* The streaming summaries the many-flow report prints, against their
+   list-based definitions. Two floats agree when both are NaN or they
+   differ by at most 1e-9 of the larger. *)
+let agree a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+(* Checked after every observation, so every case covers n = 0 and
+   n = 1 too. *)
+let prop_welford_matches_summary =
+  QCheck2.Test.make ~name:"welford matches Summary.of_list" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 200) (float_bound_inclusive 1e6))
+    (fun sample ->
+      let w = Stats.Welford.create () in
+      let matches prefix =
+        let s = Stats.Summary.of_list prefix in
+        agree (Stats.Welford.mean w) s.Stats.Summary.mean
+        && agree (Stats.Welford.stddev w) s.Stats.Summary.stddev
+      in
+      let rec go prefix = function
+        | [] -> matches prefix
+        | x :: rest ->
+          matches prefix
+          && begin
+            Stats.Welford.add w x;
+            go (prefix @ [ x ]) rest
+          end
+      in
+      go [] sample)
+
+(* The nearest-rank q-quantile of n sorted values is the k-th, for the
+   least k >= 1 with k >= q n; none when n = 0. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  let rec find k =
+    if float_of_int k >= q *. float_of_int n then sorted.(k - 1)
+    else find (k + 1)
+  in
+  if n = 0 then nan else find 1
+
+let prop_reservoir_exact_within_capacity =
+  QCheck2.Test.make ~name:"reservoir exact within capacity" ~count:300
+    QCheck2.Gen.(
+      let q = oneof [ pure 0.0; pure 1.0; float_bound_inclusive 1.0 ] in
+      let refused =
+        oneof
+          [
+            map (fun x -> -1e-9 -. x) (float_bound_inclusive 10.0);
+            map (fun x -> 1.0 +. 1e-9 +. x) (float_bound_inclusive 10.0);
+            pure nan;
+          ]
+      in
+      quad
+        (list_size (int_range 0 100) (float_bound_inclusive 1e6))
+        (int_range 0 10) (list_size (int_range 1 10) q) refused)
+    (fun (sample, slack, qs, refused) ->
+      let reservoir =
+        Stats.Reservoir.create
+          ~capacity:(max 1 (List.length sample + slack))
+          ~rng:(Sim.Rng.create 7L) ()
+      in
+      List.iter (Stats.Reservoir.add reservoir) sample;
+      let sorted = Array.of_list (List.sort compare sample) in
+      List.for_all2 Float.equal
+        (Stats.Reservoir.quantiles reservoir qs)
+        (List.map (nearest_rank sorted) qs)
+      &&
+      match Stats.Reservoir.quantiles reservoir [ refused ] with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let test_queue_monitor () =
   let engine = Sim.Engine.create () in
   let level = ref 0 in
-  ignore (Sim.Engine.schedule_at engine ~time:0.45 (fun () -> level := 7));
+  Sim.Engine.schedule_at engine ~time:0.45 (fun () -> level := 7);
   let series =
     Stats.Queue_monitor.sample ~engine ~probe:(fun () -> !level) ~interval:0.1
       ~until:1.0
@@ -235,6 +306,11 @@ let suite =
         Alcotest.test_case "loss rate" `Quick test_loss_rate;
         Alcotest.test_case "jain index" `Quick test_jain_index;
         Alcotest.test_case "mean and cov" `Quick test_mean_and_cov;
+      ] );
+    ( "streaming",
+      [
+        Qcheck_seed.to_alcotest prop_welford_matches_summary;
+        Qcheck_seed.to_alcotest prop_reservoir_exact_within_capacity;
       ] );
     ( "queue_monitor",
       [

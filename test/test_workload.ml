@@ -15,21 +15,19 @@ let loopback_agent engine =
   let agent =
     Core.Variant.(create Newreno) ~engine ~params:Tcp.Params.default ~flow:0
       ~emit:(fun packet ->
-        ignore
-          (Sim.Engine.schedule_after engine ~delay:0.01 (fun () ->
-               match !receiver_cell with
-               | Some receiver -> Tcp.Receiver.deliver receiver packet
-               | None -> ())))
+        Sim.Engine.schedule_after engine ~delay:0.01 (fun () ->
+            match !receiver_cell with
+            | Some receiver -> Tcp.Receiver.deliver receiver packet
+            | None -> ()))
       ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0
       ~emit:(fun packet ->
-        ignore
-          (Sim.Engine.schedule_after engine ~delay:0.01 (fun () ->
-               match !agent_cell with
-               | Some agent -> agent.Tcp.Agent.deliver_ack packet
-               | None -> ())))
+        Sim.Engine.schedule_after engine ~delay:0.01 (fun () ->
+            match !agent_cell with
+            | Some agent -> agent.Tcp.Agent.deliver_ack packet
+            | None -> ()))
       ()
   in
   agent_cell := Some agent;
